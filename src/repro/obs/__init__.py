@@ -31,10 +31,12 @@ from .events import (
     KIND_CSA_ROUND,
     KIND_REFINE_OUTCOME,
     KIND_SOLVER_NODE,
+    KIND_SOLVER_REDUCE,
     emit,
     epsilon_events,
     events_enabled,
     format_convergence,
+    reduce_events,
     refine_events,
     solver_events,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "KIND_CSA_ROUND",
     "KIND_REFINE_OUTCOME",
     "KIND_SOLVER_NODE",
+    "KIND_SOLVER_REDUCE",
     "LockedCounters",
     "QueryResourceProbe",
     "RESOURCE_COUNTER_FIELDS",
@@ -101,6 +104,7 @@ __all__ = [
     "merge_resource_snapshots",
     "new_span_id",
     "new_trace_id",
+    "reduce_events",
     "refine_events",
     "resource_counters",
     "solver_events",

@@ -8,7 +8,7 @@ spans, so events ride the exact same payloads across the solve farm's
 forkserver boundary and surface on ``GET /trace/<id>`` and
 ``repro trace --convergence``.
 
-Three producers feed the channel:
+Four producers feed the channel:
 
 * ``solver/branch_bound.py`` emits a :data:`KIND_SOLVER_NODE` record per
   expanded node and per incumbent improvement —
@@ -16,6 +16,9 @@ Three producers feed the channel:
   objective sense — plus a terminal record (``final=True``) whose ``gap``
   equals the returned :class:`~repro.solver.result.MILPResult` gap and,
   through the engine's envelope, the ``AnytimeResult`` gap;
+* ``solver/highs.py`` emits one :data:`KIND_SOLVER_REDUCE` record per
+  solve that went through the root-LP reduction — which verdict it
+  reached and how many columns HiGHS was left with;
 * SummarySearch/CSA emit a :data:`KIND_CSA_ROUND` record per
   optimize/validate round (the ε-trajectory of Section 5.4);
 * the scale driver emits a :data:`KIND_REFINE_OUTCOME` record per
@@ -31,12 +34,18 @@ unbounded memory per query; overflow is counted, never silently lost.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from .trace import current_session
 
 #: Branch-and-bound convergence: one record per expanded node / new
 #: incumbent, fields ``t, incumbent, best_bound, gap, nodes, lp_iters``.
 KIND_SOLVER_NODE = "solver.node"
+
+#: Root-LP reduction in front of HiGHS: one record per reduced solve,
+#: fields ``verdict`` (``lp_integral``/``lp_infeasible``/``reduced``/
+#: ``full``), ``cols``, ``free``, ``lp_s`` (see ``solver/reduce.py``).
+KIND_SOLVER_REDUCE = "solver.reduce"
 
 #: SummarySearch/CSA ε-trajectory: one record per optimize/validate
 #: round, fields ``t, iteration, q, epsilon_upper, feasible, objective``.
@@ -76,6 +85,11 @@ def solver_events(events) -> list[dict]:
     return [e for e in events or () if e.get("kind") == KIND_SOLVER_NODE]
 
 
+def reduce_events(events) -> list[dict]:
+    """The root-LP reduction verdicts, in emission order."""
+    return [e for e in events or () if e.get("kind") == KIND_SOLVER_REDUCE]
+
+
 def epsilon_events(events) -> list[dict]:
     """The CSA ε-trajectory series, in emission order."""
     return [e for e in events or () if e.get("kind") == KIND_CSA_ROUND]
@@ -94,14 +108,20 @@ def _fmt(value, digits: int = 6) -> str:
     return str(value)
 
 
+def _tally(events, key: str) -> str:
+    """``value=count`` pairs of one field over ``events``, sorted."""
+    counts = Counter(str(event.get(key)) for event in events)
+    return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+
+
 def format_convergence(document: dict, width: int = 72) -> str:
     """ASCII gap-over-time view of one trace document's event stream.
 
     ``document`` is a ``/trace`` payload (or ``engine.last_trace``):
-    the event list is read from its ``events`` key.  Three sections,
+    the event list is read from its ``events`` key.  Four sections,
     each omitted when its producer emitted nothing: the solver
-    gap-over-time bars, the CSA ε-trajectory table, and the refine
-    outcome tally.
+    gap-over-time bars, the root-LP reduction verdicts, the CSA
+    ε-trajectory table, and the refine outcome tally.
     """
     events = document.get("events") or []
     lines: list[str] = []
@@ -126,6 +146,21 @@ def format_convergence(document: dict, width: int = 72) -> str:
                 f" lp={_fmt(event.get('lp_iters')):>6}"
                 f" |{bar}{marker}"
             )
+    reductions = reduce_events(events)
+    if reductions:
+        if lines:
+            lines.append("")
+        lines.append(
+            f"root-LP reductions ({len(reductions)} solves):"
+            f" {_tally(reductions, 'verdict')}"
+        )
+        for event in reductions:
+            lines.append(
+                f"  verdict={_fmt(event.get('verdict')):>13}"
+                f" cols={_fmt(event.get('cols')):>6}"
+                f" free={_fmt(event.get('free')):>6}"
+                f" lp={_fmt(event.get('lp_s'), 4):>8}s"
+            )
     eps = epsilon_events(events)
     if eps:
         if lines:
@@ -144,12 +179,10 @@ def format_convergence(document: dict, width: int = 72) -> str:
     if refines:
         if lines:
             lines.append("")
-        tally: dict[str, int] = {}
-        for event in refines:
-            status = str(event.get("status"))
-            tally[status] = tally.get(status, 0) + 1
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-        lines.append(f"refine outcomes ({len(refines)} partitions): {summary}")
+        lines.append(
+            f"refine outcomes ({len(refines)} partitions):"
+            f" {_tally(refines, 'status')}"
+        )
         for event in refines:
             lines.append(
                 f"  partition={_fmt(event.get('partition')):>4}"

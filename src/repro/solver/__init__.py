@@ -3,9 +3,10 @@
 The paper uses IBM CPLEX; this layer provides the same capabilities on an
 open stack: a matrix-form :class:`MILPBuilder` with indicator-constraint
 support (big-M encoding equivalent to CPLEX indicator constraints), a
-HiGHS backend through ``scipy.optimize.milp``, and a self-contained
-LP-based branch-and-bound used as a fallback and as a differential-testing
-oracle.
+HiGHS backend through ``scipy.optimize.milp`` behind an exact root-LP
+reduction (:mod:`repro.solver.reduce`), and a self-contained LP-based
+branch-and-bound — never reduced — used as a fallback and as a
+differential-testing oracle.
 """
 
 from .model import BuilderCheckpoint, MILPBuilder

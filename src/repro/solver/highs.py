@@ -16,7 +16,9 @@ import time
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from ..obs.events import KIND_SOLVER_REDUCE, emit
 from ..obs.resources import charge
+from .reduce import milp_options, solve_reduced
 from .result import (
     MILPResult,
     STATUS_FEASIBLE,
@@ -39,25 +41,45 @@ def solve_with_highs(
     time_limit: float | None = None,
     mip_gap: float = 1e-6,
 ) -> MILPResult:
-    """Solve the builder's model with HiGHS and normalize the outcome."""
+    """Solve the builder's model with HiGHS and normalize the outcome.
+
+    Models :func:`repro.solver.reduce.eligible` accepts go through the
+    root-LP reduction first; the full model is handed to HiGHS only when
+    that cannot certify an answer, with the time it spent deducted.
+    """
     c, matrix, row_lb, row_ub, var_lb, var_ub, integrality = builder.to_arrays()
     hint = builder.validated_warm_start()
-    options: dict = {"mip_rel_gap": max(mip_gap, 0.0), "presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = max(float(time_limit), 0.01)
-    constraints = (
-        LinearConstraint(matrix, row_lb, row_ub) if matrix.shape[0] else ()
-    )
     started = time.perf_counter()
-    res = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality.astype(int),
-        bounds=Bounds(var_lb, var_ub),
-        options=options,
+    res, reduction = solve_reduced(
+        c, matrix, row_lb, row_ub, var_lb, var_ub, integrality, hint,
+        mip_gap, time_limit,
     )
+    if res is None:
+        # A model the reduction never looked at keeps its whole budget, so
+        # its solve is the unreduced one down to the option values.
+        spent = 0.0 if reduction is None else time.perf_counter() - started
+        options = milp_options(mip_gap, time_limit, spent)
+        constraints = (
+            LinearConstraint(matrix, row_lb, row_ub) if matrix.shape[0] else ()
+        )
+        res = milp(
+            c=c,
+            constraints=constraints,
+            integrality=integrality.astype(int),
+            bounds=Bounds(var_lb, var_ub),
+            options=options,
+        )
+        charge("lp_solves")
     elapsed = time.perf_counter() - started
-    charge("lp_solves")
+    result = _normalize(builder, c, hint, integrality, res, elapsed)
+    if reduction is not None:
+        result.meta["reduction"] = reduction
+        emit(KIND_SOLVER_REDUCE, **reduction)
+    return result
+
+
+def _normalize(builder, c, hint, integrality, res, elapsed) -> MILPResult:
+    """Map a ``milp``-shaped outcome onto :class:`MILPResult`."""
     if res.status == _SCIPY_OPTIMAL:
         # "Optimal" includes gap-terminated solves (mip_rel_gap > 0), so
         # the incumbent can still trail a good warm-start hint.
@@ -91,6 +113,7 @@ def solve_with_highs(
             solve_time=elapsed,
             gap=_gap_for(c, x, res),
             message=str(res.message),
+            meta=_bound_meta(builder, res, stopped="limit"),
         )
     if res.status == _SCIPY_LIMIT:
         if hint is not None:

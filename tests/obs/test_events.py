@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+import repro.solver.reduce as reduce_module
 from repro.obs import (
     KIND_CSA_ROUND,
     KIND_REFINE_OUTCOME,
     KIND_SOLVER_NODE,
+    KIND_SOLVER_REDUCE,
     TraceSession,
     activate,
     emit,
@@ -13,9 +17,11 @@ from repro.obs import (
     events_enabled,
     format_convergence,
     new_trace_id,
+    reduce_events,
     refine_events,
     solver_events,
 )
+from repro.solver.model import MILPBuilder
 
 
 def test_emit_is_a_refusal_without_a_session():
@@ -57,17 +63,19 @@ def test_filters_partition_by_kind():
         {"kind": KIND_CSA_ROUND, "iteration": 1},
         {"kind": KIND_SOLVER_NODE, "gap": 0.1},
         {"kind": KIND_REFINE_OUTCOME, "partition": 4, "status": "ok"},
+        {"kind": KIND_SOLVER_REDUCE, "verdict": "lp_integral", "cols": 900},
         {"kind": "someone.else", "x": 1},
     ]
     assert [e["gap"] for e in solver_events(events)] == [0.5, 0.1]
     assert [e["iteration"] for e in epsilon_events(events)] == [1]
     assert [e["partition"] for e in refine_events(events)] == [4]
+    assert [e["verdict"] for e in reduce_events(events)] == ["lp_integral"]
     # Filters accept None/empty without blowing up.
     assert solver_events(None) == []
     assert epsilon_events([]) == []
 
 
-def test_format_convergence_renders_all_three_sections():
+def test_format_convergence_renders_all_four_sections():
     document = {
         "events": [
             {
@@ -79,6 +87,14 @@ def test_format_convergence_renders_all_three_sections():
                 "kind": KIND_SOLVER_NODE, "t": 0.05, "gap": 0.2,
                 "incumbent": 10.0, "best_bound": 8.0, "nodes": 7,
                 "lp_iters": 30, "final": True,
+            },
+            {
+                "kind": KIND_SOLVER_REDUCE, "verdict": "lp_integral",
+                "cols": 1200, "free": 0, "lp_s": 0.013,
+            },
+            {
+                "kind": KIND_SOLVER_REDUCE, "verdict": "reduced",
+                "cols": 1201, "free": 96, "lp_s": 0.008,
             },
             {
                 "kind": KIND_CSA_ROUND, "iteration": 1, "q": 16,
@@ -94,6 +110,8 @@ def test_format_convergence_renders_all_three_sections():
     }
     rendered = format_convergence(document)
     assert "solver convergence (gap over time):" in rendered
+    assert "root-LP reductions (2 solves): lp_integral=1, reduced=1" in rendered
+    assert "verdict=      reduced cols=  1201 free=    96" in rendered
     assert "CSA epsilon trajectory:" in rendered
     assert "refine outcomes (1 partitions): validated=1" in rendered
     assert "(2 events dropped at the session cap)" in rendered
@@ -110,3 +128,48 @@ def test_format_convergence_empty_document():
         format_convergence({"events": [], "events_dropped": 0})
         == "no convergence events recorded"
     )
+
+
+def _cardinality_builder(n: int) -> MILPBuilder:
+    """Pick 5..10 of ``n`` binary columns at least cost, under a weight cap."""
+    rng = np.random.default_rng(n)
+    builder = MILPBuilder()
+    idx = builder.add_variables("x", n, lb=0.0, ub=1.0)
+    builder.add_constraint(idx, np.ones(n), lb=5, ub=10)
+    builder.add_constraint(idx, rng.uniform(1.0, 9.0, size=n), lb=31.3)
+    builder.set_objective(idx, rng.uniform(1.0, 20.0, size=n))
+    return builder
+
+
+def test_reduced_solve_emits_one_event_and_bills_every_lp_and_milp(monkeypatch):
+    milp_calls = []
+    real = reduce_module.milp
+    monkeypatch.setattr(
+        reduce_module, "milp",
+        lambda *a, **k: milp_calls.append(1) or real(*a, **k),
+    )
+    builder = _cardinality_builder(reduce_module.MIN_COLUMNS + 100)
+    session = TraceSession(new_trace_id())
+    with activate(session):
+        result = builder.solve()
+    record = result.meta["reduction"]
+    assert record["verdict"] == "reduced"
+    assert set(record) == {"verdict", "cols", "free", "lp_s"}
+    assert record["cols"] == builder.n_variables
+    assert 0 < record["free"] < record["cols"] / 2
+    events = reduce_events(session.events)
+    assert len(events) == 1
+    assert {k: events[0][k] for k in record} == record
+    # The bill: one root LP plus every MILP HiGHS actually ran.
+    assert milp_calls
+    assert session.resources["lp_solves"] == 1 + len(milp_calls)
+
+
+def test_unreduced_solve_emits_no_reduce_event():
+    builder = _cardinality_builder(40)
+    session = TraceSession(new_trace_id())
+    with activate(session):
+        result = builder.solve()
+    assert "reduction" not in result.meta
+    assert reduce_events(session.events) == []
+    assert session.resources["lp_solves"] == 1
