@@ -61,6 +61,13 @@ class EvaluationContext:
         #: from it so concurrent/repeated queries share realizations.
         self.scenario_store = store
         self._mean_cache: dict[int, np.ndarray] = {}
+        #: Exact per-evaluation memos of the two pure functions CSA
+        #: re-evaluates (docs/architecture.md, "Ask once per evaluation"):
+        #: model digest -> raw solver outcome (``solver/highs.py``), and
+        #: (item, package) -> satisfied count (``Validator``).  They die
+        #: with the context; nothing is shared across evaluations.
+        self.solve_memo: dict = {}
+        self.validation_memo: dict = {}
 
         if self.model is not None:
             self.estimator = ExpectationEstimator(self.model, config, store=store)
@@ -196,6 +203,7 @@ class EvaluationContext:
         objectives) are added on top by the SAA/CSA formulations.
         """
         builder = MILPBuilder()
+        builder.solve_memo = self.solve_memo
         x_idx = builder.add_variables(
             "x", self.problem.n_vars, lb=0.0, ub=self.variable_ub, integer=True
         )

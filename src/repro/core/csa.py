@@ -31,6 +31,7 @@ from ..solver.model import MILPBuilder
 from ..utils.timing import Stopwatch
 from .alpha import guess_alpha, snap_to_grid
 from .approx import epsilon_certificate
+from .package import package_key
 from .summaries import SummaryBuilder, SummarySet
 from .validator import ValidationReport, Validator
 from .warmstart import apply_warm_start
@@ -172,9 +173,7 @@ class CSASolveResult:
 
 
 def _solution_key(x: np.ndarray, alphas: list[float]) -> tuple:
-    return (tuple(np.nonzero(x)[0].tolist()),
-            tuple(int(v) for v in x[np.nonzero(x)[0]]),
-            tuple(round(a, 9) for a in alphas))
+    return (*package_key(x), tuple(round(a, 9) for a in alphas))
 
 
 def csa_solve(
@@ -204,6 +203,8 @@ def csa_solve(
     histories: list[list[tuple[float, float]]] = [[] for _ in range(n_items)]
     x = np.asarray(x0, dtype=np.int64)
     claimed: float | None = None
+    #: Whether the solve that produced the current ``x`` was a memo hit.
+    solve_memo = False
     seen: set = set()
     iterations: list[CSAIteration] = []
     best: CSASolveResult | None = None
@@ -217,6 +218,7 @@ def csa_solve(
         seen.add(key)
 
         validate_watch = Stopwatch()
+        hits_before = validator.memo_hits
         with validate_watch:
             report = validator.validate(x, claimed_objective=claimed)
         eps_q = epsilon_certificate(sense, report.objective, bounds) if sense else None
@@ -242,6 +244,8 @@ def csa_solve(
             feasible=bool(report.feasible),
             objective=None if report.objective is None else float(report.objective),
             claimed=None if claimed is None else float(claimed),
+            solve_memo=solve_memo,
+            validate_memo=validator.memo_hits - hits_before == n_items,
         )
 
         candidate = CSASolveResult(
@@ -293,6 +297,9 @@ def csa_solve(
                 mip_gap=ctx.config.mip_gap,
             )
             solve_span.set("status", result.status)
+            solve_memo = bool(result.meta.get("memo"))
+            if solve_memo:
+                solve_span.set("memo", True)
         record.solver_status = result.status
         record.solve_time = result.solve_time
         record.summary_time = summary_watch.elapsed

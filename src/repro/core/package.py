@@ -21,6 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .validator import ValidationReport
 
 
+def package_key(x: np.ndarray) -> tuple:
+    """Hashable identity of a multiplicity vector: (support, multiplicities)."""
+    x = np.asarray(x)
+    positions = np.nonzero(x)[0]
+    return tuple(positions.tolist()), tuple(x[positions].tolist())
+
+
 class Package:
     """Multiplicities over a problem's active rows."""
 

@@ -24,7 +24,8 @@ import numpy as np
 from ..config import STREAM_VALIDATION
 from ..mcdb.scenarios import MODE_TUPLE_WISE, ScenarioGenerator
 from ..obs import stage
-from ..silp.model import OP_GE, ProbabilityObjectiveIR
+from ..silp.model import OP_GE
+from .package import package_key
 
 #: Scenarios generated per chunk; fixed so that chunked generation is
 #: reproducible independent of M̂ (chunk c is substream c).
@@ -77,6 +78,8 @@ class Validator:
     def __init__(self, ctx):
         self.ctx = ctx
         self.n_scenarios = ctx.config.n_validation_scenarios
+        #: Counts served from ``ctx.validation_memo`` instead of realized.
+        self.memo_hits = 0
 
     # --- scenario scoring ---------------------------------------------------------
 
@@ -90,7 +93,23 @@ class Validator:
         )
 
     def satisfied_count(self, x: np.ndarray, item: dict) -> int:
-        """Number of validation scenarios whose inner constraint holds."""
+        """Number of validation scenarios whose inner constraint holds.
+
+        A pure function of (item, package) within one evaluation — the
+        validation stream is keyed by seed, chunk and tuple — so each
+        distinct package is realized once and CSA's re-validations (every
+        CSA-Solve restarts from the same ``x^{(0)}``) are a lookup.
+        """
+        memo = self.ctx.validation_memo
+        key = (item["index"], *package_key(x))
+        count = memo.get(key)
+        if count is None:
+            count = memo[key] = self._count_satisfied(x, item)
+        else:
+            self.memo_hits += 1
+        return count
+
+    def _count_satisfied(self, x: np.ndarray, item: dict) -> int:
         positions = np.nonzero(x)[0]
         if len(positions) == 0:
             # Empty package: score is identically zero.
@@ -121,6 +140,7 @@ class Validator:
             x = np.asarray(x)
             items = []
             feasible = True
+            hits_before = self.memo_hits
             objective_value = self.ctx.mean_objective_value(x)
             for item in self.ctx.chance_items():
                 fraction = self.satisfied_count(x, item) / self.n_scenarios
@@ -133,10 +153,9 @@ class Validator:
                 if not record.feasible:
                     feasible = False
                 if item["is_objective"]:
-                    objective = self.ctx.problem.objective
-                    assert isinstance(objective, ProbabilityObjectiveIR)
                     objective_value = fraction
             span.set("feasible", feasible)
+            span.set("memo", f"{self.memo_hits - hits_before}/{len(items)}")
             return ValidationReport(
                 feasible=feasible,
                 items=items,

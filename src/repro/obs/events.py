@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from .profile import iter_tree
 from .trace import current_session
 
 #: Branch-and-bound convergence: one record per expanded node / new
@@ -48,7 +49,10 @@ KIND_SOLVER_NODE = "solver.node"
 KIND_SOLVER_REDUCE = "solver.reduce"
 
 #: SummarySearch/CSA ε-trajectory: one record per optimize/validate
-#: round, fields ``t, iteration, q, epsilon_upper, feasible, objective``.
+#: round, fields ``t, iteration, q, epsilon_upper, feasible, objective``;
+#: per-``q`` records also say whether the solve that produced the round's
+#: package (``solve_memo``) and its validation (``validate_memo``) were
+#: served from the evaluation's memos instead of recomputed.
 KIND_CSA_ROUND = "csa.round"
 
 #: SketchRefine per-partition refine outcome, fields
@@ -114,6 +118,27 @@ def _tally(events, key: str) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
 
 
+def _memo_tally(root) -> str | None:
+    """``solves: N (K from memo); validations: ...`` over one span tree."""
+    solves = solve_hits = validations = validation_hits = 0
+    for node in iter_tree(root):
+        memo = (node.get("attrs") or {}).get("memo")
+        if node.get("name") in ("solve", "solve.q0"):
+            solves += 1
+            solve_hits += bool(memo)
+        elif node.get("name") == "validate":
+            validations += 1
+            # ``memo`` is "<items served>/<items>"; 0/0 has nothing to serve.
+            served, _, items = str(memo).partition("/")
+            validation_hits += items not in ("", "0") and served == items
+    if not solves and not validations:
+        return None
+    return (
+        f"solves: {solves} ({solve_hits} from memo);"
+        f" validations: {validations} ({validation_hits} from memo)"
+    )
+
+
 def format_convergence(document: dict, width: int = 72) -> str:
     """ASCII gap-over-time view of one trace document's event stream.
 
@@ -121,7 +146,9 @@ def format_convergence(document: dict, width: int = 72) -> str:
     the event list is read from its ``events`` key.  Four sections,
     each omitted when its producer emitted nothing: the solver
     gap-over-time bars, the root-LP reduction verdicts, the CSA
-    ε-trajectory table, and the refine outcome tally.
+    ε-trajectory table (rounds whose solve / validation came from the
+    evaluation's memos are marked ``=``, and the span tree's totals
+    close the table), and the refine outcome tally.
     """
     events = document.get("events") or []
     lines: list[str] = []
@@ -166,7 +193,10 @@ def format_convergence(document: dict, width: int = 72) -> str:
         if lines:
             lines.append("")
         lines.append("CSA epsilon trajectory:")
-        lines.append("  iter     q    eps_upper   feasible    objective")
+        lines.append(
+            "  iter     q    eps_upper   feasible    objective"
+            "  =solve =validate"
+        )
         for event in eps:
             lines.append(
                 f"  {_fmt(event.get('iteration')):>4}"
@@ -174,7 +204,12 @@ def format_convergence(document: dict, width: int = 72) -> str:
                 f" {_fmt(event.get('epsilon_upper')):>12}"
                 f" {_fmt(event.get('feasible')):>10}"
                 f" {_fmt(event.get('objective')):>12}"
+                f"  {'=' if event.get('solve_memo') else '':<6}"
+                f" {'=' if event.get('validate_memo') else ''}".rstrip()
             )
+        tally = _memo_tally(document.get("root"))
+        if tally:
+            lines.append(f"  {tally}")
     refines = refine_events(events)
     if refines:
         if lines:

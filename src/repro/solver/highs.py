@@ -7,10 +7,19 @@ out) the feasible hint is returned as a feasible result, and when the
 solver returns a worse incumbent than the hint, the hint wins.  This
 makes warm-started solves never worse than the previous iteration's
 solution, which is the property the incremental SummarySearch loop needs.
+
+A builder that belongs to an evaluation carries that evaluation's
+``solve_memo``: CSA-Solve restarts from ``x^{(0)}`` at α = 0 for every
+(M, Z) and several α grid points keep the same scenarios per summary, so
+it re-poses byte-identical models.  The raw solver outcome is kept under
+a digest of exactly what HiGHS is given and replayed through
+:func:`_normalize` with the *current* hint, so a repeat returns what
+re-solving would have — without the solve.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -18,7 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..obs.events import KIND_SOLVER_REDUCE, emit
 from ..obs.resources import charge
-from .reduce import milp_options, solve_reduced
+from .reduce import eligible, milp_options, solve_reduced
 from .result import (
     MILPResult,
     STATUS_FEASIBLE,
@@ -35,6 +44,10 @@ _SCIPY_INFEASIBLE = 2
 _SCIPY_UNBOUNDED = 3
 _SCIPY_LIMIT = 1  # iteration or time limit
 
+#: Outcomes that do not depend on how long the solver was given; only
+#: these are memoised, which is what keeps ``time_limit`` out of the key.
+_TERMINAL = (_SCIPY_OPTIMAL, _SCIPY_INFEASIBLE, _SCIPY_UNBOUNDED)
+
 
 def solve_with_highs(
     builder,
@@ -50,6 +63,27 @@ def solve_with_highs(
     c, matrix, row_lb, row_ub, var_lb, var_ub, integrality = builder.to_arrays()
     hint = builder.validated_warm_start()
     started = time.perf_counter()
+    memo = builder.solve_memo
+    if memo is not None:
+        keyed = [
+            c, matrix.data, matrix.indices, matrix.indptr,
+            np.asarray(matrix.shape), row_lb, row_ub, var_lb, var_ub,
+            integrality,
+        ]
+        # The hint steers the search only through the reduction's first
+        # incumbent; everywhere else it is applied after the solve.
+        if hint is not None and eligible(c, integrality):
+            keyed.append(hint)
+        key = _model_digest(mip_gap, keyed)
+        cached = memo.get(key)
+        if cached is not None:
+            res, reduction = cached
+            elapsed = time.perf_counter() - started
+            result = _normalize(builder, c, hint, integrality, res, elapsed)
+            result.meta["memo"] = True
+            if reduction is not None:
+                result.meta["reduction"] = dict(reduction)
+            return result
     res, reduction = solve_reduced(
         c, matrix, row_lb, row_ub, var_lb, var_ub, integrality, hint,
         mip_gap, time_limit,
@@ -70,12 +104,28 @@ def solve_with_highs(
             options=options,
         )
         charge("lp_solves")
+    if memo is not None and res.status in _TERMINAL:
+        memo[key] = (res, reduction)
     elapsed = time.perf_counter() - started
     result = _normalize(builder, c, hint, integrality, res, elapsed)
     if reduction is not None:
         result.meta["reduction"] = reduction
         emit(KIND_SOLVER_REDUCE, **reduction)
     return result
+
+
+def _model_digest(mip_gap: float, arrays) -> bytes:
+    """Digest of everything HiGHS is given except the time limit.
+
+    Each array goes in with its dtype and shape, so no two argument
+    lists share a byte stream.
+    """
+    digest = hashlib.blake2b(repr(float(mip_gap)).encode(), digest_size=16)
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.data)
+    return digest.digest()
 
 
 def _normalize(builder, c, hint, integrality, res, elapsed) -> MILPResult:

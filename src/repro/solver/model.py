@@ -82,6 +82,10 @@ class MILPBuilder:
         #: the right length is current (rollback invalidates explicitly:
         #: rollback-then-append could restore the old length).
         self._bounds_cache: tuple[np.ndarray, np.ndarray] | None = None
+        #: Model digest -> raw solver outcome, shared by every builder of
+        #: one evaluation (set by ``EvaluationContext.build_base_milp``,
+        #: carried by :meth:`clone`); ``None`` for a standalone builder.
+        self.solve_memo: dict | None = None
 
     # --- variables ---------------------------------------------------------------
 
@@ -284,7 +288,7 @@ class MILPBuilder:
         materialized-CSR cache) with the original: cloning a base model
         is O(n) list copies, and solving the clone only materializes the
         rows appended after the clone point.  The warm-start hint is not
-        carried over.
+        carried over; the evaluation's solve memo is.
         """
         other = MILPBuilder()
         other._names = list(self._names)
@@ -298,6 +302,7 @@ class MILPBuilder:
         other._sense = self._sense
         other._csr_cache = self._csr_cache
         other._bounds_cache = self._bounds_cache
+        other.solve_memo = self.solve_memo
         return other
 
     # --- warm starts -------------------------------------------------------------------

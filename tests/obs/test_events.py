@@ -173,3 +173,109 @@ def test_unreduced_solve_emits_no_reduce_event():
     assert "reduction" not in result.meta
     assert reduce_events(session.events) == []
     assert session.resources["lp_solves"] == 1
+
+
+def test_memo_hit_bills_nothing_and_emits_no_reduce_event(monkeypatch):
+    memo: dict = {}
+
+    def solve(n):
+        builder = _cardinality_builder(n)
+        builder.solve_memo = memo
+        session = TraceSession(new_trace_id())
+        with activate(session):
+            return builder.solve(), session
+
+    for n in (40, reduce_module.MIN_COLUMNS + 100):
+        first, billed = solve(n)
+        again, free = solve(n)
+        assert "memo" not in first.meta and again.meta["memo"] is True
+        assert again.meta.get("reduction") == first.meta.get("reduction")
+        # lp_solves counts solves that happened; a replay is not one.
+        assert billed.resources["lp_solves"] >= 1
+        assert free.resources == {} and free.events == []
+        assert len(reduce_events(billed.events)) == ("reduction" in first.meta)
+
+
+def test_csa_rounds_and_validate_spans_say_what_the_memos_served():
+    from repro import SPQConfig, SPQEngine
+    from repro.obs.profile import iter_tree
+    from repro.workloads import get_query
+
+    spec = get_query("portfolio", "Q3")
+    engine = SPQEngine(
+        config=SPQConfig(
+            n_validation_scenarios=500, n_initial_scenarios=20,
+            scenario_increment=20, max_scenarios=40,
+            n_expectation_scenarios=200, n_probe_scenarios=16, epsilon=0.5,
+            seed=1, trace_enabled=True,
+        )
+    )
+    engine.register(*spec.build_dataset(40, seed=42))
+    engine.execute(spec.spaql, method="summarysearch")
+    document = engine.last_trace
+    rounds = [e for e in epsilon_events(document["events"]) if "q" in e]
+    closers = [e for e in epsilon_events(document["events"]) if "q" not in e]
+    assert rounds and closers
+    for event in rounds:
+        assert isinstance(event["solve_memo"], bool)
+        assert isinstance(event["validate_memo"], bool)
+    assert all("solve_memo" not in e for e in closers)
+    # Round 0 of every CSA-Solve after the first re-validates x(0).
+    first_rounds = [e for e in rounds if e["q"] == 0]
+    assert [e["validate_memo"] for e in first_rounds] == [False] + [True] * (
+        len(first_rounds) - 1
+    )
+    assert not any(e["solve_memo"] for e in first_rounds)
+    spans = list(iter_tree(document["root"]))
+    validates = [s for s in spans if s["name"] == "validate"]
+    solves = [s for s in spans if s["name"] in ("solve", "solve.q0")]
+    assert len(validates) == len(rounds)
+    assert {s["attrs"]["memo"] for s in validates} == {"0/1", "1/1"}
+    served = sum(s["attrs"]["memo"] == "1/1" for s in validates)
+    assert served == sum(e["validate_memo"] for e in rounds)
+    replayed = sum(bool(s["attrs"].get("memo")) for s in solves)
+    assert replayed >= sum(e["solve_memo"] for e in rounds) > 0
+    # lp_solves is the solves that ran (these models are never reduced).
+    assert document["resources"]["lp_solves"] == len(solves) - replayed
+    rendered = format_convergence(document)
+    assert (
+        f"  solves: {len(solves)} ({replayed} from memo);"
+        f" validations: {len(validates)} ({served} from memo)"
+    ) in rendered
+    marked = [l for l in rendered.splitlines() if l.rstrip().endswith("=")]
+    assert len(marked) == served
+
+
+def test_format_convergence_marks_memo_rounds_and_tallies_the_span_tree():
+    def span(name, **attrs):
+        return {"name": name, "attrs": attrs, "children": []}
+
+    root = span("execute")
+    root["children"] = [
+        span("solve.q0"),
+        span("validate", memo="0/2"),
+        span("solve", q=0),
+        span("validate", memo="1/2"),
+        span("solve", q=1, memo=True),
+        span("validate", memo="2/2"),
+        span("validate", memo="0/0"),
+    ]
+    document = {
+        "root": root,
+        "events": [
+            {"kind": KIND_CSA_ROUND, "q": 0, "feasible": False,
+             "solve_memo": False, "validate_memo": False},
+            {"kind": KIND_CSA_ROUND, "q": 1, "feasible": False,
+             "solve_memo": True, "validate_memo": False},
+            {"kind": KIND_CSA_ROUND, "q": 2, "feasible": True,
+             "solve_memo": True, "validate_memo": True},
+            {"kind": KIND_CSA_ROUND, "iteration": 1, "feasible": True},
+        ],
+    }
+    lines = format_convergence(document).splitlines()
+    assert lines[1].endswith("objective  =solve =validate")
+    assert [l[49:] for l in lines[2:6]] == ["", "  =", "  =      =", ""]
+    assert lines[6] == "  solves: 3 (1 from memo); validations: 4 (1 from memo)"
+    # No span tree (an events-only payload): the table stands alone.
+    del document["root"]
+    assert "solves:" not in format_convergence(document)
