@@ -131,7 +131,7 @@ def test_mixed_deadline_latency_percentiles(benchmark):
             # attribute a latency regression to a stage.
             record["stage_seconds"] = {
                 name: round(hist.get("sum", 0.0), 6)
-                for name, hist in sorted(broker.stage_histograms().items())
+                for name, hist in sorted(broker.metrics()["histograms"].items())
             }
         return record
 

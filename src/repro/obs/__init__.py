@@ -8,8 +8,10 @@ Five cooperating pieces, all dependency-free and cheap when unused:
   :class:`~repro.obs.trace.TraceRing` keeps recent span trees for
   ``GET /trace/<id>``.
 * :mod:`repro.obs.metrics` — the shared :class:`LockedCounters`
-  atomic-increment helper and per-stage latency histograms exported on
-  ``/metrics`` as ``repro_stage_seconds_bucket{stage=...}``.
+  atomic-increment helper, per-stage latency histograms exported on
+  ``/metrics`` as ``repro_stage_seconds_bucket{stage=...}``, and the one
+  mergeable snapshot (``collect`` / ``merge`` / ``diff``) behind
+  ``/status`` and ``/metrics``.
 * :mod:`repro.obs.profile` — flat per-stage self-time aggregation
   (``SPQConfig.profile_stages``) plus the waterfall / top-N renderers
   behind the ``repro trace`` CLI.
@@ -22,7 +24,7 @@ Five cooperating pieces, all dependency-free and cheap when unused:
   as ``repro_resource_*`` metric families.
 
 Trace context propagates across the solve farm's forkserver boundary
-the same way store-stats snapshots do: the broker ships
+the same way the stats blob does: the broker ships
 ``(trace_id, parent_span_id)`` in the task payload, the worker records
 spans under that parent, and ships them back with the done message.
 """
@@ -42,11 +44,15 @@ from .events import (
 )
 from .metrics import (
     DEFAULT_BUCKETS,
+    FAMILIES,
     LockedCounters,
     StageHistograms,
+    collect,
+    diff,
     histogram_exposition,
-    merge_histogram_snapshots,
+    merge,
     stage_histograms,
+    status_sections,
 )
 from .profile import (
     StageProfile,
@@ -58,9 +64,7 @@ from .profile import (
 )
 from .resources import (
     QueryResourceProbe,
-    RESOURCE_COUNTER_FIELDS,
     charge,
-    merge_resource_snapshots,
     resource_counters,
 )
 from .slowlog import SlowQueryLog
@@ -77,13 +81,13 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "FAMILIES",
     "KIND_CSA_ROUND",
     "KIND_REFINE_OUTCOME",
     "KIND_SOLVER_NODE",
     "KIND_SOLVER_REDUCE",
     "LockedCounters",
     "QueryResourceProbe",
-    "RESOURCE_COUNTER_FIELDS",
     "SlowQueryLog",
     "StageHistograms",
     "StageProfile",
@@ -92,7 +96,9 @@ __all__ = [
     "activate",
     "aggregate_self_times",
     "charge",
+    "collect",
     "current_session",
+    "diff",
     "emit",
     "epsilon_events",
     "events_enabled",
@@ -100,8 +106,7 @@ __all__ = [
     "format_top_table",
     "format_waterfall",
     "histogram_exposition",
-    "merge_histogram_snapshots",
-    "merge_resource_snapshots",
+    "merge",
     "new_span_id",
     "new_trace_id",
     "reduce_events",
@@ -112,5 +117,6 @@ __all__ = [
     "stage",
     "stage_histograms",
     "stage_profile",
+    "status_sections",
     "trace_document",
 ]

@@ -1,4 +1,4 @@
-"""Shared counters and per-stage latency histograms.
+"""Shared counters, per-stage latency histograms, and the one snapshot.
 
 :class:`LockedCounters` is the atomic-increment helper every
 process-wide registry builds on (``repro.scale.metrics`` and the trace
@@ -14,10 +14,13 @@ text format as::
     repro_stage_seconds_sum{stage="solve"} 3.41
     repro_stage_seconds_count{stage="solve"} 17
 
-Snapshots are plain dicts so farm workers can ship them across the
-forkserver boundary with every done message; the farm merges them with
-:func:`merge_histogram_snapshots` exactly like store-stats snapshots
-(departed workers' last reports absorbed into totals).
+:func:`collect` reads every registry of one process (plus a scenario
+store) into one plain-dict snapshot ``{"counters", "gauges",
+"histograms"}``; :func:`merge` adds snapshots and :func:`diff` takes the
+increment between two.  A farm worker ships ``diff(now, last_sent)``
+with each done message and the farm adds it to a running total, so no
+count is lost when a worker goes away.  :data:`FAMILIES` declares every
+``/metrics`` family and where its value sits on ``/status``.
 """
 
 from __future__ import annotations
@@ -110,29 +113,6 @@ class StageHistograms:
             self._stages = {}
 
 
-def merge_histogram_snapshots(snapshots) -> dict:
-    """Element-wise sum of histogram snapshots (farm aggregation)."""
-    merged: dict[str, dict] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for stage, entry in snap.items():
-            agg = merged.get(stage)
-            if agg is None:
-                merged[stage] = {
-                    "counts": list(entry["counts"]),
-                    "sum": float(entry["sum"]),
-                    "count": int(entry["count"]),
-                }
-                continue
-            counts = agg["counts"]
-            for i, value in enumerate(entry["counts"]):
-                counts[i] += value
-            agg["sum"] += float(entry["sum"])
-            agg["count"] += int(entry["count"])
-    return merged
-
-
 def histogram_exposition(
     name: str, help_text: str, snapshot: dict, buckets: tuple = DEFAULT_BUCKETS
 ) -> list[str]:
@@ -154,5 +134,259 @@ def histogram_exposition(
 
 
 #: The process-wide histogram registry every finished span reports into;
-#: farm workers ship snapshots of theirs back with each done message.
+#: farm workers ship its increments back with each done message.
 stage_histograms = StageHistograms()
+
+
+#: One row per ``/metrics`` family: exposition name, Prometheus kind,
+#: help text, and the ``/status`` section and key holding its value
+#: (section ``None`` = top level).  The ``store`` / ``scale`` /
+#: ``resources`` rows double as the key list of :func:`collect`'s
+#: snapshot, and their kind says whether a key is a counter or a gauge.
+FAMILIES = (
+    ("repro_store_hits_total", "counter",
+     "Scenario-store lookups served from a cached matrix.", "store", "hits"),
+    ("repro_store_misses_total", "counter",
+     "Scenario-store lookups that required realization.", "store", "misses"),
+    ("repro_store_generations_total", "counter",
+     "Scenario matrix (re)generations performed by the store.",
+     "store", "generations"),
+    ("repro_store_generated_columns_total", "counter",
+     "Scenario columns realized by the store.", "store", "generated_columns"),
+    ("repro_store_evictions_total", "counter",
+     "Store entries evicted outright under the byte budget.",
+     "store", "evictions"),
+    ("repro_store_spills_total", "counter",
+     "Store entries spilled to memmap files under the byte budget.",
+     "store", "spills"),
+    ("repro_store_adopted_total", "counter",
+     "Matrices adopted from sibling workers via memmap handoff.",
+     "store", "adopted"),
+    ("repro_store_bytes_realized_total", "counter",
+     "Scenario-matrix bytes newly realized (generated) by the store.",
+     "store", "bytes_realized"),
+    ("repro_store_bytes_reused_total", "counter",
+     "Scenario-matrix bytes served from cache instead of regenerated.",
+     "store", "bytes_reused"),
+    ("repro_store_bytes_resident", "gauge",
+     "Bytes of scenario matrices resident in RAM.", "store", "bytes_resident"),
+    ("repro_store_bytes_spilled", "gauge",
+     "Bytes of scenario matrices spilled to disk.", "store", "bytes_spilled"),
+    ("repro_store_entries", "gauge",
+     "Distinct scenario matrices held by the store.", "store", "entries"),
+    ("repro_scale_runs_total", "counter",
+     "Completed stochastic SketchRefine evaluations.", "scale", "runs"),
+    ("repro_scale_partitions_total", "counter",
+     "Partitions processed across SketchRefine evaluations.",
+     "scale", "partitions"),
+    ("repro_scale_refines_total", "counter",
+     "Per-partition refine solves executed.", "scale", "refines"),
+    ("repro_scale_sketch_seconds_total", "counter",
+     "Wall seconds spent in SketchRefine sketch solves.",
+     "scale", "sketch_seconds"),
+    ("repro_scale_refine_seconds_total", "counter",
+     "Wall seconds spent in SketchRefine refine solves.",
+     "scale", "refine_seconds"),
+    ("repro_scale_index_hits_total", "counter",
+     "Partition-index lookups answered from the persisted index.",
+     "scale", "index_hits"),
+    ("repro_scale_index_misses_total", "counter",
+     "Partition-index lookups that re-partitioned from pilot stats.",
+     "scale", "index_misses"),
+    ("repro_scale_chunk_hits_total", "counter",
+     "ColumnStore chunk-cache lookups served from resident chunks.",
+     "scale", "chunk_hits"),
+    ("repro_scale_chunk_misses_total", "counter",
+     "ColumnStore chunk-cache lookups that decoded from disk.",
+     "scale", "chunk_misses"),
+    ("repro_resource_queries_total", "counter",
+     "Queries with a completed resource-accounting envelope.",
+     "resources", "queries_accounted"),
+    ("repro_resource_cpu_seconds_total", "counter",
+     "Solver-thread CPU seconds consumed by accounted queries.",
+     "resources", "query_cpu_seconds"),
+    ("repro_resource_lp_solves_total", "counter",
+     "LP relaxation solves executed across all evaluations.",
+     "resources", "lp_solves"),
+    ("repro_delta_applied_total", "counter",
+     "Relation deltas applied through the catalog.", "scale", "deltas_applied"),
+    ("repro_delta_rows_dirty_total", "counter",
+     "Rows dirtied by applied relation deltas.", "scale", "delta_rows_dirty"),
+    ("repro_delta_partitions_dirty_total", "counter",
+     "Partitions re-refined by delta-repair solves.",
+     "scale", "delta_partitions_dirty"),
+    ("repro_delta_partitions_reused_total", "counter",
+     "Untouched partitions whose sub-packages were reused verbatim.",
+     "scale", "delta_partitions_reused"),
+    ("repro_delta_index_refreshes_total", "counter",
+     "Partition-index entries spliced from a pre-delta ancestor.",
+     "scale", "delta_index_refreshes"),
+    ("repro_delta_repair_fallbacks_total", "counter",
+     "Delta-repair solves that failed validation and re-ran cold.",
+     "scale", "delta_repair_fallbacks"),
+    ("repro_store_stale_dropped_total", "counter",
+     "Scenario-store descriptors refused or pruned as pre-delta stale.",
+     "store", "stale_dropped"),
+    ("repro_scale_resident_bytes", "gauge",
+     "Bytes resident across live ColumnStore chunk caches.",
+     "scale", "resident_bytes"),
+    ("repro_scale_resident_peak_bytes", "gauge",
+     "High-water mark of ColumnStore resident bytes.",
+     "scale", "resident_peak_bytes"),
+    ("repro_broker_submitted_total", "counter",
+     "Queries admitted by the broker.", None, "submitted"),
+    ("repro_broker_completed_total", "counter",
+     "Queries completed successfully.", None, "completed"),
+    ("repro_broker_failed_total", "counter",
+     "Queries that failed or were cancelled.", None, "failed"),
+    ("repro_broker_deduplicated_total", "counter",
+     "Submissions attached to an identical in-flight evaluation.",
+     None, "deduplicated"),
+    ("repro_broker_rejected_total", "counter",
+     "Submissions rejected by admission control (saturated).",
+     None, "rejected_total"),
+    ("repro_deadline_met_total", "counter",
+     "Finished queries that met their latency deadline (or had none).",
+     "deadline", "met"),
+    ("repro_deadline_missed_total", "counter",
+     "Finished queries that returned a truncated anytime incumbent.",
+     "deadline", "missed"),
+    ("repro_deadline_rejected_total", "counter",
+     "Submissions rejected at admission with a dead-on-arrival budget.",
+     "deadline", "rejected"),
+    ("repro_deadline_expired_total", "counter",
+     "Queued queries whose deadline drained before a worker was free.",
+     "deadline", "expired_queued"),
+    ("repro_query_gap", "gauge",
+     "Relative optimality gap of the last finished query (0 = exact).",
+     "deadline", "last_gap"),
+    ("repro_broker_pending", "gauge",
+     "Queries currently queued or running.", None, "pending"),
+    ("repro_broker_pool_size", "gauge",
+     "Configured evaluation concurrency.", None, "pool_size"),
+    ("repro_service_uptime_seconds", "gauge",
+     "Seconds since the broker started.", None, "uptime_s"),
+    ("repro_farm_workers_busy", "gauge",
+     "Farm workers currently evaluating a task.", "farm", "busy"),
+    ("repro_farm_workers_idle", "gauge",
+     "Farm workers ready for a task.", "farm", "idle"),
+    ("repro_farm_queued", "gauge",
+     "Tasks waiting for an idle farm worker.", "farm", "queued"),
+    ("repro_farm_handoff_entries", "gauge",
+     "Distinct scenario matrices in the farm handoff registry.",
+     "farm", "handoff_entries"),
+    ("repro_farm_recycled_total", "counter",
+     "Workers retired and replaced after recycle_after tasks.",
+     "farm", "recycled_total"),
+    ("repro_farm_crashed_total", "counter",
+     "Worker processes that died unexpectedly.", "farm", "crashed_total"),
+    ("repro_farm_retried_total", "counter",
+     "In-flight tasks requeued after a worker crash.",
+     "farm", "retried_total"),
+)
+
+_KIND = {(section, key): kind for _, kind, _, section, key in FAMILIES}
+
+
+def section_keys(section: str, kind: str | None = None) -> tuple:
+    """Declared keys of one ``/status`` section, optionally of one kind."""
+    return tuple(
+        key
+        for (row_section, key), row_kind in _KIND.items()
+        if row_section == section and kind in (None, row_kind)
+    )
+
+
+def collect(store=None) -> dict:
+    """This process's telemetry snapshot (and ``store``'s, if given).
+
+    ``{"counters": {...}, "gauges": {...}, "histograms": {...}}``:
+    counters and gauges are keyed ``"<section>.<key>"`` after
+    :data:`FAMILIES`; histograms are :data:`stage_histograms`'s
+    ``{stage: {"counts", "sum", "count"}}``.
+    """
+    # Imported here: both modules import this one at load time.
+    from ..scale.metrics import scale_metrics
+    from .resources import resource_counters
+
+    sections = {
+        "scale": scale_metrics.snapshot(),
+        "resources": resource_counters.snapshot(),
+    }
+    if store is not None:
+        sections["store"] = store.stats().as_dict()
+    snapshot = {
+        "counters": {},
+        "gauges": {},
+        "histograms": stage_histograms.snapshot(),
+    }
+    for section, values in sections.items():
+        for key, value in values.items():
+            kind = _KIND.get((section, key), "counter")
+            snapshot[kind + "s"][f"{section}.{key}"] = value
+    return snapshot
+
+
+def merge(*snapshots) -> dict:
+    """Key-wise sum of snapshots; ``{}`` is the identity."""
+    out = {"counters": {}, "gauges": {}, "histograms": {}}
+    for snapshot in snapshots:
+        for kind, acc in out.items():
+            for key, value in snapshot.get(kind, {}).items():
+                acc[key] = _add(acc[key], value) if key in acc else _copy(value)
+    return out
+
+
+def diff(now: dict, last: dict) -> dict:
+    """The increment from ``last`` to ``now``.
+
+    Counters and histograms subtract, so ``merge(last, diff(now, last))``
+    equals ``now`` on both; gauges are levels, not increments, and carry
+    ``now``'s values unchanged.
+    """
+
+    def minus(kind: str) -> dict:
+        prev = last.get(kind, {})
+        return {
+            key: _add(value, prev[key], -1) if key in prev else _copy(value)
+            for key, value in now[kind].items()
+        }
+
+    return {
+        "counters": minus("counters"),
+        "gauges": dict(now["gauges"]),
+        "histograms": minus("histograms"),
+    }
+
+
+def _add(a, b, sign: int = 1):
+    """``a + sign * b`` for one number or one histogram entry."""
+    if not isinstance(a, dict):
+        return a + sign * b
+    return {
+        "counts": [x + sign * y for x, y in zip(a["counts"], b["counts"])],
+        "sum": a["sum"] + sign * b["sum"],
+        "count": a["count"] + sign * b["count"],
+    }
+
+
+def _copy(value):
+    if not isinstance(value, dict):
+        return value
+    return {**value, "counts": list(value["counts"])}
+
+
+def status_sections(snapshot: dict) -> dict:
+    """The ``/status`` ``store`` / ``scale`` / ``resources`` sections.
+
+    Every declared key is present; one no process has reported yet
+    (a farm before its first done message) reads 0.
+    """
+    values = {**snapshot["counters"], **snapshot["gauges"]}
+    return {
+        section: {
+            key: values.get(f"{section}.{key}", 0)
+            for key in section_keys(section)
+        }
+        for section in ("store", "scale", "resources")
+    }

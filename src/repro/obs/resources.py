@@ -10,8 +10,8 @@ pieces:
   :class:`~repro.obs.trace.TraceSession` (riding its payload across the
   forkserver boundary) *and* on the process-lifetime
   :data:`resource_counters` exported as ``repro_resource_*`` families on
-  ``/metrics`` (farm workers ship snapshots with every done message;
-  the farm merges them exactly like store/scale stats).
+  ``/metrics`` (farm workers ship them in the one stats blob of every
+  done message, see :func:`repro.obs.metrics.collect`).
 * :class:`QueryResourceProbe` — created by the engine around one
   evaluation; samples thread-CPU, ``ru_maxrss``, store stats, and scale
   metrics at entry, and on :meth:`~QueryResourceProbe.finish` folds the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 
-from .metrics import LockedCounters
+from .metrics import LockedCounters, section_keys
 from .trace import current_session
 
 try:  # POSIX-only; the accounting degrades gracefully without it.
@@ -38,26 +38,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
 #: Lifetime-monotonic process totals behind the ``repro_resource_*``
-#: metric families.  Farm-aggregated by summation with departed
-#: workers' last snapshots absorbed into totals (the store-stats rule).
-RESOURCE_COUNTER_FIELDS = (
-    "queries_accounted",
-    "query_cpu_seconds",
-    "lp_solves",
-)
-
-resource_counters = LockedCounters(RESOURCE_COUNTER_FIELDS)
-
-
-def merge_resource_snapshots(snapshots) -> dict:
-    """Key-wise sum of :data:`resource_counters` snapshots."""
-    merged: dict[str, float] = {name: 0.0 for name in RESOURCE_COUNTER_FIELDS}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.items():
-            merged[name] = merged.get(name, 0.0) + float(value)
-    return merged
+#: metric families (the ``"resources"`` rows of ``FAMILIES``).
+resource_counters = LockedCounters(section_keys("resources"))
 
 
 def charge(name: str, amount: float = 1.0) -> None:

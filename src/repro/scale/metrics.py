@@ -1,11 +1,10 @@
 """Process-wide counters for the out-of-core tier.
 
 The serving layer surfaces these on ``/status`` (as the ``"scale"``
-section) and ``/metrics`` (as ``repro_scale_*`` time series).  Counters
-are lifetime-monotonic within one process; on the process backend each
-solve-farm worker ships its snapshot with every completed task and the
-farm aggregates them exactly like the scenario-store counters (dead and
-recycled workers' last reports are absorbed into farm totals).
+section) and ``/metrics`` (as ``repro_scale_*`` time series); their keys
+and kinds are the ``"scale"`` rows of :data:`repro.obs.metrics.FAMILIES`.
+Counters are lifetime-monotonic within one process; on the process
+backend they reach the farm as increments (:func:`repro.obs.metrics.diff`).
 
 Gauges track the resident bytes of every live :class:`ColumnStore` chunk
 cache in the process — ``resident_bytes`` is the current total,
@@ -17,30 +16,7 @@ from __future__ import annotations
 
 import threading
 
-from ..obs.metrics import LockedCounters
-
-#: Lifetime-monotonic counter fields (farm-aggregated by summation, with
-#: departed workers' last snapshots absorbed into totals).
-COUNTER_FIELDS = (
-    "runs",
-    "partitions",
-    "refines",
-    "sketch_seconds",
-    "refine_seconds",
-    "index_hits",
-    "index_misses",
-    "chunk_hits",
-    "chunk_misses",
-    "deltas_applied",
-    "delta_rows_dirty",
-    "delta_partitions_dirty",
-    "delta_partitions_reused",
-    "delta_index_refreshes",
-    "delta_repair_fallbacks",
-)
-
-#: Point-in-time gauges (farm-aggregated over live workers only).
-GAUGE_FIELDS = ("resident_bytes", "resident_peak_bytes")
+from ..obs.metrics import LockedCounters, section_keys
 
 
 class ScaleMetrics:
@@ -55,7 +31,7 @@ class ScaleMetrics:
     """
 
     def __init__(self) -> None:
-        self._counters = LockedCounters(COUNTER_FIELDS)
+        self._counters = LockedCounters(section_keys("scale", "counter"))
         self._gauge_lock = threading.Lock()
         self._resident = 0
         self._resident_peak = 0

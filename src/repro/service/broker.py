@@ -33,8 +33,8 @@ Two dispatch backends (``config.service_backend`` / ``backend=``):
   run truly in parallel, scenario matrices travel between workers as
   read-only memmap handoffs, and crashed workers are replaced with
   their in-flight request retried once.  Workers host *private* stores
-  (no broker-side store exists); :meth:`QueryBroker.store_stats`
-  reports their farm-wide aggregate.
+  (no broker-side store exists); :meth:`QueryBroker.metrics` reports
+  their farm-wide aggregate.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ from ..obs import (
     TraceRing,
     TraceSession,
     activate,
-    merge_histogram_snapshots,
+    collect,
+    merge,
     new_span_id,
     new_trace_id,
-    resource_counters,
     stage_histograms,
+    status_sections,
 )
 from .farm import SolveFarm
 from .qos import DeadlineExpiredError, TaskDeadline
@@ -574,63 +575,25 @@ class QueryBroker:
 
     # --- introspection ------------------------------------------------------
 
-    def store_stats(self) -> dict:
-        """Scenario-store counters as actually served: the shared store
-        on the thread backend, the aggregate over farm workers' private
-        stores on the process backend."""
-        if self._farm is not None:
-            return self._farm.store_stats()
-        return self.store.stats().as_dict()
+    def metrics(self) -> dict:
+        """Telemetry snapshot as actually served (``collect`` shape).
 
-    def scale_stats(self) -> dict:
-        """Out-of-core tier (``repro.scale``) counters as actually
-        served: this process's registry on the thread backend, the
-        aggregate over worker processes on the process backend."""
-        from ..scale.metrics import scale_metrics
-
-        local = scale_metrics.snapshot()
+        This process's registries and store, plus — on the process
+        backend — the farm's aggregate over its workers.  Broker-side
+        work (root spans, applied deltas) is counted locally and solve
+        work in the workers, so the sum never double-counts.
+        """
+        local = collect(self.store)
         if self._farm is None:
             return local
-        # Worker processes do the solving, but deltas are applied (and
-        # counted) broker-side before being broadcast: merge the local
-        # registry into the farm aggregate.  Solve-side counters are
-        # zero locally on this backend, so summing never double-counts.
-        merged = self._farm.scale_stats()
-        for name, value in local.items():
-            merged[name] = merged.get(name, 0) + value
-        return merged
+        return merge(local, self._farm.metrics())
 
-    def resource_stats(self) -> dict:
-        """Per-query resource accounting counters as actually served.
+    def status(self, snapshot: dict | None = None) -> dict:
+        """Point-in-time serving state (the ``/status`` payload).
 
-        The local registry covers broker-side accounting and (on the
-        thread backend) every evaluation; the process backend reports
-        the farm's per-worker aggregate merged with the local registry
-        (solve-side counters are zero locally there, so summing never
-        double-counts).
+        The ``store`` / ``scale`` / ``resources`` sections come from
+        ``snapshot`` (default: a fresh :meth:`metrics`).
         """
-        local = resource_counters.snapshot()
-        if self._farm is None:
-            return local
-        merged = self._farm.resource_stats()
-        for name, value in local.items():
-            merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def stage_histograms(self) -> dict:
-        """Per-stage latency histograms as actually served.
-
-        The local registry covers broker root spans and (on the thread
-        backend) every engine-side stage; the process backend merges in
-        the farm's per-worker aggregate.
-        """
-        snapshots = [stage_histograms.snapshot()]
-        if self._farm is not None:
-            snapshots.append(self._farm.stage_histograms())
-        return merge_histogram_snapshots(snapshots)
-
-    def status(self) -> dict:
-        """Point-in-time serving state (the ``/status`` payload)."""
         with self._lock:
             state = {
                 "backend": self.backend,
@@ -662,9 +625,9 @@ class QueryBroker:
                     "last_gap": self._last_gap,
                 },
             }
-        state["store"] = self.store_stats()
-        state["scale"] = self.scale_stats()
-        state["resources"] = self.resource_stats()
+        state.update(
+            status_sections(snapshot if snapshot is not None else self.metrics())
+        )
         if self._farm is not None:
             state["farm"] = self._farm.status()
         return state

@@ -44,19 +44,8 @@ from concurrent.futures import Future
 
 from ..config import SPQConfig
 from ..errors import EvaluationError, SPQError
-from ..obs import (
-    TraceSession,
-    activate,
-    merge_histogram_snapshots,
-    merge_resource_snapshots,
-    resource_counters,
-    stage,
-    stage_histograms,
-)
+from ..obs import TraceSession, activate, collect, diff, merge, stage
 from ..parallel.executor import farm_context
-from ..scale.metrics import COUNTER_FIELDS as _scale_counters
-from ..scale.metrics import GAUGE_FIELDS as _scale_gauges
-from ..scale.metrics import scale_metrics
 from .qos import DeadlineExpiredError, EDFQueue
 
 #: Worker states surfaced on /status and /metrics.
@@ -76,30 +65,6 @@ _STOP_GRACE_S = 10.0
 #: a worker still holding a pruned matrix mapped keeps it alive (POSIX
 #: unlink semantics), later requests simply regenerate.
 _MAX_HANDOFF_KEYS = 512
-
-#: Scenario-store lifetime counters aggregated across worker processes
-#: (a dead/recycled worker's last report is absorbed into farm totals)
-#: and point-in-time gauges summed over live workers only.
-_STORE_COUNTER_FIELDS = (
-    "hits",
-    "misses",
-    "generations",
-    "generated_columns",
-    "evictions",
-    "spills",
-    "adopted",
-    "stale_dropped",
-    "bytes_realized",
-    "bytes_reused",
-)
-_STORE_GAUGE_FIELDS = ("bytes_resident", "bytes_spilled", "entries")
-
-#: Out-of-core tier counters/gauges (``repro.scale.metrics``), shipped
-#: with every completed task and aggregated the same way: counters
-#: absorb departed workers' last reports, gauges sum over live workers.
-_SCALE_COUNTER_FIELDS = _scale_counters
-_SCALE_GAUGE_FIELDS = _scale_gauges
-
 
 class WorkerCrashError(EvaluationError):
     """A request's worker died mid-solve twice (original + one retry).
@@ -173,6 +138,7 @@ def _worker_main(worker_id: int, inbox, results, catalog, config, spill_dir):
     )
     engine = SPQEngine(catalog=catalog, config=config, store=store)
     results.put(("ready", worker_id, os.getpid()))
+    last_sent: dict = {}
     while True:
         message = inbox.get()
         if message[0] == "stop":
@@ -232,6 +198,9 @@ def _worker_main(worker_id: int, inbox, results, catalog, config, spill_dir):
                     ),
                 )
             )
+        # One stats blob: the increment since the previous done message,
+        # so the farm's totals never depend on this process outliving it.
+        now = collect(store)
         results.put(
             (
                 "done",
@@ -239,20 +208,14 @@ def _worker_main(worker_id: int, inbox, results, catalog, config, spill_dir):
                 worker_id,
                 blob,
                 exported,
-                store.stats().as_dict(),
-                scale_metrics.snapshot(),
-                # Cumulative per-stage histograms, aggregated by the farm
-                # exactly like store stats (latest snapshot per live
-                # worker, departed workers absorbed into totals).
-                stage_histograms.snapshot(),
-                # Per-query resource counters, same discipline again.
-                resource_counters.snapshot(),
+                diff(now, last_sent),
                 # This task's spans, events and resource charges —
                 # ``TraceSession.payload()`` mirrors ``TraceRing.add``'s
                 # signature, so the broker ingests the tuple verbatim.
                 session.payload() if session is not None else None,
             )
         )
+        last_sent = now
     store.close()
 
 
@@ -288,8 +251,7 @@ class _Worker:
 
     __slots__ = (
         "id", "process", "inbox", "state", "task", "tasks_done", "known",
-        "store_stats", "scale_stats", "hist_stats", "res_stats",
-        "deltas_seen",
+        "gauges", "deltas_seen",
     )
 
     def __init__(self, worker_id: int, process, inbox):
@@ -302,17 +264,9 @@ class _Worker:
         #: Descriptor paths this worker has already been sent (or sent
         #: us), keyed by content key — dispatches ship only the delta.
         self.known: dict[tuple, str] = {}
-        #: The worker store's latest stats snapshot (ships with every
-        #: completed task); feeds the farm-wide store aggregate.
-        self.store_stats: dict | None = None
-        #: The worker's latest repro.scale counters, same discipline.
-        self.scale_stats: dict | None = None
-        #: The worker's latest per-stage histogram snapshot, same
-        #: discipline (cumulative within the worker process).
-        self.hist_stats: dict | None = None
-        #: The worker's latest per-query resource counters, same
-        #: discipline.
-        self.res_stats: dict | None = None
+        #: The gauges of the worker's latest done message (levels, so
+        #: they leave the farm's view with the worker).
+        self.gauges: dict = {}
         #: Prefix of the farm's delta log this worker has adopted (or
         #: was spawned with, via the pickled catalog); dispatches ship
         #: only the unseen suffix.
@@ -359,13 +313,9 @@ class SolveFarm:
         self._recycled = 0
         self._crashed = 0
         self._retried = 0
-        self._store_totals = {name: 0 for name in _STORE_COUNTER_FIELDS}
-        self._scale_totals = {name: 0 for name in _SCALE_COUNTER_FIELDS}
-        #: Departed workers' histogram snapshots, merged (histograms are
-        #: additive; see ``merge_histogram_snapshots``).
-        self._hist_totals: dict = {}
-        #: Departed workers' resource-counter snapshots, merged.
-        self._res_totals: dict = {}
+        #: Running sum of the counters and histograms of every done
+        #: message ever received (see :meth:`metrics`).
+        self._totals: dict = {}
         #: Optional callable matching :meth:`TraceSession.payload`'s
         #: tuple — ``(trace_id, spans, dropped, events, events_dropped,
         #: resources)`` — invoked for every done message carrying spans;
@@ -497,17 +447,17 @@ class SolveFarm:
             if worker is not None and worker.state == STATE_STARTING:
                 worker.state = STATE_IDLE
             return
-        (
-            _, task_id, worker_id, blob, exported,
-            store_stats, scale_stats, hist_stats, res_stats, trace_spans,
-        ) = message
+        _, task_id, worker_id, blob, exported, stats, trace_spans = message
         self._crash_streak = 0
+        # Increments count whether or not the sender is still alive: a
+        # worker reaped before its last message drained loses nothing.
+        self._totals = merge(
+            self._totals,
+            {"counters": stats["counters"], "histograms": stats["histograms"]},
+        )
         worker = self._workers.get(worker_id)
         if worker is not None:
-            worker.store_stats = store_stats
-            worker.scale_stats = scale_stats
-            worker.hist_stats = hist_stats
-            worker.res_stats = res_stats
+            worker.gauges = stats["gauges"]
         if exported:
             self._merge_descriptors_locked(exported, worker)
         if trace_spans is not None and self.span_sink is not None:
@@ -602,7 +552,6 @@ class SolveFarm:
             if worker.process.is_alive():
                 continue
             del self._workers[worker.id]
-            self._absorb_store_stats_locked(worker)
             if worker.state == STATE_STOPPING:
                 continue  # graceful exit (recycle/shutdown), nothing lost
             self._crashed += 1
@@ -752,99 +701,19 @@ class SolveFarm:
 
     # --- introspection ------------------------------------------------------
 
-    def _absorb_store_stats_locked(self, worker: _Worker) -> None:
-        """Fold a departing worker's last reports into farm totals."""
-        stats = worker.store_stats
-        if stats:
-            for name in _STORE_COUNTER_FIELDS:
-                self._store_totals[name] += stats.get(name, 0)
-        scale = worker.scale_stats
-        if scale:
-            for name in _SCALE_COUNTER_FIELDS:
-                self._scale_totals[name] += scale.get(name, 0)
-        if worker.hist_stats:
-            self._hist_totals = merge_histogram_snapshots(
-                (self._hist_totals, worker.hist_stats)
-            )
-        if worker.res_stats:
-            self._res_totals = merge_resource_snapshots(
-                (self._res_totals, worker.res_stats)
-            )
+    def metrics(self) -> dict:
+        """Telemetry snapshot (:func:`repro.obs.metrics.collect` shape)
+        aggregated across worker processes.
 
-    def store_stats(self) -> dict:
-        """Scenario-store counters aggregated across worker processes.
-
-        Every completed task ships the worker store's stats snapshot;
-        dead and recycled workers' last reports are absorbed into farm
-        totals, so the counters are lifetime-monotonic while the gauges
-        (resident/spilled bytes, entries) reflect live workers only.
-        This is what the broker reports as ``store`` on the process
-        backend — there is no parent-side store to read.
+        Counters and histograms are the running total of every done
+        message, so they are lifetime-monotonic across recycling and
+        crashes; gauges are summed over live workers only.
         """
         with self._lock:
-            totals = dict(self._store_totals)
-            for name in _STORE_GAUGE_FIELDS:
-                totals[name] = 0
-            for worker in self._workers.values():
-                stats = worker.store_stats
-                if not stats:
-                    continue
-                for name in _STORE_COUNTER_FIELDS + _STORE_GAUGE_FIELDS:
-                    totals[name] += stats.get(name, 0)
-            return totals
-
-    def scale_stats(self) -> dict:
-        """Out-of-core tier counters aggregated across worker processes.
-
-        Same discipline as :meth:`store_stats`: counters are
-        lifetime-monotonic (departed workers absorbed into totals),
-        gauges reflect live workers only.
-        """
-        with self._lock:
-            totals = dict(self._scale_totals)
-            for name in _SCALE_GAUGE_FIELDS:
-                totals[name] = 0
-            for worker in self._workers.values():
-                scale = worker.scale_stats
-                if not scale:
-                    continue
-                for name in _SCALE_COUNTER_FIELDS + _SCALE_GAUGE_FIELDS:
-                    totals[name] += scale.get(name, 0)
-            return totals
-
-    def resource_stats(self) -> dict:
-        """Per-query resource counters aggregated across workers.
-
-        Same discipline as :meth:`store_stats`: every field is a
-        lifetime-monotonic counter, so the aggregate merges the latest
-        snapshot of every live worker plus the absorbed totals of
-        departed ones.
-        """
-        with self._lock:
-            snapshots = [self._res_totals]
-            snapshots.extend(
-                worker.res_stats
-                for worker in self._workers.values()
-                if worker.res_stats
+            return merge(
+                self._totals,
+                *({"gauges": w.gauges} for w in self._workers.values()),
             )
-            return merge_resource_snapshots(snapshots)
-
-    def stage_histograms(self) -> dict:
-        """Per-stage latency histograms aggregated across workers.
-
-        Same discipline as :meth:`store_stats`: each worker's snapshot
-        is cumulative within its process, so the aggregate merges the
-        latest snapshot of every live worker plus the absorbed totals
-        of departed ones.
-        """
-        with self._lock:
-            snapshots = [self._hist_totals]
-            snapshots.extend(
-                worker.hist_stats
-                for worker in self._workers.values()
-                if worker.hist_stats
-            )
-            return merge_histogram_snapshots(snapshots)
 
     def status(self) -> dict:
         """Worker table + lifetime counters (feeds /status and /metrics)."""

@@ -69,7 +69,7 @@ from ..errors import (
     SPQError,
     VGFunctionError,
 )
-from ..obs import histogram_exposition
+from ..obs import FAMILIES, histogram_exposition, status_sections
 from .broker import BrokerSaturatedError, QueryBroker
 from .qos import DeadlineExpiredError
 
@@ -149,31 +149,24 @@ def result_payload(result, wall_time_s: float) -> dict:
 def metrics_text(broker: QueryBroker) -> str:
     """Prometheus text exposition of broker + store + farm counters.
 
-    Every family carries ``# HELP`` and ``# TYPE`` lines, counter names
-    end in ``_total``, and per-stage latencies are exported as one
-    labeled histogram family (``repro_stage_seconds``); the tier-1
-    format test validates all of this with a strict text-format parser.
+    One loop over :data:`~repro.obs.metrics.FAMILIES`, reading each
+    value from the ``/status`` document built from the same snapshot;
+    build info, the per-worker farm series and the stage histograms are
+    the only labelled families.  The tier-1 format test validates the
+    result with a strict text-format parser.
     """
-    status = broker.status()
-    store = status.pop("store")
-    scale = status.pop("scale")
-    resources = status.pop("resources")
-    farm = status.pop("farm", None)
+    snapshot = broker.metrics()
+    status = broker.status(snapshot)
     lines: list[str] = []
 
-    def family(name: str, kind: str, help_text: str, value) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.append(f"{name} {value}")
-
-    def labeled(name: str, kind: str, help_text: str, samples: list) -> None:
+    def family(name: str, kind: str, help_text: str, samples: list) -> None:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
         lines.extend(samples)
 
     # Standard build-info gauge: constant 1, identity in the labels, so
     # dashboards can join every other family against version/runtime.
-    labeled(
+    family(
         "repro_build_info", "gauge",
         "Build and runtime identity of this service (constant 1).",
         [
@@ -181,296 +174,28 @@ def metrics_text(broker: QueryBroker) -> str:
             f'python="{platform.python_version()}"}} 1'
         ],
     )
-    family(
-        "repro_store_hits_total", "counter",
-        "Scenario-store lookups served from a cached matrix.",
-        store["hits"],
-    )
-    family(
-        "repro_store_misses_total", "counter",
-        "Scenario-store lookups that required realization.",
-        store["misses"],
-    )
-    family(
-        "repro_store_generations_total", "counter",
-        "Scenario matrix (re)generations performed by the store.",
-        store["generations"],
-    )
-    family(
-        "repro_store_generated_columns_total", "counter",
-        "Scenario columns realized by the store.",
-        store["generated_columns"],
-    )
-    family(
-        "repro_store_evictions_total", "counter",
-        "Store entries evicted outright under the byte budget.",
-        store["evictions"],
-    )
-    family(
-        "repro_store_spills_total", "counter",
-        "Store entries spilled to memmap files under the byte budget.",
-        store["spills"],
-    )
-    family(
-        "repro_store_adopted_total", "counter",
-        "Matrices adopted from sibling workers via memmap handoff.",
-        store["adopted"],
-    )
-    family(
-        "repro_store_bytes_realized_total", "counter",
-        "Scenario-matrix bytes newly realized (generated) by the store.",
-        store["bytes_realized"],
-    )
-    family(
-        "repro_store_bytes_reused_total", "counter",
-        "Scenario-matrix bytes served from cache instead of regenerated.",
-        store["bytes_reused"],
-    )
-    family(
-        "repro_store_bytes_resident", "gauge",
-        "Bytes of scenario matrices resident in RAM.",
-        store["bytes_resident"],
-    )
-    family(
-        "repro_store_bytes_spilled", "gauge",
-        "Bytes of scenario matrices spilled to disk.",
-        store["bytes_spilled"],
-    )
-    family(
-        "repro_store_entries", "gauge",
-        "Distinct scenario matrices held by the store.",
-        store["entries"],
-    )
-    # Out-of-core tier (repro.scale): stochastic SketchRefine activity
-    # and the ColumnStore chunk caches' resident bytes.
-    family(
-        "repro_scale_runs_total", "counter",
-        "Completed stochastic SketchRefine evaluations.",
-        scale["runs"],
-    )
-    family(
-        "repro_scale_partitions_total", "counter",
-        "Partitions processed across SketchRefine evaluations.",
-        scale["partitions"],
-    )
-    family(
-        "repro_scale_refines_total", "counter",
-        "Per-partition refine solves executed.",
-        scale["refines"],
-    )
-    family(
-        "repro_scale_sketch_seconds_total", "counter",
-        "Wall seconds spent in SketchRefine sketch solves.",
-        scale["sketch_seconds"],
-    )
-    family(
-        "repro_scale_refine_seconds_total", "counter",
-        "Wall seconds spent in SketchRefine refine solves.",
-        scale["refine_seconds"],
-    )
-    family(
-        "repro_scale_index_hits_total", "counter",
-        "Partition-index lookups answered from the persisted index.",
-        scale["index_hits"],
-    )
-    family(
-        "repro_scale_index_misses_total", "counter",
-        "Partition-index lookups that re-partitioned from pilot stats.",
-        scale["index_misses"],
-    )
-    family(
-        "repro_scale_chunk_hits_total", "counter",
-        "ColumnStore chunk-cache lookups served from resident chunks.",
-        scale["chunk_hits"],
-    )
-    family(
-        "repro_scale_chunk_misses_total", "counter",
-        "ColumnStore chunk-cache lookups that decoded from disk.",
-        scale["chunk_misses"],
-    )
-    # Per-query resource accounting (docs/observability.md): lifetime
-    # totals across evaluations, farm-aggregated on the process backend.
-    family(
-        "repro_resource_queries_total", "counter",
-        "Queries with a completed resource-accounting envelope.",
-        resources.get("queries_accounted", 0),
-    )
-    family(
-        "repro_resource_cpu_seconds_total", "counter",
-        "Solver-thread CPU seconds consumed by accounted queries.",
-        resources.get("query_cpu_seconds", 0.0),
-    )
-    family(
-        "repro_resource_lp_solves_total", "counter",
-        "LP relaxation solves executed across all evaluations.",
-        resources.get("lp_solves", 0),
-    )
-    # Live-data tier (docs/live_data.md): applied deltas and the
-    # delta-scoped invalidation/reuse they triggered.
-    family(
-        "repro_delta_applied_total", "counter",
-        "Relation deltas applied through the catalog.",
-        scale["deltas_applied"],
-    )
-    family(
-        "repro_delta_rows_dirty_total", "counter",
-        "Rows dirtied by applied relation deltas.",
-        scale["delta_rows_dirty"],
-    )
-    family(
-        "repro_delta_partitions_dirty_total", "counter",
-        "Partitions re-refined by delta-repair solves.",
-        scale["delta_partitions_dirty"],
-    )
-    family(
-        "repro_delta_partitions_reused_total", "counter",
-        "Untouched partitions whose sub-packages were reused verbatim.",
-        scale["delta_partitions_reused"],
-    )
-    family(
-        "repro_delta_index_refreshes_total", "counter",
-        "Partition-index entries spliced from a pre-delta ancestor.",
-        scale["delta_index_refreshes"],
-    )
-    family(
-        "repro_delta_repair_fallbacks_total", "counter",
-        "Delta-repair solves that failed validation and re-ran cold.",
-        scale["delta_repair_fallbacks"],
-    )
-    family(
-        "repro_store_stale_dropped_total", "counter",
-        "Scenario-store descriptors refused or pruned as pre-delta stale.",
-        store["stale_dropped"],
-    )
-    family(
-        "repro_scale_resident_bytes", "gauge",
-        "Bytes resident across live ColumnStore chunk caches.",
-        scale["resident_bytes"],
-    )
-    family(
-        "repro_scale_resident_peak_bytes", "gauge",
-        "High-water mark of ColumnStore resident bytes.",
-        scale["resident_peak_bytes"],
-    )
-    family(
-        "repro_broker_submitted_total", "counter",
-        "Queries admitted by the broker.",
-        status["submitted"],
-    )
-    family(
-        "repro_broker_completed_total", "counter",
-        "Queries completed successfully.",
-        status["completed"],
-    )
-    family(
-        "repro_broker_failed_total", "counter",
-        "Queries that failed or were cancelled.",
-        status["failed"],
-    )
-    family(
-        "repro_broker_deduplicated_total", "counter",
-        "Submissions attached to an identical in-flight evaluation.",
-        status["deduplicated"],
-    )
-    family(
-        "repro_broker_rejected_total", "counter",
-        "Submissions rejected by admission control (saturated).",
-        status["rejected_total"],
-    )
-    deadline = status["deadline"]
-    family(
-        "repro_deadline_met_total", "counter",
-        "Finished queries that met their latency deadline (or had none).",
-        deadline["met"],
-    )
-    family(
-        "repro_deadline_missed_total", "counter",
-        "Finished queries that returned a truncated anytime incumbent.",
-        deadline["missed"],
-    )
-    family(
-        "repro_deadline_rejected_total", "counter",
-        "Submissions rejected at admission with a dead-on-arrival budget.",
-        deadline["rejected"],
-    )
-    family(
-        "repro_deadline_expired_total", "counter",
-        "Queued queries whose deadline drained before a worker was free.",
-        deadline["expired_queued"],
-    )
-    family(
-        "repro_query_gap", "gauge",
-        "Relative optimality gap of the last finished query (0 = exact).",
-        deadline["last_gap"],
-    )
-    family(
-        "repro_broker_pending", "gauge",
-        "Queries currently queued or running.",
-        status["pending"],
-    )
-    family(
-        "repro_broker_pool_size", "gauge",
-        "Configured evaluation concurrency.",
-        status["pool_size"],
-    )
-    family(
-        "repro_service_uptime_seconds", "gauge",
-        "Seconds since the broker started.",
-        f"{status['uptime_s']:.3f}",
-    )
-    if farm is not None:
+    for name, kind, help_text, section, key in FAMILIES:
+        values = status if section is None else status.get(section)
+        if values is not None:  # the farm section exists on "process" only
+            family(name, kind, help_text, [f"{name} {values[key]}"])
+    workers = status.get("farm", {}).get("workers")
+    if workers is not None:
         family(
-            "repro_farm_workers_busy", "gauge",
-            "Farm workers currently evaluating a task.",
-            farm["busy"],
-        )
-        family(
-            "repro_farm_workers_idle", "gauge",
-            "Farm workers ready for a task.",
-            farm["idle"],
-        )
-        family(
-            "repro_farm_queued", "gauge",
-            "Tasks waiting for an idle farm worker.",
-            farm["queued"],
-        )
-        family(
-            "repro_farm_handoff_entries", "gauge",
-            "Distinct scenario matrices in the farm handoff registry.",
-            farm["handoff_entries"],
-        )
-        family(
-            "repro_farm_recycled_total", "counter",
-            "Workers retired and replaced after recycle_after tasks.",
-            farm["recycled_total"],
-        )
-        family(
-            "repro_farm_crashed_total", "counter",
-            "Worker processes that died unexpectedly.",
-            farm["crashed_total"],
-        )
-        family(
-            "repro_farm_retried_total", "counter",
-            "In-flight tasks requeued after a worker crash.",
-            farm["retried_total"],
-        )
-        # Per-worker series: one labeled sample per live worker.
-        labeled(
             "repro_farm_worker_busy", "gauge",
             "Whether a farm worker is evaluating a task (by worker id).",
             [
-                f'repro_farm_worker_busy{{worker="{worker["id"]}"}}'
-                f' {1 if worker["state"] == "busy" else 0}'
-                for worker in farm["workers"]
+                f'repro_farm_worker_busy{{worker="{w["id"]}"}}'
+                f' {1 if w["state"] == "busy" else 0}'
+                for w in workers
             ],
         )
-        labeled(
+        family(
             "repro_farm_worker_tasks_total", "counter",
             "Tasks completed by a farm worker (by worker id).",
             [
-                f'repro_farm_worker_tasks_total{{worker="{worker["id"]}"}}'
-                f' {worker["tasks_completed"]}'
-                for worker in farm["workers"]
+                f'repro_farm_worker_tasks_total{{worker="{w["id"]}"}}'
+                f' {w["tasks_completed"]}'
+                for w in workers
             ],
         )
     # Per-stage latency histograms (trace spans observe into these even
@@ -479,7 +204,7 @@ def metrics_text(broker: QueryBroker) -> str:
         histogram_exposition(
             "repro_stage_seconds",
             "Wall seconds per traced pipeline stage.",
-            broker.stage_histograms(),
+            snapshot["histograms"],
         )
     )
     return "\n".join(lines) + "\n"
@@ -649,7 +374,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._respond(200, {"status": "ok", **summary})
 
     def _finish_query(self, payload: dict, future, want_trace: bool) -> None:
-        payload["store"] = self.server.broker.store_stats()
+        snapshot = self.server.broker.metrics()
+        payload["store"] = status_sections(snapshot)["store"]
         trace_id = getattr(future, "trace_id", None)
         ring = self.server.broker.trace_ring
         if trace_id is not None and ring is not None:

@@ -45,7 +45,7 @@ import tempfile
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -188,21 +188,7 @@ class StoreStats:
     bytes_reused: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "generations": self.generations,
-            "generated_columns": self.generated_columns,
-            "evictions": self.evictions,
-            "spills": self.spills,
-            "adopted": self.adopted,
-            "stale_dropped": self.stale_dropped,
-            "bytes_resident": self.bytes_resident,
-            "bytes_spilled": self.bytes_spilled,
-            "entries": self.entries,
-            "bytes_realized": self.bytes_realized,
-            "bytes_reused": self.bytes_reused,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -685,22 +671,13 @@ class ScenarioStore:
     def stats(self) -> StoreStats:
         """A point-in-time snapshot of the store's counters."""
         with self._cond:
-            snapshot = StoreStats(
-                hits=self._stats.hits,
-                misses=self._stats.misses,
-                generations=self._stats.generations,
-                generated_columns=self._stats.generated_columns,
-                evictions=self._stats.evictions,
-                spills=self._stats.spills,
-                adopted=self._stats.adopted,
-                stale_dropped=self._stats.stale_dropped,
+            snapshot = replace(
+                self._stats,
                 bytes_resident=self._resident_bytes(),
                 bytes_spilled=sum(
                     e.nbytes for e in self._entries.values() if e.spilled
                 ),
                 entries=len(self._entries),
-                bytes_realized=self._stats.bytes_realized,
-                bytes_reused=self._stats.bytes_reused,
             )
         return snapshot
 

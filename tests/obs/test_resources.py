@@ -1,16 +1,14 @@
-"""Per-query resource accounting: probe deltas, charges, merging."""
+"""Per-query resource accounting: probe deltas and charges."""
 
 from __future__ import annotations
 
 import time
 
 from repro.obs import (
-    RESOURCE_COUNTER_FIELDS,
     QueryResourceProbe,
     TraceSession,
     activate,
     charge,
-    merge_resource_snapshots,
     new_trace_id,
     resource_counters,
 )
@@ -72,19 +70,3 @@ def test_probe_reads_session_charges_into_the_usage_doc():
     usage = probe.finish(session=session)
     assert usage["lp_solves"] == 5
 
-
-def test_merge_resource_snapshots_sums_keywise():
-    merged = merge_resource_snapshots([
-        {"queries_accounted": 2, "query_cpu_seconds": 0.5, "lp_solves": 3},
-        None,
-        {},
-        {"queries_accounted": 1, "lp_solves": 4, "extra": 7.0},
-    ])
-    assert merged["queries_accounted"] == 3
-    assert merged["query_cpu_seconds"] == 0.5
-    assert merged["lp_solves"] == 7
-    assert merged["extra"] == 7.0
-    # Empty input still yields the declared field set at zero.
-    assert merge_resource_snapshots([]) == {
-        name: 0.0 for name in RESOURCE_COUNTER_FIELDS
-    }

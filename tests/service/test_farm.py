@@ -14,6 +14,7 @@ import pytest
 from repro import Catalog, Relation, SPQConfig
 from repro.errors import SPQError
 from repro.mcdb import GaussianNoiseVG, StochasticModel
+from repro.obs import status_sections
 from repro.service import QueryBroker, WorkerCrashError
 from repro.service import farm as farm_module
 from repro.service.farm import SolveFarm, _Worker
@@ -287,6 +288,15 @@ def test_process_backend_aggregates_worker_store_stats():
         assert broker.status()["store"]["hits"] > stats["hits"]
 
 
+#: The stats blob of a done message that carries no counts.
+_NO_STATS = {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+def _resources_and_histograms(broker):
+    snapshot = broker.metrics()
+    return status_sections(snapshot)["resources"], snapshot["histograms"]
+
+
 def test_stale_done_after_requeue_still_frees_the_retry_worker():
     # Ordering race: worker W completes task T, flushes its result, then
     # dies; the reap (which can run before the queued result drains)
@@ -299,6 +309,7 @@ def test_stale_done_after_requeue_still_frees_the_retry_worker():
 
     farm = SolveFarm.__new__(SolveFarm)  # no processes: message logic only
     farm._crash_streak = 0
+    farm._totals = {}
     farm._descriptors = OrderedDict()
     farm._tasks = {}
     farm._pending = deque()
@@ -314,7 +325,7 @@ def test_stale_done_after_requeue_still_frees_the_retry_worker():
     # is gone from _tasks when V's completion drains.
     settle: list = []
     blob = pickle.dumps((True, "result"))
-    farm._handle_message_locked(("done", 7, 2, blob, {}, {}, {}, {}, {}, None), settle)
+    farm._handle_message_locked(("done", 7, 2, blob, {}, _NO_STATS, None), settle)
     assert settle == []  # nothing to settle twice
     assert retry_worker.task is None
     assert retry_worker.state == farm_module.STATE_IDLE
@@ -330,6 +341,7 @@ def test_stale_done_removes_requeued_task_from_pending():
 
     farm = SolveFarm.__new__(SolveFarm)
     farm._crash_streak = 0
+    farm._totals = {}
     farm._descriptors = OrderedDict()
     farm._workers = {}
     farm._closed = False
@@ -341,10 +353,58 @@ def test_stale_done_removes_requeued_task_from_pending():
 
     settle: list = []
     blob = pickle.dumps((True, "result"))
-    farm._handle_message_locked(("done", 7, 1, blob, {}, {}, {}, {}, {}, None), settle)
+    farm._handle_message_locked(("done", 7, 1, blob, {}, _NO_STATS, None), settle)
     assert [(f, ok) for f, ok, _ in settle] == [(task.future, True)]
     assert not farm._pending
     assert not farm._tasks
+
+
+def test_late_done_message_from_a_reaped_worker_keeps_its_counts():
+    # A worker flushes its done message and dies; the reaper removes it
+    # before the manager drains that message.  The message's counters and
+    # histogram observations must still reach the farm totals, while its
+    # gauges (levels of a process that no longer exists) must not.
+    import pickle
+    from collections import deque
+
+    farm = SolveFarm.__new__(SolveFarm)  # no processes: message logic only
+    farm._crash_streak = 0
+    farm._crashed = 0
+    farm._broken = False
+    farm._descriptors = OrderedDict()
+    farm._tasks = {}
+    farm._pending = deque()
+    farm._closed = False
+    farm._totals = {}
+    farm.n_workers = 1
+    farm.recycle_after = None
+    farm.span_sink = None
+    farm._lock = threading.Lock()
+    farm._spawn_worker_locked = lambda: None  # no replacement process
+
+    class _DeadProcess:
+        exitcode = -9
+
+        def is_alive(self):
+            return False
+
+    dead = _Worker(3, process=_DeadProcess(), inbox=None)
+    dead.state = farm_module.STATE_IDLE
+    farm._workers = {3: dead}
+    farm._reap_locked([])
+    assert farm._workers == {} and farm._crashed == 1
+
+    stats = {
+        "counters": {"store.hits": 2, "resources.queries_accounted": 1.0},
+        "gauges": {"store.entries": 5},
+        "histograms": {"query": {"counts": [1, 0], "sum": 0.25, "count": 1}},
+    }
+    blob = pickle.dumps((True, "result"))
+    farm._handle_message_locked(("done", 9, 3, blob, {}, stats, None), [])
+    totals = farm.metrics()
+    assert totals["counters"] == stats["counters"]
+    assert totals["histograms"] == stats["histograms"]
+    assert totals["gauges"] == {}
 
 
 def test_descriptor_prune_drops_worker_known_entries(tmp_path, monkeypatch):
@@ -457,13 +517,11 @@ def test_aggregation_invariants_survive_worker_recycling():
         backend="process",
         recycle_after=1,
     ) as broker:
-        base_res = broker.resource_stats()
-        base_hist = broker.stage_histograms()
+        base_res, base_hist = _resources_and_histograms(broker)
         last_res, last_hist = base_res, base_hist
         for n in range(1, 4):
             assert broker.execute(QUERY, seed=n).feasible
-            res = broker.resource_stats()
-            hist = broker.stage_histograms()
+            res, hist = _resources_and_histograms(broker)
             # Exactly one query accounted per execute, whichever worker
             # generation served it.
             assert (
@@ -499,8 +557,7 @@ def test_aggregation_invariants_survive_a_worker_crash():
     ) as broker:
         for seed in range(2):
             assert broker.execute(QUERY, seed=seed).feasible
-        before_res = broker.resource_stats()
-        before_hist = broker.stage_histograms()
+        before_res, before_hist = _resources_and_histograms(broker)
         # Let the worker's result-queue feeder thread go fully quiescent
         # before the kill: SIGKILL between its send() and the shared
         # write-lock release would wedge the queue for every later
@@ -516,8 +573,7 @@ def test_aggregation_invariants_survive_a_worker_crash():
                 break
             time.sleep(0.05)
         assert broker.status()["farm"]["crashed_total"] >= 1
-        after_res = broker.resource_stats()
-        after_hist = broker.stage_histograms()
+        after_res, after_hist = _resources_and_histograms(broker)
         # Nothing was in flight, so the totals are preserved bit-exactly:
         # the dead worker's contribution moved from its live snapshot
         # into the absorbed totals.
@@ -526,7 +582,7 @@ def test_aggregation_invariants_survive_a_worker_crash():
             assert after_hist[stage]["count"] == snap["count"], stage
         # The replacement worker keeps counting from there.
         assert broker.execute(QUERY, seed=9).feasible
-        final_res = broker.resource_stats()
+        final_res, _ = _resources_and_histograms(broker)
         assert (
             final_res["queries_accounted"]
             == before_res["queries_accounted"] + 1

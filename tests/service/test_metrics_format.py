@@ -38,7 +38,8 @@ HIST_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 @contextmanager
-def _metrics_text(backend: str):
+def _served(backend: str):
+    """Serve one query on ``backend``; yield ``(/metrics text, /status doc)``."""
     relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
     model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
     catalog = Catalog()
@@ -67,7 +68,12 @@ def _metrics_text(backend: str):
             f"http://{host}:{port}/metrics", timeout=60
         ) as response:
             assert response.headers["Content-Type"].startswith("text/plain")
-            yield response.read().decode()
+            text = response.read().decode()
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/status", timeout=60
+        ) as response:
+            status = json.loads(response.read())
+        yield text, status
     finally:
         svc.shutdown()
 
@@ -113,7 +119,7 @@ def _parse(text: str):
 
 @pytest.mark.parametrize("backend", ("thread", "process"))
 def test_metrics_exposition_is_strictly_valid(backend):
-    with _metrics_text(backend) as text:
+    with _served(backend) as (text, _):
         helps, types, samples = _parse(text)
 
     assert helps.keys() == types.keys()
@@ -178,7 +184,7 @@ def test_metrics_exposition_is_strictly_valid(backend):
 
 @pytest.mark.parametrize("backend", ("thread", "process"))
 def test_histograms_are_cumulative_and_consistent(backend):
-    with _metrics_text(backend) as text:
+    with _served(backend) as (text, _):
         _, types, samples = _parse(text)
     histogram_families = {n for n, t in types.items() if t == "histogram"}
     assert histogram_families
@@ -210,3 +216,109 @@ def test_histograms_are_cumulative_and_consistent(backend):
         assert values == sorted(values), f"{key} buckets not cumulative"
         assert values[-1] == counts[key], f"{key} +Inf bucket != _count"
         assert sums[key] >= 0.0
+
+
+#: Every ``(family, type)`` pair ``GET /metrics`` exposes on the thread
+#: backend.  A dropped, renamed or re-typed family fails the golden test.
+THREAD_FAMILIES = {
+    ("repro_build_info", "gauge"),
+    ("repro_store_hits_total", "counter"),
+    ("repro_store_misses_total", "counter"),
+    ("repro_store_generations_total", "counter"),
+    ("repro_store_generated_columns_total", "counter"),
+    ("repro_store_evictions_total", "counter"),
+    ("repro_store_spills_total", "counter"),
+    ("repro_store_adopted_total", "counter"),
+    ("repro_store_bytes_realized_total", "counter"),
+    ("repro_store_bytes_reused_total", "counter"),
+    ("repro_store_bytes_resident", "gauge"),
+    ("repro_store_bytes_spilled", "gauge"),
+    ("repro_store_entries", "gauge"),
+    ("repro_store_stale_dropped_total", "counter"),
+    ("repro_scale_runs_total", "counter"),
+    ("repro_scale_partitions_total", "counter"),
+    ("repro_scale_refines_total", "counter"),
+    ("repro_scale_sketch_seconds_total", "counter"),
+    ("repro_scale_refine_seconds_total", "counter"),
+    ("repro_scale_index_hits_total", "counter"),
+    ("repro_scale_index_misses_total", "counter"),
+    ("repro_scale_chunk_hits_total", "counter"),
+    ("repro_scale_chunk_misses_total", "counter"),
+    ("repro_scale_resident_bytes", "gauge"),
+    ("repro_scale_resident_peak_bytes", "gauge"),
+    ("repro_resource_queries_total", "counter"),
+    ("repro_resource_cpu_seconds_total", "counter"),
+    ("repro_resource_lp_solves_total", "counter"),
+    ("repro_delta_applied_total", "counter"),
+    ("repro_delta_rows_dirty_total", "counter"),
+    ("repro_delta_partitions_dirty_total", "counter"),
+    ("repro_delta_partitions_reused_total", "counter"),
+    ("repro_delta_index_refreshes_total", "counter"),
+    ("repro_delta_repair_fallbacks_total", "counter"),
+    ("repro_broker_submitted_total", "counter"),
+    ("repro_broker_completed_total", "counter"),
+    ("repro_broker_failed_total", "counter"),
+    ("repro_broker_deduplicated_total", "counter"),
+    ("repro_broker_rejected_total", "counter"),
+    ("repro_deadline_met_total", "counter"),
+    ("repro_deadline_missed_total", "counter"),
+    ("repro_deadline_rejected_total", "counter"),
+    ("repro_deadline_expired_total", "counter"),
+    ("repro_query_gap", "gauge"),
+    ("repro_broker_pending", "gauge"),
+    ("repro_broker_pool_size", "gauge"),
+    ("repro_service_uptime_seconds", "gauge"),
+    ("repro_stage_seconds", "histogram"),
+}
+
+#: The process backend adds the farm families on top.
+PROCESS_FAMILIES = THREAD_FAMILIES | {
+    ("repro_farm_workers_busy", "gauge"),
+    ("repro_farm_workers_idle", "gauge"),
+    ("repro_farm_queued", "gauge"),
+    ("repro_farm_handoff_entries", "gauge"),
+    ("repro_farm_recycled_total", "counter"),
+    ("repro_farm_crashed_total", "counter"),
+    ("repro_farm_retried_total", "counter"),
+    ("repro_farm_worker_busy", "gauge"),
+    ("repro_farm_worker_tasks_total", "counter"),
+}
+
+#: Key sets of the nested ``GET /status`` sections.
+STATUS_SECTIONS = {
+    "store": [
+        "hits", "misses", "generations", "generated_columns", "evictions",
+        "spills", "adopted", "stale_dropped", "bytes_resident",
+        "bytes_spilled", "entries", "bytes_realized", "bytes_reused",
+    ],
+    "scale": [
+        "runs", "partitions", "refines", "sketch_seconds", "refine_seconds",
+        "index_hits", "index_misses", "chunk_hits", "chunk_misses",
+        "deltas_applied", "delta_rows_dirty", "delta_partitions_dirty",
+        "delta_partitions_reused", "delta_index_refreshes",
+        "delta_repair_fallbacks", "resident_bytes", "resident_peak_bytes",
+    ],
+    "resources": ["queries_accounted", "query_cpu_seconds", "lp_solves"],
+    "deadline": ["met", "missed", "rejected", "expired_queued", "last_gap"],
+    "farm": [
+        "backend", "n_workers", "workers", "busy", "idle", "recycled_total",
+        "crashed_total", "retried_total", "queued", "handoff_entries",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "backend, families",
+    (("thread", THREAD_FAMILIES), ("process", PROCESS_FAMILIES)),
+)
+def test_metrics_and_status_surface_is_pinned(backend, families):
+    with _served(backend) as (text, status):
+        _, types, _ = _parse(text)
+    assert set(types.items()) == families, (
+        set(types.items()) - families, families - set(types.items())
+    )
+    for section, keys in STATUS_SECTIONS.items():
+        if section == "farm" and backend == "thread":
+            assert section not in status
+            continue
+        assert set(status[section]) == set(keys), section

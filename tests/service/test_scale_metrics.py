@@ -9,12 +9,13 @@ import pytest
 
 from repro import Catalog, SPQConfig
 from repro.datasets.portfolio import PortfolioParams, build_portfolio
-from repro.scale.metrics import COUNTER_FIELDS, GAUGE_FIELDS
+from repro.obs.metrics import section_keys
 from repro.scale.partition import PartitionIndex
 from repro.service import QueryBroker, SPQService
 from repro.workloads import get_query
 
 SPEC = get_query("portfolio", "Q1")
+SCALE_COUNTERS = section_keys("scale", "counter")
 
 pytestmark = pytest.mark.usefixtures("_fresh_partition_cache")
 
@@ -51,7 +52,7 @@ def test_status_exposes_scale_section_with_all_fields():
     broker = QueryBroker(_catalog(), config=_config(), pool_size=1)
     try:
         scale = broker.status()["scale"]
-        for field in COUNTER_FIELDS + GAUGE_FIELDS:
+        for field in section_keys("scale"):
             assert field in scale
     finally:
         broker.close()
@@ -65,7 +66,7 @@ def test_thread_backend_counters_monotonic_across_scale_queries():
         middle = broker.status()["scale"]
         broker.execute(SPEC.spaql, method="sketchrefine")
         after = broker.status()["scale"]
-        for field in COUNTER_FIELDS:
+        for field in SCALE_COUNTERS:
             assert before[field] <= middle[field] <= after[field], field
         assert middle["runs"] >= before["runs"] + 1
         assert after["runs"] >= middle["runs"] + 1
@@ -125,7 +126,7 @@ def test_process_backend_aggregates_worker_scale_counters():
         assert scale["refines"] >= 1
         broker.execute(SPEC.spaql, method="sketchrefine", seed=4321)
         after = broker.status()["scale"]
-        for field in COUNTER_FIELDS:
+        for field in SCALE_COUNTERS:
             assert after[field] >= scale[field], field
         assert after["runs"] >= scale["runs"] + 1
     finally:
