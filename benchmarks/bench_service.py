@@ -8,9 +8,9 @@ Two acceptance properties of the ``repro.service`` subsystem:
   solver/validation work is unchanged while realization (optimization
   matrices, probe bounds, and the Pareto Monte-Carlo expectation pass,
   which Galaxy Q5 cannot compute analytically) drops out;
-* under **concurrent clients** with solver-bound work, the process
-  backend (solve farm) outperforms the thread backend, whose MILP
-  solves serialize on the GIL — by ≥1.5× on a 4-core machine — while
+* under **concurrent clients** with evaluation-bound work, the process
+  backend (solve farm) outperforms the thread backend, whose Python-side
+  evaluation serializes on the GIL — by ≥1.5× on a 4-core machine — while
   returning bit-identical packages.  Results are recorded in
   ``BENCH_service.json`` at the repo root (the serving-layer perf
   trajectory).
@@ -197,12 +197,11 @@ FARM_POOL = 4
 
 
 def _throughput_config():
-    # Solver-bound on purpose: branch-and-bound is pure Python, so the
-    # thread backend's concurrent solves serialize on the GIL — exactly
-    # the contention the solve farm removes.  Sized so one query costs
-    # seconds, not minutes: the point is the *ratio* under concurrency.
+    # Evaluation-bound on purpose: model building, summaries and
+    # validation are Python, so the thread backend's concurrent queries
+    # serialize on the GIL — exactly the contention the solve farm
+    # removes.  The point is the *ratio* under concurrency.
     return bench_config(
-        solver="branch-bound",
         n_validation_scenarios=1_000,
         n_initial_scenarios=16,
         scenario_increment=16,
@@ -235,7 +234,7 @@ def _drive_backend(backend: str, catalog, config):
 
 
 def test_concurrent_clients_process_backend_beats_threads(benchmark):
-    """Throughput under 8 concurrent solver-bound clients, both backends.
+    """Throughput under 8 concurrent evaluation-bound clients, both backends.
 
     Asserts bit-identical packages across backends always; asserts the
     ≥1.5× process-over-thread throughput floor on machines with ≥4
@@ -269,7 +268,7 @@ def test_concurrent_clients_process_backend_beats_threads(benchmark):
     record = {
         "workload": "portfolio/Q1",
         "scale": 60,
-        "solver": "branch-bound",
+        "solver": "highs",
         "n_clients": N_CLIENTS,
         "pool_size": FARM_POOL,
         "cpu_count": os.cpu_count(),

@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " (default: 60)")
     trace.add_argument("--convergence", action="store_true",
                        help="render the trace's convergence event streams"
-                            " (solver gap-over-time, CSA epsilon trajectory,"
+                            " (root-LP reductions, CSA epsilon trajectory,"
                             " refine outcomes) instead of the waterfall")
     trace.set_defaults(handler=cmd_trace)
     return parser
@@ -694,7 +694,7 @@ def cmd_trace(args) -> int:
     if getattr(args, "convergence", False):
         from .obs import format_convergence
 
-        print(format_convergence(doc, width=max(args.width, 8)))
+        print(format_convergence(doc))
         return EXIT_OK
     try:
         trace_id, root = trace_document(doc)

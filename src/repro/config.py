@@ -5,8 +5,8 @@ headers): the number of out-of-sample validation scenarios ``M_hat``, the
 initial number of optimization scenarios ``M0`` and its increment ``m``,
 the summary-count increment ``z``, and the user approximation bound
 ``epsilon``.  :class:`SPQConfig` bundles these together with
-implementation knobs (solver backend, summary-generation strategy, seeds,
-limits) so that an entire evaluation is reproducible from one object.
+implementation knobs (summary-generation strategy, seeds, limits) so
+that an entire evaluation is reproducible from one object.
 
 The paper's defaults (``M_hat = 1e6``/``1e7``, four-hour time limits) are
 impractical for a test suite; the library defaults are scaled down but
@@ -34,12 +34,6 @@ SUMMARY_TUPLE_WISE = "tuple-wise"
 SUMMARY_SCENARIO_WISE = "scenario-wise"
 
 _SUMMARY_STRATEGIES = (SUMMARY_IN_MEMORY, SUMMARY_TUPLE_WISE, SUMMARY_SCENARIO_WISE)
-
-#: Solver backends implemented in ``repro.solver``.
-SOLVER_HIGHS = "highs"
-SOLVER_BRANCH_BOUND = "branch-bound"
-
-_SOLVER_BACKENDS = (SOLVER_HIGHS, SOLVER_BRANCH_BOUND)
 
 #: Serving-layer dispatch backends (``repro.service.broker``).
 BACKEND_THREAD = "thread"
@@ -174,13 +168,6 @@ class SPQConfig:
     #: it).  Explicit ``method="sketchrefine"`` requests always use the
     #: driver regardless.
     scale_threshold_rows: int | None = None
-    #: Delta-scoped repair: after a relation delta, the scale driver may
-    #: splice the partition index (re-labeling only dirty rows) and reuse
-    #: clean partitions' refined sub-packages from the previous solve of
-    #: the same query, re-refining only dirty partitions and re-validating
-    #: the combined package out-of-sample (see ``docs/live_data.md``).
-    #: Disabling forces every post-delta solve down the cold path.
-    scale_delta_reuse: bool = True
 
     # --- observability (repro.obs) ------------------------------------------
     #: Record trace spans for every evaluation (parse/compile/solve/
@@ -207,7 +194,6 @@ class SPQConfig:
     slow_query_log_max_bytes: int | None = None
 
     # --- solving -----------------------------------------------------------
-    solver: str = SOLVER_HIGHS
     solver_time_limit: float = 60.0
     mip_gap: float = 1e-6
     #: Fallback multiplicity bound when no finite bound is derivable from
@@ -263,10 +249,6 @@ class SPQConfig:
             raise EvaluationError(
                 f"unknown summary_strategy {self.summary_strategy!r};"
                 f" expected one of {_SUMMARY_STRATEGIES}"
-            )
-        if self.solver not in _SOLVER_BACKENDS:
-            raise EvaluationError(
-                f"unknown solver {self.solver!r}; expected one of {_SOLVER_BACKENDS}"
             )
         if self.time_limit <= 0:
             raise EvaluationError("time_limit must be positive")

@@ -80,7 +80,7 @@ def relative_gap(incumbent: float, bound: float) -> float:
 
     ``|incumbent − bound| / max(1, |incumbent|)`` — the denominator clamp
     keeps the gap finite and scale-free around zero objectives, matching
-    the branch-and-bound's internal gap accounting.
+    the gap HiGHS results report (``solver/highs.py``).
     """
     return abs(float(incumbent) - float(bound)) / max(1.0, abs(float(incumbent)))
 
@@ -110,8 +110,8 @@ def _truncation_gap(result) -> tuple[float | None, float | None]:
     solver_gap = result.meta.get("solver_gap")
     if solver_gap is not None and np.isfinite(solver_gap):
         # A truncated MILP solve certified its own incumbent-to-bound
-        # distance (branch and bound's anytime gap); reuse it verbatim
-        # so the envelope matches the solver's final convergence event.
+        # distance (HiGHS's dual bound); reuse it verbatim so the
+        # envelope matches the solver's result.
         solver_bound = result.meta.get("solver_best_bound")
         if solver_bound is not None and np.isfinite(solver_bound):
             bound = float(solver_bound)

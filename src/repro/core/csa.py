@@ -292,9 +292,7 @@ def csa_solve(
             time_limit = min(time_limit, max(deadline.remaining(), 0.01))
         with stage("solve", q=q) as solve_span:
             result = formulation.builder.solve(
-                backend=ctx.config.solver,
-                time_limit=time_limit,
-                mip_gap=ctx.config.mip_gap,
+                time_limit=time_limit, mip_gap=ctx.config.mip_gap
             )
             solve_span.set("status", result.status)
             solve_memo = bool(result.meta.get("memo"))

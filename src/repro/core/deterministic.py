@@ -13,7 +13,7 @@ import numpy as np
 from ..config import SPQConfig
 from ..errors import EvaluationError
 from ..silp.model import StochasticPackageProblem
-from ..solver.result import MILPResult, STATUS_TIME_LIMIT
+from ..solver.result import MILPResult, STATUS_FEASIBLE, STATUS_TIME_LIMIT
 from ..utils.timing import Stopwatch
 from .context import EvaluationContext
 from .package import Package, PackageResult
@@ -38,11 +38,7 @@ def solve_unconstrained(ctx: EvaluationContext, time_limit: float) -> MILPResult
     # a bare timeout.  The hint is validated at solve time, so queries
     # with covering (>=) constraints simply ignore it.
     builder.set_warm_start(np.zeros(builder.n_variables))
-    return builder.solve(
-        backend=ctx.config.solver,
-        time_limit=time_limit,
-        mip_gap=ctx.config.mip_gap,
-    )
+    return builder.solve(time_limit=time_limit, mip_gap=ctx.config.mip_gap)
 
 
 def deterministic_evaluate(
@@ -63,8 +59,9 @@ def deterministic_evaluate(
     watch = Stopwatch()
     with watch:
         # The QoS deadline and the batch budget share one clamp, so a
-        # branch-and-bound truncation surfaces as an anytime incumbent
-        # with a certified gap instead of silently reporting gap 0.
+        # solve HiGHS stops on its time limit surfaces as an anytime
+        # incumbent with a certified gap instead of silently reporting
+        # gap 0.
         result = solve_unconstrained(
             ctx, min(config.solver_time_limit, config.effective_time_limit())
         )
@@ -80,9 +77,7 @@ def deterministic_evaluate(
         )
     )
     stats.total_time = watch.elapsed
-    truncated = result.status == STATUS_TIME_LIMIT or result.meta.get(
-        "stopped"
-    ) in ("deadline", "nodes")
+    truncated = result.status in (STATUS_FEASIBLE, STATUS_TIME_LIMIT)
     if truncated:
         stats.timed_out = True
     if not result.has_solution:
@@ -100,8 +95,8 @@ def deterministic_evaluate(
     meta = {}
     if truncated:
         # Carry the solver's own anytime certificate into the envelope:
-        # finalize_anytime prefers it, so the AnytimeResult gap equals
-        # the gap of the final solver convergence event bit-for-bit.
+        # finalize_anytime prefers it, so the AnytimeResult gap and bound
+        # equal the MILPResult's bit-for-bit.
         meta = {
             "truncated_stages": ("solve",),
             "solver_gap": result.gap,

@@ -57,9 +57,7 @@ def naive_evaluate(
                 config.solver_time_limit, max(deadline.remaining(), 0.01)
             )
             result = formulation.builder.solve(
-                backend=config.solver,
-                time_limit=time_limit,
-                mip_gap=config.mip_gap,
+                time_limit=time_limit, mip_gap=config.mip_gap
             )
         record = IterationRecord(
             method=METHOD_NAIVE,

@@ -93,9 +93,7 @@ def _sketch(ctx, groups, constraint_rows, objective_coeffs, time_limit):
         centroid = np.array([objective_coeffs[g].mean() for g in groups])
         sense = ctx.problem.objective.sense
         builder.set_objective(g_idx, centroid, sense)
-    return builder.solve(
-        backend=ctx.config.solver, time_limit=time_limit, mip_gap=ctx.config.mip_gap
-    )
+    return builder.solve(time_limit=time_limit, mip_gap=ctx.config.mip_gap)
 
 
 def _refine_group(
@@ -126,9 +124,7 @@ def _refine_group(
         builder.set_objective(
             x_idx, objective_coeffs[group], ctx.problem.objective.sense
         )
-    return builder.solve(
-        backend=ctx.config.solver, time_limit=time_limit, mip_gap=ctx.config.mip_gap
-    )
+    return builder.solve(time_limit=time_limit, mip_gap=ctx.config.mip_gap)
 
 
 def sketch_refine_evaluate(

@@ -16,7 +16,7 @@ Five cooperating pieces, all dependency-free and cheap when unused:
   (``SPQConfig.profile_stages``) plus the waterfall / top-N renderers
   behind the ``repro trace`` CLI.
 * :mod:`repro.obs.events` — trace-scoped convergence event streams
-  (branch-and-bound gap-over-time, CSA ε-trajectory, refine outcomes)
+  (root-LP reduction verdicts, CSA ε-trajectory, refine outcomes)
   rendered by ``repro trace --convergence``.
 * :mod:`repro.obs.resources` — per-query resource accounting (CPU,
   peak-RSS delta, scenario bytes, LP solves, chunk-cache hit ratio)
@@ -32,7 +32,6 @@ spans under that parent, and ships them back with the done message.
 from .events import (
     KIND_CSA_ROUND,
     KIND_REFINE_OUTCOME,
-    KIND_SOLVER_NODE,
     KIND_SOLVER_REDUCE,
     emit,
     epsilon_events,
@@ -40,7 +39,6 @@ from .events import (
     format_convergence,
     reduce_events,
     refine_events,
-    solver_events,
 )
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -84,7 +82,6 @@ __all__ = [
     "FAMILIES",
     "KIND_CSA_ROUND",
     "KIND_REFINE_OUTCOME",
-    "KIND_SOLVER_NODE",
     "KIND_SOLVER_REDUCE",
     "LockedCounters",
     "QueryResourceProbe",
@@ -112,7 +109,6 @@ __all__ = [
     "reduce_events",
     "refine_events",
     "resource_counters",
-    "solver_events",
     "span_tree",
     "stage",
     "stage_histograms",

@@ -8,14 +8,8 @@ spans, so events ride the exact same payloads across the solve farm's
 forkserver boundary and surface on ``GET /trace/<id>`` and
 ``repro trace --convergence``.
 
-Four producers feed the channel:
+Three producers feed the channel:
 
-* ``solver/branch_bound.py`` emits a :data:`KIND_SOLVER_NODE` record per
-  expanded node and per incumbent improvement —
-  ``(t, incumbent, best_bound, gap, nodes, lp_iters)`` in the caller's
-  objective sense — plus a terminal record (``final=True``) whose ``gap``
-  equals the returned :class:`~repro.solver.result.MILPResult` gap and,
-  through the engine's envelope, the ``AnytimeResult`` gap;
 * ``solver/highs.py`` emits one :data:`KIND_SOLVER_REDUCE` record per
   solve that went through the root-LP reduction — which verdict it
   reached and how many columns HiGHS was left with;
@@ -38,10 +32,6 @@ from collections import Counter
 
 from .profile import iter_tree
 from .trace import current_session
-
-#: Branch-and-bound convergence: one record per expanded node / new
-#: incumbent, fields ``t, incumbent, best_bound, gap, nodes, lp_iters``.
-KIND_SOLVER_NODE = "solver.node"
 
 #: Root-LP reduction in front of HiGHS: one record per reduced solve,
 #: fields ``verdict`` (``lp_integral``/``lp_infeasible``/``reduced``/
@@ -69,7 +59,7 @@ def emit(kind: str, *, t: float | None = None, **fields) -> bool:
     """Record one convergence event on the active trace session.
 
     ``t`` is the producer's solve-relative clock (seconds since its own
-    start) — the natural x-axis for gap-over-time; ``ts`` (epoch) is
+    start) — the natural x-axis for a trajectory; ``ts`` (epoch) is
     stamped here for cross-producer ordering.  Returns whether an event
     was recorded (``False`` when tracing is off).
     """
@@ -82,11 +72,6 @@ def emit(kind: str, *, t: float | None = None, **fields) -> bool:
     event.update(fields)
     session.add_event(event)
     return True
-
-
-def solver_events(events) -> list[dict]:
-    """The branch-and-bound convergence series, in emission order."""
-    return [e for e in events or () if e.get("kind") == KIND_SOLVER_NODE]
 
 
 def reduce_events(events) -> list[dict]:
@@ -139,44 +124,21 @@ def _memo_tally(root) -> str | None:
     )
 
 
-def format_convergence(document: dict, width: int = 72) -> str:
-    """ASCII gap-over-time view of one trace document's event stream.
+def format_convergence(document: dict) -> str:
+    """ASCII view of one trace document's event stream.
 
     ``document`` is a ``/trace`` payload (or ``engine.last_trace``):
-    the event list is read from its ``events`` key.  Four sections,
-    each omitted when its producer emitted nothing: the solver
-    gap-over-time bars, the root-LP reduction verdicts, the CSA
-    ε-trajectory table (rounds whose solve / validation came from the
-    evaluation's memos are marked ``=``, and the span tree's totals
-    close the table), and the refine outcome tally.
+    the event list is read from its ``events`` key.  Three sections,
+    each omitted when its producer emitted nothing: the root-LP
+    reduction verdicts, the CSA ε-trajectory table (rounds whose solve /
+    validation came from the evaluation's memos are marked ``=``, and
+    the span tree's totals close the table), and the refine outcome
+    tally.
     """
     events = document.get("events") or []
     lines: list[str] = []
-    solver = solver_events(events)
-    if solver:
-        lines.append("solver convergence (gap over time):")
-        gaps = [e.get("gap") for e in solver]
-        finite = [g for g in gaps if g is not None]
-        top = max(finite) if finite else 0.0
-        bar_width = max(10, width - 46)
-        for event in solver:
-            gap = event.get("gap")
-            frac = 0.0 if not top or gap is None else min(1.0, gap / top)
-            bar = "#" * max(0, round(frac * bar_width))
-            marker = " *" if event.get("final") else ""
-            lines.append(
-                f"  t={_fmt(event.get('t'), 4):>8}s"
-                f" gap={_fmt(gap):>10}"
-                f" inc={_fmt(event.get('incumbent'), 6):>10}"
-                f" bound={_fmt(event.get('best_bound'), 6):>10}"
-                f" n={_fmt(event.get('nodes')):>5}"
-                f" lp={_fmt(event.get('lp_iters')):>6}"
-                f" |{bar}{marker}"
-            )
     reductions = reduce_events(events)
     if reductions:
-        if lines:
-            lines.append("")
         lines.append(
             f"root-LP reductions ({len(reductions)} solves):"
             f" {_tally(reductions, 'verdict')}"

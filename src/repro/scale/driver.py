@@ -149,8 +149,13 @@ def scale_sketch_refine_evaluate(
 
 def _run(
     problem, config, store, stats, IterationRecord, PackageResult,
-    EvaluationContext, Validator,
+    EvaluationContext, Validator, reuse: bool = True,
 ):
+    """One pipeline pass.  ``reuse`` allows delta-scoped repair: splicing
+    the partition index and reusing clean partitions' sub-packages from
+    the previous solve of the same query (see ``docs/live_data.md``);
+    the cold fallback after a failed repair passes ``reuse=False``.
+    """
     ctx = EvaluationContext(problem, config, store=store)
     # QoS budget for the whole pipeline: each stage gets the remaining
     # share (deadline_ms is consumed here, not re-applied per stage).
@@ -176,7 +181,7 @@ def _run(
                 delta_refresh_index(
                     problem, config, k_requested, index, index_key, store
                 )
-                if config.scale_delta_reuse
+                if reuse
                 else None
             )
             if refreshed is not None:
@@ -256,7 +261,7 @@ def _run(
     warm: dict[int, np.ndarray] = {}
     repair_attempted = False
     n_dirty_partitions = 0
-    if config.scale_delta_reuse:
+    if reuse:
         repair = refine_cache.lookup_repair(
             fp, qdigest, problem.relation.n_rows
         )
@@ -354,13 +359,14 @@ def _run(
         scale_metrics.record_delta_repair_fallback()
         return _run(
             problem,
-            config.replace(scale_delta_reuse=False),
+            config,
             store,
             stats,
             IterationRecord,
             PackageResult,
             EvaluationContext,
             Validator,
+            reuse=False,
         )
     meta = _meta(config, n_groups, refined, index_hit)
     meta["refine_probability_boost"] = allocations["p_boost"]
@@ -856,13 +862,15 @@ def _run_refines(
                             by_group[g] = future.result(timeout=0)[1]
                         except BaseException:
                             pass
-                pool.shutdown(wait=False, cancel_futures=True)
                 # cancel_futures leaves *running* workers solving: kill
                 # them, or the sequential re-run of those partitions
-                # competes with its own orphans for the CPU.
-                for process in list(
-                    getattr(pool, "_processes", {}).values()
-                ):
+                # competes with its own orphans for the CPU.  The list is
+                # taken first: shutdown() drops the pool's reference.
+                processes = list(
+                    (getattr(pool, "_processes", None) or {}).values()
+                )
+                pool.shutdown(wait=False, cancel_futures=True)
+                for process in processes:
                     try:
                         process.terminate()
                     except Exception:  # pragma: no cover - already gone

@@ -43,7 +43,6 @@ _EXCLUDED_CONFIG_FIELDS = {
     "trace_enabled",
     "scale_threshold_rows",
     "scale_resident_budget",
-    "scale_delta_reuse",
 }
 
 

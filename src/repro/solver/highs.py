@@ -224,8 +224,7 @@ def _dual_bound(res) -> float | None:
 def _bound_meta(builder, res, stopped: str | None = None) -> dict:
     """``meta`` for a limit/error outcome: the caller-sense best bound.
 
-    Matches the branch-and-bound backend's convention
-    (``meta["best_bound"]``) so :mod:`repro.core.anytime` can report a
+    ``meta["best_bound"]`` lets :mod:`repro.core.anytime` report a
     sound objective-bound gap even when HiGHS stopped with no incumbent
     and no warm-start hint was available.
     """

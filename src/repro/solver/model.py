@@ -27,7 +27,7 @@ block of the DILP on every CSA iteration:
   and stacks new rows on top instead of re-building the full triplet
   list;
 * :meth:`set_warm_start` records a candidate solution (e.g. the previous
-  iteration's incumbent) that the backends use as a MIP start.
+  iteration's incumbent) that the solver uses as a MIP start.
 """
 
 from __future__ import annotations
@@ -420,22 +420,12 @@ class MILPBuilder:
     # --- solving ----------------------------------------------------------------------
 
     def solve(
-        self,
-        backend: str = "highs",
-        time_limit: float | None = None,
-        mip_gap: float = 1e-6,
+        self, time_limit: float | None = None, mip_gap: float = 1e-6
     ) -> MILPResult:
-        """Solve with the requested backend; returns a :class:`MILPResult`."""
-        from .branch_bound import solve_with_branch_bound
+        """Solve with HiGHS; returns a :class:`MILPResult`."""
         from .highs import solve_with_highs
 
-        if backend == "highs":
-            return solve_with_highs(self, time_limit=time_limit, mip_gap=mip_gap)
-        if backend == "branch-bound":
-            return solve_with_branch_bound(
-                self, time_limit=time_limit, mip_gap=mip_gap
-            )
-        raise SolverError(f"unknown solver backend {backend!r}")
+        return solve_with_highs(self, time_limit=time_limit, mip_gap=mip_gap)
 
     def check_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Verify ``x`` against all rows and bounds.

@@ -34,9 +34,8 @@ the caller gets ``None`` and solves the full model as before, with the
 time already spent taken out of its budget.
 
 Whether a model is reduced is decided by what the model shows (see
-:func:`eligible`); there is no switch.  ``branch_bound.py`` is never
-reduced, so the cross-backend agreement tests are an oracle for this
-module.
+:func:`eligible`); there is no switch.  The tests check it against
+an LP-based oracle solver that never reduces.
 """
 
 from __future__ import annotations

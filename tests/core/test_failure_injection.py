@@ -62,15 +62,6 @@ def test_single_row_relation(fast_config):
     assert result.package.total_count >= 1
 
 
-def test_branch_bound_backend_end_to_end(problem, fast_config):
-    """The home-grown solver handles the full pipeline (small instance)."""
-    config = fast_config.replace(
-        solver="branch-bound", n_initial_scenarios=10, max_scenarios=20
-    )
-    result = summary_search_evaluate(problem, config)
-    assert result.feasible
-
-
 def test_tight_solver_time_limit_still_terminates(problem, fast_config):
     config = fast_config.replace(solver_time_limit=0.05)
     result = summary_search_evaluate(problem, config)

@@ -24,6 +24,7 @@ from repro.db.delta import RelationDelta, lineage
 from repro.mcdb import StochasticModel
 from repro.scale import scale_sketch_refine_evaluate
 from repro.scale.metrics import scale_metrics
+from repro.scale.partition import PartitionIndex
 from repro.scale.refinecache import query_digest, refine_cache
 from repro.service.store import model_fingerprint
 from repro.silp.compile import compile_query
@@ -125,10 +126,14 @@ def test_disabling_reuse_solves_cold_after_delta(scale_config):
     assert run1.feasible
     catalog.apply_delta(TABLE, _localized_delta())
 
-    cold = scale_config.replace(scale_delta_reuse=False)
-    _, run2 = _solve(catalog, cold)
+    # Reuse is disabled by emptying what it reads: the refined
+    # sub-packages and the partition index the delta would splice.
+    refine_cache.clear()
+    PartitionIndex.clear_memory()
+    _, run2 = _solve(catalog, scale_config)
     assert run2.feasible
     assert "delta_repair" not in run2.meta
+    assert run2.meta["partition_index_delta_refreshed"] is False
 
 
 def test_failed_validation_discards_reuse_and_reruns_cold(scale_config):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,42 @@ def test_bit_identical_for_any_worker_count(portfolio_problem, scale_config):
         == sequential.package.key_multiplicities()
     )
     assert parallel.objective == sequential.objective
+
+
+def test_refine_pool_failure_falls_back_to_sequential(
+    portfolio_problem, scale_config, monkeypatch
+):
+    """A worker pool that fails degrades to sequential refines with a
+    warning: the package is the one ``n_workers=1`` returns."""
+    import repro.scale.driver as driver
+    from repro.scale.refinecache import refine_cache
+
+    problem, _, _ = portfolio_problem
+    refine_cache.clear()
+    sequential = scale_sketch_refine_evaluate(problem, scale_config)
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("worker pool refused the task")
+
+    monkeypatch.setattr(driver.ProcessPoolExecutor, "submit", refuse)
+    # A recorded artifact would let every partition be reused, leaving
+    # nothing for the pool to do.
+    refine_cache.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        degraded = scale_sketch_refine_evaluate(
+            problem, scale_config.replace(n_workers=2)
+        )
+    assert any(
+        issubclass(w.category, RuntimeWarning)
+        and "parallel refine degraded" in str(w.message)
+        for w in caught
+    ), [str(w.message) for w in caught]
+    assert (
+        degraded.package.key_multiplicities()
+        == sequential.package.key_multiplicities()
+    )
+    assert degraded.objective == sequential.objective
 
 
 def test_bit_identical_across_storage_backends(scale_config, tmp_path):

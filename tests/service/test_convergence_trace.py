@@ -1,13 +1,15 @@
-"""Acceptance: a deadline-truncated branch-and-bound query's trace
-carries a monotone non-increasing gap event series whose final record
-equals the ``AnytimeResult`` gap — on both service backends.
+"""Acceptance: a deadline-truncated solve returns the solver's own anytime
+certificate, and its trace carries the solve's events and LP bill — on
+both service backends.
 
-The workload is a deterministic, strongly-correlated 0/1 knapsack that
-branch and bound cannot finish within the budget (near-tied values make
-bound pruning useless), so the solve reliably truncates on the deadline
-and returns the anytime incumbent with its certified gap.  The solver's
-per-node convergence events ride the trace session across the farm
-boundary and surface on ``GET /trace/<id>``.
+The workload is a strongly correlated multi-dimensional 0/1 knapsack
+(800 items, 5 capacity rows) whose gain tracks the mean weight to within
+0.05, so the LP bound never separates from good incumbents.  Measured on
+a 2-CPU box, HiGHS has not closed the gap after 20 s, so the solve
+reliably stops on the 800 ms deadline and returns the anytime incumbent
+with HiGHS's gap and dual bound.  At 800 columns the solve goes through
+the root-LP reduction, whose ``solver.reduce`` event rides the trace
+session across the farm boundary and surfaces on ``GET /trace/<id>``.
 """
 
 from __future__ import annotations
@@ -19,37 +21,50 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro import Catalog, Relation, SPQConfig
+from repro import Catalog, Relation, SPQConfig, SPQEngine
+from repro.core.anytime import relative_gap
 from repro.service import QueryBroker, SPQService
+from repro.solver import STATUS_FEASIBLE
+from repro.solver.model import MILPBuilder
 
 BACKENDS = ("thread", "process")
 
-N_ITEMS = 150
+N_ITEMS = 800
+N_ROWS = 5
 DEADLINE_MS = 800.0
 
 
-def _knapsack_catalog() -> tuple[Catalog, float]:
+def _knapsack_catalog() -> tuple[Catalog, np.ndarray]:
     rng = np.random.default_rng(5)
-    weight = rng.integers(5, 50, size=N_ITEMS).astype(float)
-    # Near-perfect value/weight correlation: every subset swap moves the
-    # objective by at most ~0.05, so the LP bound never separates from
-    # the incumbent and the search tree stays open far past any
-    # sub-second budget.
-    gain = weight + rng.uniform(0.0, 0.05, size=N_ITEMS)
-    capacity = float(weight.sum()) - 2.0 * float(weight.mean())
+    columns = {
+        f"w{r}": rng.integers(5, 50, size=N_ITEMS).astype(float)
+        for r in range(N_ROWS)
+    }
+    weights = np.column_stack(list(columns.values()))
+    columns["gain"] = weights.mean(axis=1) + rng.uniform(0.0, 0.05, size=N_ITEMS)
     catalog = Catalog()
-    catalog.register(Relation("inv", {"weight": weight, "gain": gain}))
-    return catalog, capacity
+    catalog.register(Relation("inv", columns))
+    return catalog, weights.sum(axis=0) / 2
+
+
+def _query(capacities) -> str:
+    rows = " AND ".join(
+        f"SUM(w{r}) <= {cap:.1f}" for r, cap in enumerate(capacities)
+    )
+    return (
+        f"SELECT PACKAGE(*) FROM inv REPEAT 0 SUCH THAT {rows}"
+        " MAXIMIZE SUM(gain)"
+    )
 
 
 @contextmanager
 def _service(backend: str):
-    catalog, capacity = _knapsack_catalog()
-    config = SPQConfig(seed=11, solver="branch-bound", service_backend=backend)
+    catalog, capacities = _knapsack_catalog()
+    config = SPQConfig(seed=11, service_backend=backend)
     broker = QueryBroker(catalog, config=config, pool_size=1)
     svc = SPQService(broker, port=0, own_broker=True).start_background()
     try:
-        yield svc, capacity
+        yield svc, capacities
     finally:
         svc.shutdown()
 
@@ -73,62 +88,67 @@ def _get_json(service, path: str):
         return response.status, json.loads(response.read())
 
 
-def _query(capacity: float) -> str:
-    return (
-        "SELECT PACKAGE(*) FROM inv REPEAT 0 SUCH THAT"
-        f" SUM(weight) <= {capacity:.1f} MAXIMIZE SUM(gain)"
+def test_truncated_solve_envelope_is_the_solvers_certificate(monkeypatch):
+    solves = []
+    solve = MILPBuilder.solve
+
+    def recording(builder, *args, **kwargs):
+        solves.append(solve(builder, *args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(MILPBuilder, "solve", recording)
+    catalog, capacities = _knapsack_catalog()
+    engine = SPQEngine(
+        catalog=catalog, config=SPQConfig(seed=11, deadline_ms=DEADLINE_MS)
     )
+    result = engine.execute(_query(capacities))
+    (solved,) = solves
+    assert solved.status == STATUS_FEASIBLE
+    envelope = result.anytime
+    assert envelope.deadline_met is False
+    assert envelope.stages_truncated == ("solve",)
+    # Carried bit-for-bit through meta["solver_gap"] into finalize_anytime.
+    assert envelope.gap == solved.gap
+    assert envelope.gap > 0.0
+    assert envelope.best_bound == solved.meta["best_bound"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_truncated_bb_trace_gap_series_matches_envelope(backend):
-    with _service(backend) as (service, capacity):
+def test_truncated_solve_trace_matches_envelope(backend):
+    with _service(backend) as (service, capacities):
         # Warm-up: pay worker spawn / compile outside the timed query
-        # (capacity 0 solves at the root).
-        status, _ = _post(service, {"query": _query(0.0)})
+        # (zero capacities solve at the root).
+        status, _ = _post(service, {"query": _query(np.zeros(N_ROWS))})
         assert status == 200
 
         status, body = _post(
-            service, {"query": _query(capacity), "deadline_ms": DEADLINE_MS}
+            service, {"query": _query(capacities), "deadline_ms": DEADLINE_MS}
         )
         assert status == 200
         # The deadline truncated the solve mid-search: an anytime
         # incumbent with a certified gap, not a bare timeout.
         assert body["deadline_met"] is False
         assert body["feasible"] is True
-        assert body["anytime"]["stages_truncated"] == ["solve"]
-        envelope_gap = body["gap"]
-        assert envelope_gap is not None and envelope_gap > 0.0
+        anytime = body["anytime"]
+        assert anytime["stages_truncated"] == ["solve"]
+        assert body["gap"] is not None and body["gap"] > 0.0
+        # The gap is the incumbent's relative distance to the solver's
+        # dual bound, which bounds the maximized objective from above.
+        assert anytime["best_bound"] >= anytime["incumbent_objective"]
+        assert body["gap"] == pytest.approx(
+            relative_gap(anytime["incumbent_objective"], anytime["best_bound"]),
+            rel=1e-9,
+        )
 
         status, tree = _get_json(service, f"/trace/{body['trace_id']}")
         assert status == 200
-        series = [
-            e for e in tree["events"] if e["kind"] == "solver.node"
+        reductions = [
+            e for e in tree["events"] if e["kind"] == "solver.reduce"
         ]
-        assert len(series) >= 2, tree["events"]
+        assert len(reductions) == 1, tree["events"]
+        assert reductions[0]["cols"] == N_ITEMS
+        assert reductions[0]["verdict"] in ("reduced", "full")
 
-        # Monotone non-increasing gap over the whole emitted series.
-        gaps = [e["gap"] for e in series if e["gap"] is not None]
-        assert gaps, series
-        assert all(a >= b for a, b in zip(gaps, gaps[1:])), gaps
-
-        # Exactly one terminal record, last in the series, and its gap
-        # is the envelope gap (carried bit-for-bit through
-        # meta["solver_gap"] into finalize_anytime).
-        finals = [e for e in series if e.get("final")]
-        assert len(finals) == 1 and series[-1] is finals[0]
-        assert finals[0]["gap"] == envelope_gap
-
-        # Best-bound consistency on the terminal record: the envelope's
-        # bound is the solver's, in the caller's objective sense.
-        assert finals[0]["best_bound"] == body["anytime"]["best_bound"]
-
-        # The event t-axis is the solver's own clock: non-negative,
-        # non-decreasing, and within the deadline's order of magnitude.
-        ts = [e["t"] for e in series]
-        assert all(t >= 0.0 for t in ts)
-        assert all(a <= b + 1e-9 for a, b in zip(ts, ts[1:]))
-
-        # Resource accounting rode the same payload: the LP solves that
-        # produced this series are charged to the query's trace.
-        assert tree["resources"]["lp_solves"] >= len(series) - 1
+        # Resource accounting rode the same payload: the root LP and the
+        # MILP HiGHS ran after it are charged to the query's trace.
+        assert tree["resources"]["lp_solves"] >= 2

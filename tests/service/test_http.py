@@ -211,11 +211,18 @@ def test_error_mapping(service):
         _get(service, "/nope")
     assert excinfo.value.code == 404
 
-    # Unknown config override → 400.
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _post(service, {"query": QUERY, "overrides": {"bogus_knob": 1}})
-    code, body = _status_of(excinfo.value)
-    assert code == 400
+    # Unknown config override → 400, including the removed solver
+    # switch and delta-reuse knob.
+    for knob, value in (
+        ("bogus_knob", 1),
+        ("solver", "branch-bound"),
+        ("scale_delta_reuse", False),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(service, {"query": QUERY, "overrides": {knob: value}})
+        code, body = _status_of(excinfo.value)
+        assert code == 400
+        assert body["error"]["kind"] == "bad-request"
 
 
 # --- POST /update (docs/live_data.md) ----------------------------------------

@@ -1,17 +1,11 @@
-"""Property suite for anytime branch and bound (docs/qos.md contract).
+"""Property suite for the anytime contract of HiGHS solves (docs/qos.md).
 
-A deterministic fake clock ticks once per LP relaxation, so a budget of
-``B`` fake seconds means "at most ~B LP solves" — the search trajectory
-is identical across runs and budgets (best-first order is
-deterministic), which makes the anytime properties exactly testable:
-
-* **monotonicity** — a larger budget processes a superset of nodes, so
-  the incumbent objective never gets worse as the budget grows;
-* **gap validity** — a truncated incumbent is within the reported
-  relative gap of the returned best bound, and the bound really bounds
-  the incumbent from the optimization side;
-* **ample-budget exactness** — with budget beyond the full search, the
-  result is OPTIMAL with gap 0 and bit-identical to the unbudgeted solve.
+* **gap validity** — a solve stopped by its time limit returns a
+  feasible incumbent within the reported relative gap of the returned
+  best bound, and the bound really bounds every feasible point from the
+  optimization side (checked against the incumbent of a longer solve);
+* **ample-budget exactness** — a time limit that never binds changes
+  nothing: the result is bit-identical to the unbudgeted solve.
 """
 
 from __future__ import annotations
@@ -20,11 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.solver.branch_bound as bb
 from repro.solver import (
     STATUS_FEASIBLE,
     STATUS_OPTIMAL,
-    STATUS_TIME_LIMIT,
     solve_with_highs,
 )
 from repro.solver.model import MILPBuilder
@@ -38,30 +30,17 @@ def knapsack(values, weights, capacity, ub=3) -> MILPBuilder:
     return builder
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-def solve_with_ticks(builder, budget: float | None):
-    """Branch and bound under a fake clock: one tick per LP relaxation."""
-    clock = FakeClock()
-    original = bb._solve_relaxation
-
-    def ticking(c, a_ub, b_ub, var_lb, var_ub, time_limit=None):
-        clock.now += 1.0
-        return original(c, a_ub, b_ub, var_lb, var_ub)
-
-    bb._solve_relaxation = ticking
-    try:
-        return bb.solve_with_branch_bound(
-            builder, time_limit=budget, clock=clock
-        )
-    finally:
-        bb._solve_relaxation = original
+def correlated_knapsack(seed: int, n: int = 30, rows: int = 3) -> MILPBuilder:
+    """Gain tracks the mean weight to within 0.05: HiGHS needs seconds."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(5, 50, size=(rows, n)).astype(float)
+    builder = MILPBuilder()
+    idx = builder.add_variables("x", n, lb=0.0, ub=1.0)
+    for row in weights:
+        builder.add_constraint(idx, row, ub=row.sum() / 2)
+    gain = weights.mean(axis=0) + rng.uniform(0.0, 0.05, size=n)
+    builder.set_objective(idx, gain, "maximize")
+    return builder
 
 
 values_st = st.lists(
@@ -69,61 +48,19 @@ values_st = st.lists(
 )
 
 
-@settings(deadline=None, max_examples=25)
-@given(data=st.data())
-def test_incumbent_monotone_in_budget(data):
-    values = data.draw(values_st)
-    n = len(values)
-    weights = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=10), min_size=n, max_size=n
-        )
-    )
-    capacity = data.draw(st.integers(min_value=1, max_value=40))
-
-    incumbents: list[float] = []
-    for budget in (2.0, 4.0, 8.0, 16.0, 10_000.0):
-        result = solve_with_ticks(
-            knapsack(values, weights, float(capacity)), budget
-        )
-        assert result.status in (
-            STATUS_OPTIMAL, STATUS_FEASIBLE, STATUS_TIME_LIMIT
-        )
-        if result.status == STATUS_TIME_LIMIT:
-            assert result.x is None
-            incumbents.append(-np.inf)
-        else:
-            assert result.x is not None
-            incumbents.append(result.objective)
-    # Maximization: more budget never yields a worse incumbent.
-    for earlier, later in zip(incumbents, incumbents[1:]):
-        assert later >= earlier - 1e-9
-    # The ample budget always completes the search exactly.
-    final = solve_with_ticks(knapsack(values, weights, float(capacity)), 10_000.0)
-    assert final.status == STATUS_OPTIMAL
-    assert final.gap == 0.0
-
-
-@settings(deadline=None, max_examples=25)
-@given(data=st.data())
-def test_gap_bounds_truncated_incumbent(data):
-    values = data.draw(values_st)
-    n = len(values)
-    weights = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=10), min_size=n, max_size=n
-        )
-    )
-    capacity = data.draw(st.integers(min_value=1, max_value=40))
-    budget = data.draw(st.sampled_from([2.0, 3.0, 5.0, 9.0, 17.0]))
-
-    builder = knapsack(values, weights, float(capacity))
-    result = solve_with_ticks(builder, budget)
-    exact = solve_with_highs(knapsack(values, weights, float(capacity)))
+@settings(deadline=None, max_examples=8)
+@given(
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from([0.01, 0.02, 0.05]),
+)
+def test_gap_bounds_truncated_incumbent(seed, budget):
+    builder = correlated_knapsack(seed)
+    result = solve_with_highs(builder, time_limit=budget)
+    longer = solve_with_highs(correlated_knapsack(seed), time_limit=0.3)
+    assert longer.has_solution
 
     if result.status == STATUS_OPTIMAL:
-        assert result.gap == 0.0
-        assert result.objective == pytest.approx(exact.objective)
+        assert result.objective >= longer.objective - 1e-6
         return
     if result.x is None:
         return  # no incumbent: nothing to bound
@@ -131,16 +68,16 @@ def test_gap_bounds_truncated_incumbent(data):
     assert builder.check_feasible(result.x)
     assert result.gap is not None and result.gap >= 0.0
     bound = result.meta["best_bound"]
-    # Maximization: the best open bound is an upper bound on the optimum,
-    # hence on the incumbent and on the exact objective.
+    # Maximization: the best bound is an upper bound on the optimum,
+    # hence on the incumbent and on any other feasible point.
     assert bound >= result.objective - 1e-6
-    assert bound >= exact.objective - 1e-6
+    assert bound >= longer.objective - 1e-6
     # The reported gap IS the relative incumbent-to-bound distance.
     expected = abs(result.objective - bound) / max(1.0, abs(result.objective))
-    assert result.gap == pytest.approx(expected, abs=1e-9)
-    # ... so the incumbent is certified within gap of the true optimum.
+    assert result.gap == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    # ... so the incumbent is certified within gap of anything better.
     assert (
-        exact.objective - result.objective
+        longer.objective - result.objective
         <= result.gap * max(1.0, abs(result.objective)) + 1e-6
     )
 
@@ -157,14 +94,12 @@ def test_ample_budget_bit_identical_to_unbudgeted(data):
     )
     capacity = data.draw(st.integers(min_value=1, max_value=40))
 
-    unbudgeted = solve_with_ticks(
-        knapsack(values, weights, float(capacity)), None
-    )
-    generous = solve_with_ticks(
-        knapsack(values, weights, float(capacity)), 1_000_000.0
+    unbudgeted = solve_with_highs(knapsack(values, weights, float(capacity)))
+    generous = solve_with_highs(
+        knapsack(values, weights, float(capacity)), time_limit=1_000_000.0
     )
     assert unbudgeted.status == STATUS_OPTIMAL
     assert generous.status == STATUS_OPTIMAL
-    assert generous.objective == pytest.approx(unbudgeted.objective)
+    assert generous.objective == unbudgeted.objective
     assert np.array_equal(generous.x, unbudgeted.x)
-    assert generous.gap == 0.0 and unbudgeted.gap == 0.0
+    assert generous.gap == unbudgeted.gap

@@ -1,19 +1,16 @@
-"""Solver backends: HiGHS and the home-grown branch & bound.
+"""The HiGHS solver against the branch-and-bound oracle.
 
-The branch-and-bound is differential-tested against HiGHS on randomized
-knapsack-style instances — they must agree on optimal objective values.
+The oracle (``branch_bound_oracle.py``) is differential-tested against
+HiGHS on randomized knapsack-style instances — they must agree on
+optimal objective values.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    solve_with_branch_bound,
-    solve_with_highs,
-)
+from branch_bound_oracle import solve_with_branch_bound
+from repro.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_with_highs
 from repro.solver.model import MILPBuilder
 
 
@@ -87,11 +84,13 @@ def test_indicator_constraint_through_solver():
 
 
 def test_builder_solve_dispatch():
-    builder = knapsack([1.0], [1.0], 1.0)
-    assert builder.solve(backend="highs").status == STATUS_OPTIMAL
-    assert builder.solve(backend="branch-bound").status == STATUS_OPTIMAL
-    with pytest.raises(Exception, match="unknown solver backend"):
-        builder.solve(backend="cplex")
+    """``MILPBuilder.solve`` is HiGHS; there is no backend to choose."""
+    builder = knapsack([6.0, 10.0, 12.0], [1.0, 2.0, 3.0], 5.0, ub=1)
+    result = builder.solve()
+    assert result.status == STATUS_OPTIMAL
+    np.testing.assert_array_equal(result.x, solve_with_highs(builder).x)
+    with pytest.raises(TypeError):
+        builder.solve(backend="highs")
 
 
 @settings(max_examples=30, deadline=None)

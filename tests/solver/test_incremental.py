@@ -9,13 +9,9 @@ same arrays as the same model built from scratch.
 import numpy as np
 import pytest
 
+from branch_bound_oracle import solve_with_branch_bound
 from repro.errors import SolverError
-from repro.solver import (
-    STATUS_FEASIBLE,
-    STATUS_OPTIMAL,
-    solve_with_branch_bound,
-    solve_with_highs,
-)
+from repro.solver import STATUS_FEASIBLE, STATUS_OPTIMAL, solve_with_highs
 from repro.solver.model import MILPBuilder
 
 

@@ -1,10 +1,11 @@
 """Exactness of the root-LP reduction (``repro.solver.reduce``).
 
 Every model is solved three ways — HiGHS behind the reduction, HiGHS on
-the full model, and the never-reduced branch and bound — and the three
-must agree on status and on the objective within ``mip_gap``.  The size
-floor and the probe minimum are lowered for the test so that models
-small enough for the oracle still reach every verdict.
+the full model, and the never-reduced branch-and-bound oracle
+(``branch_bound_oracle.py``) — and the three must agree on status and
+on the objective within ``mip_gap``.  The size floor and the probe
+minimum are lowered for the test so that models small enough for the
+oracle still reach every verdict.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.solver.reduce as reduce_module
-from repro.solver import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    solve_with_branch_bound,
-    solve_with_highs,
-)
+from branch_bound_oracle import solve_with_branch_bound
+from repro.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_with_highs
 from repro.solver.model import MILPBuilder
 
 MIP_GAP = 1e-6

@@ -21,13 +21,20 @@ def test_defaults_valid():
         ("summary_increment", 0),
         ("epsilon", -0.1),
         ("summary_strategy", "zip"),
-        ("solver", "cplex"),
+        ("service_backend", "fork"),
         ("time_limit", 0.0),
     ],
 )
 def test_invalid_values_rejected(field, value):
     with pytest.raises(EvaluationError):
         SPQConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["solver", "scale_delta_reuse"])
+def test_removed_knobs_are_not_fields(field):
+    # Every solve goes to HiGHS, and delta repair is always on.
+    with pytest.raises(TypeError):
+        SPQConfig(**{field: None})
 
 
 def test_max_scenarios_must_cover_initial():
