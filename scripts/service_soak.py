@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Soak smoke: boot ``repro serve --backend process``, fire 32 mixed clients.
+"""Soak smoke: boot ``repro serve``, fire 32 mixed clients.
 
-Boots the HTTP serving layer on the process backend (solve farm) over
-the portfolio workload, then drives **32 concurrent clients** with a
+Boots the HTTP serving layer on the process backend (solve farm; the
+default) or the thread backend (``--backend thread``) over the
+portfolio workload, then drives **32 concurrent clients** with a
 mixed load — repeated identical queries (store/dedup path), distinct
 seeds (parallel solves), a parse error (400 path), status/metrics
 polls, and a mixed-deadline cohort (tight 5ms / loose 60s budgets,
@@ -15,11 +16,12 @@ and asserts:
   ``gap`` (the anytime contract), and loose-deadline responses always
   met their budget;
 * at least one solve succeeded per distinct-seed client group;
-* ``/metrics`` exposes the farm's per-worker gauges and no worker
-  crashed;
+* process backend only: ``/metrics`` exposes the farm's per-worker
+  gauges, no worker crashed, and ``/status`` has a live ``farm``
+  section;
 * a ``"trace": true`` query returns its span tree inline and via
-  ``GET /trace/<id>``, with worker-side stages re-parented under the
-  broker's root span;
+  ``GET /trace/<id>``, with the evaluation's stages (on the process
+  backend, worker-side ones) re-parented under the broker's root span;
 * the ``repro_stage_seconds`` histogram's ``stage="query"`` count
   equals the number of completed queries;
 * a **mutator cohort** POSTs ``/update`` deltas concurrently with the
@@ -32,11 +34,12 @@ and asserts:
 Budgeted well under the CI job's 2-minute window.  Also runnable
 locally::
 
-    PYTHONPATH=src python scripts/service_soak.py
+    PYTHONPATH=src python scripts/service_soak.py [--backend thread]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -58,7 +61,6 @@ SERVE_ARGS = [
     "--workload", "portfolio:Q1",
     "--scale", "40",
     "--port", "0",
-    "--backend", "process",
     "--pool-size", "2",
     "--recycle-after", "8",
     "--max-pending", "64",
@@ -224,6 +226,12 @@ def client(base: str, client_id: int, outcomes: list, lock: threading.Lock):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--backend", choices=("process", "thread"), default="process"
+    )
+    backend = parser.parse_args().backend
+    farm = backend == "process"
     started = time.time()
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
@@ -231,7 +239,7 @@ def main() -> int:
     )
     env["PYTHONUNBUFFERED"] = "1"
     process = subprocess.Popen(
-        SERVE_ARGS,
+        SERVE_ARGS + ["--backend", backend],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -240,7 +248,7 @@ def main() -> int:
     )
     try:
         base = wait_for_listen_line(process)
-        # Warm the farm (workers forked, first realization done) so the
+        # Warm the pool (workers forked, first realization done) so the
         # 32-way burst measures serving, not startup.  Traced, so the
         # warm-up doubles as the cross-process span-tree check.
         code, first = post_query(base, {"query": QUERY, "trace": True})
@@ -250,7 +258,8 @@ def main() -> int:
         root = (first.get("trace") or {}).get("root")
         assert root and root["name"] == "query", first.get("trace")
         stages = {s["name"] for s in iter_spans(root)}
-        assert {"query", "worker", "execute", "solve"} <= stages, stages
+        expected = {"query", "execute", "solve"} | ({"worker"} if farm else set())
+        assert expected <= stages, stages
         code, body = get(base, f"/trace/{trace_id}")
         assert code == 200 and json.loads(body)["trace_id"] == trace_id
 
@@ -280,11 +289,13 @@ def main() -> int:
         assert loose_ok, "no loose-deadline query was served"
 
         _, metrics = get(base, "/metrics")
-        worker_gauges = re.findall(r'^repro_farm_worker_busy\{worker="\d+"\} \d$',
-                                   metrics, re.M)
-        assert worker_gauges, "metrics missing per-worker farm gauges"
-        crashed = re.search(r"^repro_farm_crashed_total (\d+)$", metrics, re.M)
-        assert crashed and int(crashed.group(1)) == 0, "a farm worker crashed"
+        if farm:
+            worker_gauges = re.findall(
+                r'^repro_farm_worker_busy\{worker="\d+"\} \d$', metrics, re.M
+            )
+            assert worker_gauges, "metrics missing per-worker farm gauges"
+            crashed = re.search(r"^repro_farm_crashed_total (\d+)$", metrics, re.M)
+            assert crashed and int(crashed.group(1)) == 0, "a farm worker crashed"
         completed = re.search(r"^repro_broker_completed_total (\d+)$", metrics, re.M)
         dedup = re.search(r"^repro_broker_deduplicated_total (\d+)$", metrics, re.M)
         # Identical in-flight requests share one evaluation, so solves
@@ -317,10 +328,10 @@ def main() -> int:
             time.sleep(0.1)
             _, metrics = get(base, "/metrics")
         assert hist_queries == retired, (hist_queries, retired)
-        assert re.search(r'^repro_stage_seconds_bucket\{stage="worker",'
-                         r'le="\+Inf"\} \d+$', metrics, re.M), (
-            "metrics missing the farm worker stage histogram"
-        )
+        assert not farm or re.search(
+            r'^repro_stage_seconds_bucket\{stage="worker",le="\+Inf"\} \d+$',
+            metrics, re.M,
+        ), "metrics missing the farm worker stage histogram"
 
         # The QoS metric families are exposed and consistent with the
         # deadline cohort: every finished deadline carry got a verdict.
@@ -338,8 +349,8 @@ def main() -> int:
                             metrics, re.M).group(1))
         assert met >= len(loose_ok), (met, len(loose_ok))
 
-        # Every applied delta is accounted for, and the farm survived
-        # concurrent mutation (no crashes asserted above).
+        # Every applied delta is accounted for, and the pool survived
+        # concurrent mutation (no farm crashes asserted above).
         applied = [o for o in outcomes if o[1] == "mutator" and o[2] == 200]
         assert applied, "no mutator update was applied"
         delta_total = re.search(r"^repro_delta_applied_total (\d+)$",
@@ -350,13 +361,16 @@ def main() -> int:
 
         _, status_text = get(base, "/status")
         status = json.loads(status_text)
-        assert status["backend"] == "process"
-        assert status["farm"]["idle"] + status["farm"]["busy"] >= 1
+        assert status["backend"] == backend
+        if farm:
+            assert status["farm"]["idle"] + status["farm"]["busy"] >= 1
+        else:
+            assert "farm" not in status
         assert status["deadline"]["met"] >= len(loose_ok)
         assert status["deltas_applied"] == len(applied)
         assert status["catalog_version"] >= len(applied)
 
-        print(f"service soak: OK — {len(solved)} solves, "
+        print(f"service soak ({backend}): OK — {len(solved)} solves, "
               f"{len(outcomes)} clients, "
               f"{time.time() - started:.1f}s total")
         return 0

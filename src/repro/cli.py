@@ -338,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent engine sessions (default: config)")
     serve.add_argument("--backend", choices=["thread", "process"],
                        default=None,
-                       help="dispatch backend: 'thread' (sessions on a"
-                            " thread pool; solves contend on the GIL) or"
-                            " 'process' (a solve farm of worker processes:"
-                            " true parallel solves, memmap scenario"
-                            " handoff, crash recovery)")
+                       help="what each pool slot runs a query on:"
+                            " 'thread' (an in-process engine session;"
+                            " solves contend on the GIL) or 'process' (a"
+                            " worker process: true parallel solves, memmap"
+                            " scenario handoff, crash recovery)")
     serve.add_argument("--recycle-after", type=int, default=None,
                        metavar="N",
                        help="process backend: gracefully restart a worker"

@@ -16,6 +16,7 @@ every experiment script accepts paper-scale values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError
@@ -77,9 +78,6 @@ class SPQConfig:
     #: best feasible solution is accepted.  ``None`` reproduces the
     #: paper's unbounded behaviour (grow Z all the way to M).
     max_quality_rounds: int | None = 8
-    #: Use the convergence-acceleration trick of Section 5.5 (tuple-wise
-    #: max for tuples in the incumbent solution when α decreases).
-    convergence_acceleration: bool = True
 
     # --- expectation estimation (Section 3.2) ------------------------------
     #: Number of Monte Carlo scenarios averaged to estimate E[t_i.A] when
@@ -133,10 +131,10 @@ class SPQConfig:
     #: Admission-control ceiling on queued+running broker queries;
     #: ``None`` defaults to ``4 * service_pool_size``.
     service_max_pending: int | None = None
-    #: Dispatch backend for concurrent queries: ``"thread"`` (engine
-    #: sessions on a thread pool — solves contend on the GIL) or
-    #: ``"process"`` (a SolveFarm of persistent worker processes with
-    #: memmap scenario handoff, worker recycling, and crash recovery).
+    #: What each broker pool slot runs a query on: ``"thread"`` (an
+    #: in-process engine session — solves contend on the GIL) or
+    #: ``"process"`` (a persistent SolveFarm worker process, with memmap
+    #: scenario handoff, worker recycling, and crash recovery).
     service_backend: str = BACKEND_THREAD
     #: Gracefully restart a farm worker after this many completed
     #: queries (bounds per-process memory growth); ``None`` never
@@ -196,9 +194,6 @@ class SPQConfig:
     # --- solving -----------------------------------------------------------
     solver_time_limit: float = 60.0
     mip_gap: float = 1e-6
-    #: Fallback multiplicity bound when no finite bound is derivable from
-    #: the query (see silp.varbounds); ``None`` raises instead.
-    default_multiplicity_bound: int | None = None
 
     # --- reproducibility ---------------------------------------------------
     seed: int = 42
@@ -210,8 +205,8 @@ class SPQConfig:
     #: *anytime*: on expiry the best validated incumbent found so far is
     #: returned with a relative optimality gap (``PackageResult.anytime``)
     #: instead of raising a timeout.  The serving layer rejects
-    #: already-expired work at admission and orders the solve farm's
-    #: pending queue earliest-deadline-first (see ``docs/qos.md``).
+    #: already-expired work at admission and orders the broker queue
+    #: earliest-deadline-first (see ``docs/qos.md``).
     deadline_ms: float | None = None
 
     def effective_time_limit(self) -> float:
@@ -257,6 +252,8 @@ class SPQConfig:
                 self.deadline_ms, (int, float)
             ):
                 raise EvaluationError("deadline_ms must be a number or None")
+            if not math.isfinite(self.deadline_ms):
+                raise EvaluationError("deadline_ms must be finite")
             if self.deadline_ms <= 0:
                 raise EvaluationError("deadline_ms must be positive or None")
         if self.n_workers < 1:

@@ -9,7 +9,7 @@ that incumbent can be from the (unknown) optimum.
 
 :class:`AnytimeResult` is the envelope attached to every
 :class:`~repro.core.package.PackageResult` by the engine (the farm's
-done messages, the broker, the HTTP JSON payload, and ``repro run``
+worker replies, the broker, the HTTP JSON payload, and ``repro run``
 all read it from there).  The gap contract:
 
 * ``gap == 0.0`` whenever the evaluation terminated on its own success

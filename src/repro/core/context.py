@@ -117,9 +117,7 @@ class EvaluationContext:
             self.probe_generator = None
             self.probe_cache = None
 
-        self.variable_ub = derive_variable_bounds(
-            problem, self.mean_coefficients, config.default_multiplicity_bound
-        )
+        self.variable_ub = derive_variable_bounds(problem, self.mean_coefficients)
         self.size_bounds = package_size_bounds(
             problem, self.mean_coefficients, self.variable_ub
         )

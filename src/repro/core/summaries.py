@@ -149,7 +149,7 @@ class SummaryBuilder:
         scores = self.scenario_scores(item, prev_x)
         chosen = self.choose_selected(item, alpha, scores)
         accel_rows = None
-        if accelerate and self.ctx.config.convergence_acceleration and prev_x is not None:
+        if accelerate and prev_x is not None:
             accel_rows = np.nonzero(prev_x)[0]
         values = self._reduce(item, chosen, accel_rows)
         return SummarySet(

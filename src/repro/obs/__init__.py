@@ -25,8 +25,8 @@ Five cooperating pieces, all dependency-free and cheap when unused:
 
 Trace context propagates across the solve farm's forkserver boundary
 the same way the stats blob does: the broker ships
-``(trace_id, parent_span_id)`` in the task payload, the worker records
-spans under that parent, and ships them back with the done message.
+``(trace_id, parent_span_id)`` with the request, the worker records
+spans under that parent, and ships them back with its reply.
 """
 
 from .events import (

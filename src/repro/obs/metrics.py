@@ -18,7 +18,7 @@ text format as::
 store) into one plain-dict snapshot ``{"counters", "gauges",
 "histograms"}``; :func:`merge` adds snapshots and :func:`diff` takes the
 increment between two.  A farm worker ships ``diff(now, last_sent)``
-with each done message and the farm adds it to a running total, so no
+with each reply and the farm adds it to a running total, so no
 count is lost when a worker goes away.  :data:`FAMILIES` declares every
 ``/metrics`` family and where its value sits on ``/status``.
 """
@@ -134,7 +134,7 @@ def histogram_exposition(
 
 
 #: The process-wide histogram registry every finished span reports into;
-#: farm workers ship its increments back with each done message.
+#: farm workers ship its increments back with each reply.
 stage_histograms = StageHistograms()
 
 
@@ -380,7 +380,7 @@ def status_sections(snapshot: dict) -> dict:
     """The ``/status`` ``store`` / ``scale`` / ``resources`` sections.
 
     Every declared key is present; one no process has reported yet
-    (a farm before its first done message) reads 0.
+    (a farm before its first reply) reads 0.
     """
     values = {**snapshot["counters"], **snapshot["gauges"]}
     return {

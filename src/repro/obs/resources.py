@@ -11,7 +11,7 @@ pieces:
   forkserver boundary) *and* on the process-lifetime
   :data:`resource_counters` exported as ``repro_resource_*`` families on
   ``/metrics`` (farm workers ship them in the one stats blob of every
-  done message, see :func:`repro.obs.metrics.collect`).
+  reply, see :func:`repro.obs.metrics.collect`).
 * :class:`QueryResourceProbe` — created by the engine around one
   evaluation; samples thread-CPU, ``ru_maxrss``, store stats, and scale
   metrics at entry, and on :meth:`~QueryResourceProbe.finish` folds the

@@ -4,7 +4,7 @@ A *span* is a plain dict — ``trace_id`` / ``span_id`` / ``parent_id``,
 stage name, epoch start, wall and CPU-thread seconds, and free-form
 ``attrs`` (cache hit/miss, scenario count, solver status, partition
 id).  Plain dicts because spans must cross the solve farm's forkserver
-boundary inside done messages and land in JSON responses unchanged.
+boundary inside worker replies and land in JSON responses unchanged.
 
 Instrumented code calls :func:`stage`, which is a **no-op returning a
 shared null object** unless a :class:`TraceSession` has been activated
@@ -112,10 +112,10 @@ class TraceSession:
         self.resources[name] = self.resources.get(name, 0.0) + amount
 
     def payload(self) -> tuple:
-        """The done-message tuple shipped across the farm boundary.
+        """The trace tuple a finished request hands back to the broker.
 
-        Mirrored by :meth:`TraceRing.add`'s signature, so the broker can
-        install ``trace_ring.add`` directly as the farm's span sink.
+        Mirrored by :meth:`TraceRing.add`'s signature, so the broker
+        ingests it with ``trace_ring.add(*payload)`` on both backends.
         """
         return (
             self.trace_id, self.spans, self.dropped,

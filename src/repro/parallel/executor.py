@@ -53,13 +53,13 @@ def farm_context():
     """The multiprocessing context for long-lived solve-farm workers.
 
     The farm starts replacement workers at arbitrary points in the
-    parent's lifetime — from its manager thread, while HTTP handler
-    threads and broker callers are live.  Forking a multithreaded parent
+    parent's lifetime — from broker slot threads and ``/status`` reads,
+    while HTTP handler threads and broker callers are live.  Forking a multithreaded parent
     can deadlock the child on a lock some other thread held at fork time
     (and is deprecated on CPython 3.12+), so farm workers come from a
     ``forkserver``: a clean, single-threaded server process that
     preloads this library once and forks each worker from that quiet
-    state.  Worker arguments (catalog, config, queues) are pickled —
+    state.  Worker arguments (catalog, config, pipe) are pickled —
     every payload the farm ships is.  Platforms without forkserver fall
     back to :func:`mp_context`.
     """

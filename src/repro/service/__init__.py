@@ -5,12 +5,12 @@ Three tiers (see each module's docstring):
 * :class:`ScenarioStore` — shared, content-keyed, budget-bounded cache
   of realized scenario matrices with LRU spill-to-memmap and
   cross-process ``handoff()``/``adopt()`` descriptors;
-* :class:`QueryBroker` — engine-session pool with admission control and
-  in-flight query deduplication, dispatching onto a thread pool or a
-  :class:`SolveFarm`;
-* :class:`SolveFarm` — persistent worker processes (warm engines,
-  zero-copy memmap scenario handoff, graceful recycling, crash
-  recovery) behind the broker's ``"process"`` backend;
+* :class:`QueryBroker` — admission control, in-flight deduplication
+  and one EDF queue, popped by pool slots that run each request on an
+  in-process engine or a :class:`SolveFarm` worker;
+* :class:`SolveFarm` — the ``"process"`` transport: one persistent
+  worker per slot (warm engine, zero-copy memmap scenario handoff,
+  graceful recycling, crash recovery);
 * :class:`SPQService` — stdlib JSON-over-HTTP front-end
   (``POST /query``, ``GET /status``, ``GET /metrics``), exposed as the
   ``repro serve`` CLI subcommand.

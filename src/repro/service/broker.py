@@ -1,13 +1,9 @@
 """Concurrent package-query broker over a pool of engine sessions.
 
-:class:`QueryBroker` is the serving layer's middle tier: it owns a
-dispatch backend for concurrent ``execute()`` calls over one catalog —
-a pool of :class:`~repro.core.engine.SPQEngine` sessions sharing a
-:class:`~repro.service.store.ScenarioStore` (thread backend), or a
-:class:`~repro.service.farm.SolveFarm` of worker processes with
-private stores (process backend, where ``broker.store`` is ``None``
-unless the caller supplied one).  Three properties make it a serving
-layer rather than a loop around the engine:
+:class:`QueryBroker` is the serving layer's middle tier: it owns the
+only queue and the only per-request path for concurrent ``execute()``
+calls over one catalog.  Three properties make it a serving layer
+rather than a loop around the engine:
 
 * **Shared realizations** — scenario generation routes through a store
   (the broker's shared one, or each farm worker's private one fed by
@@ -23,26 +19,34 @@ layer rather than a loop around the engine:
   running (same text, method, and overrides) attaches to the running
   evaluation's future instead of being dispatched again.
 
-Two dispatch backends (``config.service_backend`` / ``backend=``):
+Admitted requests wait in one :class:`~repro.service.qos.EDFQueue`;
+``pool_size`` slot threads pop the earliest deadline, fail a request
+whose budget drained while queued, and run :func:`run_request` with the
+remaining budget.  The two backends (``config.service_backend`` /
+``backend=``) differ only in what a slot runs that request on:
 
-* ``"thread"`` — engine sessions on a :class:`ThreadPoolExecutor`.
-  Zero-copy store sharing within the process, but concurrent MILP
-  solves contend on the GIL.
-* ``"process"`` — a :class:`~repro.service.farm.SolveFarm` of
-  persistent worker processes, each hosting one warm engine; solves
-  run truly in parallel, scenario matrices travel between workers as
-  read-only memmap handoffs, and crashed workers are replaced with
-  their in-flight request retried once.  Workers host *private* stores
-  (no broker-side store exists); :meth:`QueryBroker.metrics` reports
-  their farm-wide aggregate.
+* ``"thread"`` — an in-process :class:`~repro.core.engine.SPQEngine`
+  sharing the broker's :class:`~repro.service.store.ScenarioStore`.
+  Zero-copy store sharing, but concurrent MILP solves contend on the
+  GIL.
+* ``"process"`` — one worker process of a
+  :class:`~repro.service.farm.SolveFarm`, hosting its own warm engine
+  and private store; solves run truly in parallel, scenario matrices
+  travel between workers as read-only memmap handoffs, and a crashed
+  worker is replaced with its request requeued once.  No broker-side
+  store exists; :meth:`QueryBroker.metrics` reports the workers'
+  farm-wide aggregate.
 """
 
 from __future__ import annotations
 
-import queue
+import math
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import ExitStack
+from dataclasses import dataclass, field
+from functools import partial
 
 from ..config import BACKEND_PROCESS, BACKEND_THREAD, DEFAULT_CONFIG, SPQConfig
 from ..core.engine import METHOD_SUMMARY_SEARCH, SPQEngine
@@ -57,11 +61,12 @@ from ..obs import (
     merge,
     new_span_id,
     new_trace_id,
+    stage,
     stage_histograms,
     status_sections,
 )
-from .farm import SolveFarm
-from .qos import DeadlineExpiredError, TaskDeadline
+from .farm import SolveFarm, WorkerCrashError
+from .qos import DeadlineExpiredError, EDFQueue, TaskDeadline
 from .store import ScenarioStore
 
 #: Query-text prefix kept in slow-query log entries and trace metadata.
@@ -70,6 +75,51 @@ _QUERY_SNIPPET_CHARS = 200
 
 class BrokerSaturatedError(SPQError):
     """Raised when the broker's pending-query ceiling is reached."""
+
+
+def run_request(engine, query, method: str, overrides: dict, trace, **span):
+    """Evaluate one request: the per-request path of both backends.
+
+    A thread slot calls it on its engine, a farm worker in its own
+    process.  Pins ``catalog.version`` before the solve (a delta landing
+    mid-evaluation must not relabel a pre-delta answer) and stamps it on
+    ``result.meta``; with ``trace = (trace_id, root_span_id, profile)``
+    the evaluation runs in a session parented to the broker's root span,
+    inside a ``worker`` span carrying ``span`` when given.  Never raises:
+    returns ``(ok, result_or_error, TraceSession.payload() or None)``.
+    """
+    version = engine.catalog.version
+    session = (
+        None if trace is None else TraceSession(trace[0], profile=bool(trace[2]))
+    )
+    try:
+        with ExitStack() as scope:
+            if session is not None:
+                scope.enter_context(activate(session, parent_id=trace[1]))
+                if span:
+                    scope.enter_context(stage("worker", **span))
+            ok, value = True, engine.execute(query, method=method, **overrides)
+    except BaseException as error:  # noqa: BLE001 - settles the caller's future
+        ok, value = False, error
+    meta = getattr(value, "meta", None)
+    if ok and isinstance(meta, dict):
+        meta.setdefault("catalog_version", version)
+    return ok, value, None if session is None else session.payload()
+
+
+@dataclass(eq=False)
+class _Request:
+    """One admitted request in (or popped from) the broker queue."""
+
+    query: object
+    method: str
+    overrides: dict
+    #: ``(trace_id, root_span_id, profile)`` or None; kept by a retry.
+    trace: tuple | None
+    #: Pinned at admission: the EDF rank, checked again at dispatch.
+    deadline: TaskDeadline | None
+    retries: int = 0
+    future: Future = field(default_factory=Future)
 
 
 class QueryBroker:
@@ -136,8 +186,6 @@ class QueryBroker:
         else:
             self.store = None
         self._farm: SolveFarm | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._sessions: "queue.SimpleQueue[SPQEngine]" = queue.SimpleQueue()
         if self.backend == BACKEND_PROCESS:
             self._farm = SolveFarm(
                 catalog,
@@ -145,19 +193,24 @@ class QueryBroker:
                 n_workers=self.pool_size,
                 recycle_after=self.recycle_after,
             )
+            runners = [
+                partial(self._farm.run, slot) for slot in range(self.pool_size)
+            ]
         else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.pool_size, thread_name_prefix="spq-broker"
-            )
-            # Engine sessions are checked out per evaluation, so one
-            # session never serves two queries at once.
-            for _ in range(self.pool_size):
-                self._sessions.put(
-                    SPQEngine(
-                        catalog=catalog, config=self.config, store=self.store
-                    )
+            # One engine session per slot, so a session never serves two
+            # queries at once.
+            runners = [
+                partial(
+                    run_request,
+                    SPQEngine(catalog=catalog, config=self.config, store=self.store),
                 )
+                for _ in range(self.pool_size)
+            ]
         self._lock = threading.Lock()
+        #: Wakes the slot threads: a request was queued, or the broker closed.
+        self._wakeup = threading.Condition(self._lock)
+        #: The only queue: admitted requests, earliest deadline first.
+        self._queue = EDFQueue()
         self._inflight: dict[tuple, Future] = {}
         self._pending = 0
         self._closed = False
@@ -198,8 +251,14 @@ class QueryBroker:
         self._trace_state: dict[Future, dict] = {}
         #: Lifetime delta counter (mirrors repro_delta_applied_total).
         self._deltas_applied = 0
-        if self._farm is not None and self.trace_ring is not None:
-            self._farm.span_sink = self.trace_ring.add
+        self._slots = [
+            threading.Thread(
+                target=self._serve, args=(run,), name=f"spq-broker-{i}", daemon=True
+            )
+            for i, run in enumerate(runners)
+        ]
+        for thread in self._slots:
+            thread.start()
 
     # --- submission ---------------------------------------------------------
 
@@ -243,8 +302,9 @@ class QueryBroker:
         budget is rejected immediately with
         :class:`~repro.service.qos.DeadlineExpiredError`, otherwise the
         budget is pinned at admission (queue time counts against it),
-        orders the farm's pending queue earliest-deadline-first, and the
-        remainder is forwarded to the evaluator's anytime path.
+        orders the broker queue earliest-deadline-first, and the
+        remainder at dispatch is forwarded to the evaluator's anytime
+        path.
         """
         deadline = self._admit_deadline(overrides)
         key = self._dedup_key(query, method, overrides)
@@ -262,6 +322,8 @@ class QueryBroker:
                     f"broker saturated: {self._pending} queries pending"
                     f" (max {self.max_pending})"
                 )
+            if self._farm is not None:
+                self._farm.check_open()
             self._pending += 1
             self._submitted += 1
             state = self._open_trace_locked(query, method, overrides)
@@ -270,28 +332,15 @@ class QueryBroker:
                 if state is not None
                 else None
             )
-            try:
-                if self._farm is not None:
-                    future = self._farm.submit(
-                        query, method, overrides, trace, deadline
-                    )
-                else:
-                    future = self._pool.submit(
-                        self._run, query, method, overrides, trace, deadline
-                    )
-            except BaseException:
-                # No future, no done-callback: give the admission slot
-                # back or the broker saturates permanently.
-                self._pending -= 1
-                self._submitted -= 1
-                if state is not None and self.trace_ring is not None:
-                    self.trace_ring.discard(state["trace_id"])
-                raise
+            request = _Request(query, method, overrides, trace, deadline)
+            future = request.future
             if state is not None:
                 self._trace_state[future] = state
                 future.trace_id = state["trace_id"]
             if key is not None:
                 self._inflight[key] = future
+            self._queue.push(request, deadline=deadline)
+            self._wakeup.notify()
         # Attached outside the lock: a future that failed fast runs its
         # callbacks synchronously on this thread, and _retire needs the
         # (non-reentrant) lock.
@@ -303,7 +352,8 @@ class QueryBroker:
 
         Dead-on-arrival budgets (``<= 0``) are refused here, before a
         pool slot is taken — solving work that cannot possibly meet its
-        SLO only steals capacity from work that still can.
+        SLO only steals capacity from work that still can.  A NaN or
+        infinite budget is a malformed request, like a non-number.
         """
         deadline_ms = overrides.get("deadline_ms")
         if deadline_ms is None:
@@ -312,6 +362,8 @@ class QueryBroker:
             deadline_ms, (int, float)
         ):
             raise EvaluationError("deadline_ms must be a number or None")
+        if not math.isfinite(deadline_ms):
+            raise EvaluationError("deadline_ms must be finite")
         if float(deadline_ms) <= 0:
             with self._lock:
                 self._deadline_rejected += 1
@@ -438,54 +490,67 @@ class QueryBroker:
             },
         )
 
-    def _run(self, query, method: str, overrides: dict, trace=None, deadline=None):
-        if deadline is not None:
-            # Same discipline as the farm's dispatch: queue time counts
-            # against the budget, and only the remainder reaches the
-            # evaluator's anytime path.
-            if deadline.expired():
-                raise DeadlineExpiredError(
-                    f"deadline ({deadline.deadline_ms:.0f}ms) expired"
-                    " while the request was queued"
-                )
-            overrides = dict(overrides)
-            overrides["deadline_ms"] = max(deadline.remaining_ms(), 1.0)
-        engine = self._sessions.get()
-        # Pinned before the solve: a delta landing mid-evaluation must
-        # not relabel a pre-delta answer as post-delta (the soak test's
-        # staleness check relies on this being the compile-time version).
-        version = self.catalog.version
-        try:
-            if trace is None:
-                return self._stamp_version(
-                    engine.execute(query, method=method, **overrides), version
-                )
-            # Pool threads do not inherit the submitter's contextvars:
-            # the session is activated here, parented to the broker's
-            # root span so ingested spans nest correctly.
-            session = TraceSession(trace[0], profile=bool(trace[2]))
-            try:
-                with activate(session, parent_id=trace[1]):
-                    return self._stamp_version(
-                        engine.execute(query, method=method, **overrides),
-                        version,
-                    )
-            finally:
-                if self.trace_ring is not None:
-                    # payload() mirrors TraceRing.add's signature: spans,
-                    # dropped count, convergence events, and per-query
-                    # resource charges land in one call.
-                    self.trace_ring.add(*session.payload())
-        finally:
-            self._sessions.put(engine)
+    def _serve(self, run) -> None:
+        """One pool slot: pop the earliest deadline, evaluate, settle.
 
-    @staticmethod
-    def _stamp_version(result, version: int):
-        """Attach the catalog version an evaluation ran under."""
-        meta = getattr(result, "meta", None)
-        if isinstance(meta, dict):
-            meta.setdefault("catalog_version", version)
-        return result
+        ``run`` is :func:`run_request` bound to this slot's engine, or
+        :meth:`SolveFarm.run` bound to its worker.  Futures settle outside
+        the lock: their done-callbacks (:meth:`_retire`) take it.
+        """
+        while True:
+            with self._lock:
+                while not self._queue and not self._closed:
+                    self._wakeup.wait()
+                if not self._queue:
+                    return  # closed and drained
+                request = self._queue.pop()
+            future = request.future
+            if not (future.running() or future.set_running_or_notify_cancel()):
+                continue  # cancelled while queued
+            overrides = request.overrides
+            if request.deadline is not None:
+                # Queue time counts against the budget: a request whose
+                # budget drained while queued fails here, at dispatch,
+                # and only the remainder reaches the anytime path.
+                if request.deadline.expired():
+                    future.set_exception(
+                        DeadlineExpiredError(
+                            f"deadline ({request.deadline.deadline_ms:.0f}ms)"
+                            " expired while the request was queued"
+                        )
+                    )
+                    continue
+                overrides = {
+                    **overrides,
+                    "deadline_ms": max(request.deadline.remaining_ms(), 1.0),
+                }
+            try:
+                ok, value, spans = run(
+                    request.query, request.method, overrides, request.trace
+                )
+            except Exception as error:  # a worker crash, or the farm closed
+                if isinstance(error, WorkerCrashError) and self._farm.crash_retry(
+                    request.retries
+                ):
+                    # Back into the queue at its own deadline rank, ahead
+                    # of equal-rank peers (see EDFQueue.push).
+                    request.retries += 1
+                    with self._lock:
+                        self._queue.push(request, request.deadline, front=True)
+                        self._wakeup.notify()
+                    continue
+                ok, value, spans = False, error, None
+            if spans is not None and self.trace_ring is not None:
+                # Ingested before the future settles, so a caller woken
+                # by it always finds the evaluation's spans in the ring.
+                try:
+                    self.trace_ring.add(*spans)
+                except Exception:  # observability must never fail a query
+                    pass
+            if ok:
+                future.set_result(value)
+            else:
+                future.set_exception(value)
 
     def _retire(self, key: tuple | None, future: Future) -> None:
         with self._lock:
@@ -625,11 +690,12 @@ class QueryBroker:
                     "last_gap": self._last_gap,
                 },
             }
+            queued = len(self._queue)
         state.update(
             status_sections(snapshot if snapshot is not None else self.metrics())
         )
         if self._farm is not None:
-            state["farm"] = self._farm.status()
+            state["farm"] = self._farm.status(queued=queued)
         return state
 
     # --- teardown -----------------------------------------------------------
@@ -643,10 +709,12 @@ class QueryBroker:
             if self._closed:
                 return
             self._closed = True
+            self._wakeup.notify_all()
+        if wait:
+            for thread in self._slots:
+                thread.join()
         if self._farm is not None:
-            self._farm.close(wait=wait)
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
+            self._farm.close()
         if self._owns_store:
             self.store.close()
 

@@ -6,10 +6,10 @@ budget.  Three mechanisms turn that budget into latency SLOs:
 * **admission control** — work that is already hopeless (deadline
   expired while queued, or non-positive on arrival) is rejected with
   :class:`DeadlineExpiredError` instead of wasting a solver slot;
-* **EDF scheduling** — the solve farm's pending queue is ordered by
-  absolute expiry time (:class:`EDFQueue`), so tight-deadline queries
-  overtake loose ones while deadline-less work keeps FIFO order among
-  itself at the back;
+* **EDF scheduling** — the broker's one queue (both backends) is
+  ordered by absolute expiry time (:class:`EDFQueue`), so tight-deadline
+  queries overtake loose ones while deadline-less work keeps FIFO order
+  among itself at the back;
 * **anytime solving** — whatever budget remains at dispatch time is
   forwarded to the evaluator as ``SPQConfig.deadline_ms``, where expiry
   returns the best incumbent plus a relative optimality gap (see
@@ -29,9 +29,9 @@ from ..errors import SPQError
 class DeadlineExpiredError(SPQError):
     """The query's latency budget expired before solving could start.
 
-    Raised by broker admission (budget non-positive or expired while
-    pending) and by the farm when a queued task's deadline passes before
-    a worker picks it up.  Maps to HTTP 504 in the serving layer.
+    Raised by broker admission (budget non-positive) and by a broker
+    pool slot when a queued request's deadline passed before the slot
+    popped it.  Maps to HTTP 504 in the serving layer.
     """
 
 
@@ -78,10 +78,10 @@ class EDFQueue:
     would violate EDF; an undeadlined retry must not starve an urgent
     deadlined query).
 
-    A plain list with linear min-scans: the pending queue is bounded by
+    A plain list with linear min-scans: the broker queue is bounded by
     the broker's ``max_pending`` (tens, not millions), where O(n) scans
-    beat heap bookkeeping — and ``remove()`` of an arbitrary task (the
-    crash path) stays trivially correct.
+    beat heap bookkeeping — and ``remove()`` of an arbitrary item stays
+    trivially correct.
     """
 
     def __init__(self):

@@ -12,9 +12,9 @@ from:
   coefficients — ``x_i ≤ ⌊v / c_i⌋`` for ``c_i > 0`` (e.g. a budget
   constraint ``SUM(price) ≤ 1000``).
 
-When no finite bound is derivable for some variable, the configurable
-``default_bound`` is applied, or an :class:`UnboundedError` is raised
-with guidance (add REPEAT or a COUNT constraint).
+When no finite bound is derivable for some variable, an
+:class:`UnboundedError` is raised with guidance (add REPEAT or a COUNT
+constraint).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ CoefficientFn = Callable[[Expr], np.ndarray]
 def derive_variable_bounds(
     problem: StochasticPackageProblem,
     mean_coefficients: CoefficientFn,
-    default_bound: int | None = None,
 ) -> np.ndarray:
     """Per-variable integer upper bounds (length ``problem.n_vars``).
 
@@ -70,15 +69,11 @@ def derive_variable_bounds(
         ub[positive] = np.minimum(ub[positive], limits)
     unbounded = ~np.isfinite(ub)
     if np.any(unbounded):
-        if default_bound is None:
-            count = int(unbounded.sum())
-            raise UnboundedError(
-                f"{count} decision variables have no finite multiplicity"
-                " bound; add a REPEAT limit, a COUNT(*) <= constraint, or a"
-                " budget constraint with positive coefficients (or set"
-                " config.default_multiplicity_bound)"
-            )
-        ub[unbounded] = default_bound
+        raise UnboundedError(
+            f"{int(unbounded.sum())} decision variables have no finite"
+            " multiplicity bound; add a REPEAT limit, a COUNT(*) <="
+            " constraint, or a budget constraint with positive coefficients"
+        )
     return np.maximum(ub, 0).astype(np.int64)
 
 

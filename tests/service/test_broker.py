@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Catalog, Relation, SPQConfig
+from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.db.delta import RelationDelta
 from repro.errors import SPQError
 from repro.mcdb import GaussianNoiseVG, StochasticModel
@@ -49,16 +49,16 @@ def config() -> SPQConfig:
     )
 
 
-def _gate_broker(broker: QueryBroker) -> threading.Event:
-    """Hold every dispatched evaluation at a gate until the event is set."""
+def _gate_engines(monkeypatch) -> threading.Event:
+    """Hold every in-process evaluation at a gate until the event is set."""
     gate = threading.Event()
-    original = broker._run
+    original = SPQEngine.execute
 
-    def gated(query, method, overrides, *args):
+    def gated(self, query, *args, **kwargs):
         gate.wait(30)
-        return original(query, method, overrides, *args)
+        return original(self, query, *args, **kwargs)
 
-    broker._run = gated
+    monkeypatch.setattr(SPQEngine, "execute", gated)
     return gate
 
 
@@ -79,9 +79,9 @@ def test_second_identical_query_shares_realizations(catalog, config):
     assert first.objective == second.objective
 
 
-def test_inflight_dedup_returns_same_future(catalog, config):
+def test_inflight_dedup_returns_same_future(catalog, config, monkeypatch):
     with QueryBroker(catalog, config=config, pool_size=1) as broker:
-        gate = _gate_broker(broker)
+        gate = _gate_engines(monkeypatch)
         first = broker.submit(QUERY)
         duplicate = broker.submit(QUERY)
         distinct = broker.submit(OTHER_QUERY)
@@ -100,11 +100,13 @@ def test_inflight_dedup_returns_same_future(catalog, config):
     assert broker.status()["pending"] == 0
 
 
-def test_admission_control_rejects_beyond_max_pending(catalog, config):
+def test_admission_control_rejects_beyond_max_pending(
+    catalog, config, monkeypatch
+):
     with QueryBroker(
         catalog, config=config, pool_size=1, max_pending=2
     ) as broker:
-        gate = _gate_broker(broker)
+        gate = _gate_engines(monkeypatch)
         broker.submit(QUERY)
         broker.submit(OTHER_QUERY)
         with pytest.raises(BrokerSaturatedError):
@@ -214,9 +216,9 @@ def test_apply_update_equivalent_to_rebuilt_catalog(config):
     assert via_delta.objective == via_rebuild.objective
 
 
-def test_apply_update_invalidates_inflight_dedup(catalog, config):
+def test_apply_update_invalidates_inflight_dedup(catalog, config, monkeypatch):
     with QueryBroker(catalog, config=config, pool_size=1) as broker:
-        gate = _gate_broker(broker)
+        gate = _gate_engines(monkeypatch)
         before = broker.submit(QUERY)
         broker.apply_update("items", {"updates": [[1, {"price": 1.0}]]})
         # A post-delta submission must not attach to the pre-delta

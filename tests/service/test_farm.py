@@ -195,32 +195,32 @@ def test_killed_worker_requeues_once_then_surfaces_crash(kills):
 
 
 def test_future_callbacks_run_outside_the_farm_lock():
-    # Done-callbacks run synchronously on the thread resolving the
-    # future.  The broker's callback takes the broker lock, which other
-    # threads hold while calling farm.submit() — so the manager must
-    # never resolve a future while holding the farm lock, or the two
-    # locks deadlock (the callback here would then wedge taking the farm
-    # lock a second time on the same thread).
-    catalog = _catalog()
-    farm = SolveFarm(catalog, _config(), n_workers=1)
-    seen = []
-    done = threading.Event()
+    # Done-callbacks run synchronously on the thread that settles the
+    # future.  A slot must settle outside the broker and farm locks, or
+    # a callback reading broker.status() (which needs both) wedges —
+    # and close() with it.
+    for backend in ("thread", "process"):
+        broker = QueryBroker(
+            _catalog(), config=_config(), pool_size=1, backend=backend
+        )
+        seen = []
+        done = threading.Event()
 
-    def callback(_future):
-        seen.append(farm.status()["backend"])  # needs the farm lock
-        done.set()
+        def callback(_future, broker=broker, seen=seen, done=done):
+            seen.append(broker.status()["backend"])
+            done.set()
 
-    future = farm.submit(QUERY, "summarysearch", {})
-    future.add_done_callback(callback)
-    assert future.result(timeout=120).feasible
-    assert done.wait(timeout=30), "callback wedged on the farm lock"
-    assert seen == ["process"]
-    # close() on a daemon thread: on a regression the manager is wedged
-    # holding the farm lock and close() would hang the suite forever.
-    closer = threading.Thread(target=farm.close, daemon=True)
-    closer.start()
-    closer.join(timeout=60)
-    assert not closer.is_alive()
+        future = broker.submit(QUERY)
+        future.add_done_callback(callback)
+        assert future.result(timeout=120).feasible
+        assert done.wait(timeout=30), f"callback wedged on {backend}"
+        assert seen == [backend]
+        # close() on a daemon thread: on a regression a slot is wedged
+        # holding a lock and close() would hang the suite forever.
+        closer = threading.Thread(target=broker.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
 
 
 def test_concurrent_submits_and_completions_do_not_deadlock():
@@ -288,123 +288,9 @@ def test_process_backend_aggregates_worker_store_stats():
         assert broker.status()["store"]["hits"] > stats["hits"]
 
 
-#: The stats blob of a done message that carries no counts.
-_NO_STATS = {"counters": {}, "gauges": {}, "histograms": {}}
-
-
 def _resources_and_histograms(broker):
     snapshot = broker.metrics()
     return status_sections(snapshot)["resources"], snapshot["histograms"]
-
-
-def test_stale_done_after_requeue_still_frees_the_retry_worker():
-    # Ordering race: worker W completes task T, flushes its result, then
-    # dies; the reap (which can run before the queued result drains)
-    # requeues T onto worker V.  W's stale result settles T first — when
-    # V's own completion for T arrives, V must still return to the idle
-    # pool, or it stays BUSY forever and a pool_size=1 farm stops
-    # dispatching entirely.
-    import pickle
-    from collections import deque
-
-    farm = SolveFarm.__new__(SolveFarm)  # no processes: message logic only
-    farm._crash_streak = 0
-    farm._totals = {}
-    farm._descriptors = OrderedDict()
-    farm._tasks = {}
-    farm._pending = deque()
-    farm._closed = False
-    farm.recycle_after = None
-    retry_worker = _Worker(2, process=None, inbox=None)
-    retry_worker.state = farm_module.STATE_BUSY
-    retry_worker.task = farm_module._Task(7, "q", "summarysearch", {})
-    retry_worker.task.retries = 1
-    farm._workers = {2: retry_worker}
-
-    # T was already settled by the dead worker's flushed result, so it
-    # is gone from _tasks when V's completion drains.
-    settle: list = []
-    blob = pickle.dumps((True, "result"))
-    farm._handle_message_locked(("done", 7, 2, blob, {}, _NO_STATS, None), settle)
-    assert settle == []  # nothing to settle twice
-    assert retry_worker.task is None
-    assert retry_worker.state == farm_module.STATE_IDLE
-    assert retry_worker.tasks_done == 1
-
-
-def test_stale_done_removes_requeued_task_from_pending():
-    # Same race, other interleaving: the dead worker's flushed result
-    # drains while the requeued task still waits in _pending — it must
-    # be dropped there, not dispatched a second time after settling.
-    import pickle
-    from collections import deque
-
-    farm = SolveFarm.__new__(SolveFarm)
-    farm._crash_streak = 0
-    farm._totals = {}
-    farm._descriptors = OrderedDict()
-    farm._workers = {}
-    farm._closed = False
-    farm.recycle_after = None
-    task = farm_module._Task(7, "q", "summarysearch", {})
-    task.retries = 1
-    farm._tasks = {7: task}
-    farm._pending = deque([task])
-
-    settle: list = []
-    blob = pickle.dumps((True, "result"))
-    farm._handle_message_locked(("done", 7, 1, blob, {}, _NO_STATS, None), settle)
-    assert [(f, ok) for f, ok, _ in settle] == [(task.future, True)]
-    assert not farm._pending
-    assert not farm._tasks
-
-
-def test_late_done_message_from_a_reaped_worker_keeps_its_counts():
-    # A worker flushes its done message and dies; the reaper removes it
-    # before the manager drains that message.  The message's counters and
-    # histogram observations must still reach the farm totals, while its
-    # gauges (levels of a process that no longer exists) must not.
-    import pickle
-    from collections import deque
-
-    farm = SolveFarm.__new__(SolveFarm)  # no processes: message logic only
-    farm._crash_streak = 0
-    farm._crashed = 0
-    farm._broken = False
-    farm._descriptors = OrderedDict()
-    farm._tasks = {}
-    farm._pending = deque()
-    farm._closed = False
-    farm._totals = {}
-    farm.n_workers = 1
-    farm.recycle_after = None
-    farm.span_sink = None
-    farm._lock = threading.Lock()
-    farm._spawn_worker_locked = lambda: None  # no replacement process
-
-    class _DeadProcess:
-        exitcode = -9
-
-        def is_alive(self):
-            return False
-
-    dead = _Worker(3, process=_DeadProcess(), inbox=None)
-    dead.state = farm_module.STATE_IDLE
-    farm._workers = {3: dead}
-    farm._reap_locked([])
-    assert farm._workers == {} and farm._crashed == 1
-
-    stats = {
-        "counters": {"store.hits": 2, "resources.queries_accounted": 1.0},
-        "gauges": {"store.entries": 5},
-        "histograms": {"query": {"counts": [1, 0], "sum": 0.25, "count": 1}},
-    }
-    blob = pickle.dumps((True, "result"))
-    farm._handle_message_locked(("done", 9, 3, blob, {}, stats, None), [])
-    totals = farm.metrics()
-    assert totals["counters"] == stats["counters"]
-    assert totals["histograms"] == stats["histograms"]
-    assert totals["gauges"] == {}
 
 
 def test_descriptor_prune_drops_worker_known_entries(tmp_path, monkeypatch):
@@ -415,7 +301,7 @@ def test_descriptor_prune_drops_worker_known_entries(tmp_path, monkeypatch):
     farm = SolveFarm.__new__(SolveFarm)  # no processes: merge logic only
     farm._descriptors = OrderedDict()
     farm._workers = {}
-    worker = _Worker(1, process=None, inbox=None)
+    worker = _Worker(1, process=None, conn=None)
     farm._workers[worker.id] = worker
     paths = []
     for i in range(3):

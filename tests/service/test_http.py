@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro import Catalog, Relation, SPQConfig
+from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.mcdb import GaussianNoiseVG, StochasticModel
 from repro.service import QueryBroker, SPQService
 
@@ -125,7 +125,7 @@ def _status_of(exc: urllib.error.HTTPError):
     return exc.code, json.loads(exc.read())
 
 
-def test_saturation_is_counted_and_exposed_as_rejected_total():
+def test_saturation_is_counted_and_exposed_as_rejected_total(monkeypatch):
     # A broker with no headroom: one session, one pending slot, and the
     # evaluation gated so the slot stays occupied while we overflow it.
     import threading
@@ -147,13 +147,13 @@ def test_saturation_is_counted_and_exposed_as_rejected_total():
         max_pending=1,
     )
     gate = threading.Event()
-    original = broker._run
+    original = SPQEngine.execute
 
-    def gated(query, method, overrides, *args):
+    def gated(self, query, *args, **kwargs):
         gate.wait(60)
-        return original(query, method, overrides, *args)
+        return original(self, query, *args, **kwargs)
 
-    broker._run = gated
+    monkeypatch.setattr(SPQEngine, "execute", gated)
     svc = SPQService(broker, port=0, own_broker=True).start_background()
     try:
         first = threading.Thread(target=lambda: _post(svc, {"query": QUERY}))

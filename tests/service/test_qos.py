@@ -14,7 +14,7 @@ import urllib.request
 
 import pytest
 
-from repro import Catalog, Relation, SPQConfig
+from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.errors import EvaluationError
 from repro.mcdb import GaussianNoiseVG, StochasticModel
 from repro.service import (
@@ -227,23 +227,26 @@ def test_broker_result_carries_anytime_envelope(catalog, config):
     assert result.anytime.gap == 0.0
 
 
-def test_queued_expiry_fails_future_with_504_error(catalog, config):
-    # Hold the only worker hostage, queue a 1ms query behind it: by the
+def test_queued_expiry_fails_future_with_504_error(catalog, config, monkeypatch):
+    # Hold the only slot hostage, queue a 1ms query behind it: by the
     # time the slot frees, the budget is gone and the future must fail
     # with DeadlineExpiredError (not run the solve).
+    gate = threading.Event()
+    original = SPQEngine.execute
+
+    def gated(self, query, *args, **kwargs):
+        gate.wait(60)
+        return original(self, query, *args, **kwargs)
+
+    monkeypatch.setattr(SPQEngine, "execute", gated)
     with QueryBroker(catalog, config=config, pool_size=1) as broker:
-        gate = threading.Event()
-        original = broker._run
-
-        def gated(query, method, overrides, *args):
-            gate.wait(60)
-            return original(query, method, overrides, *args)
-
-        broker._run = gated
-        blocker = broker.submit(QUERY)
-        doomed = broker.submit(QUERY, seed=77, deadline_ms=1.0)
         import time
 
+        blocker = broker.submit(QUERY)
+        # EDF would pop the 1ms query first if both sat in the queue.
+        while not blocker.running():
+            time.sleep(0.001)
+        doomed = broker.submit(QUERY, seed=77, deadline_ms=1.0)
         time.sleep(0.05)  # let the 1ms budget drain while queued
         gate.set()
         assert blocker.result(timeout=120) is not None
@@ -251,6 +254,47 @@ def test_queued_expiry_fails_future_with_504_error(catalog, config):
             doomed.result(timeout=120)
         status = broker.status()
     assert status["failed"] == 1
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_deadline_request_overtakes_queued_deadline_less_one(backend):
+    # One queue rule on both backends: with the only slot held by a slow
+    # query, a deadline request queued *after* a deadline-less one is
+    # dispatched — and so completes — first.
+    import time
+
+    import numpy as np
+
+    relation = Relation(
+        "items", {"price": np.random.default_rng(0).uniform(1.0, 10.0, 400)}
+    )
+    model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
+    catalog = Catalog()
+    catalog.register(relation, model)
+    config = SPQConfig(
+        n_validation_scenarios=300_000,
+        n_initial_scenarios=50,
+        scenario_increment=50,
+        max_scenarios=100,
+        epsilon=0.9,
+        seed=11,
+    )
+    slow_query = QUERY.replace("<= 3", "<= 5").replace(">= 6", ">= 20")
+    with QueryBroker(
+        catalog, config=config, pool_size=1, backend=backend
+    ) as broker:
+        slow = broker.submit(slow_query)
+        while not (slow.running() or slow.done()):
+            time.sleep(0.001)
+        plain = broker.submit(QUERY)
+        urgent = broker.submit(QUERY, deadline_ms=60_000)
+        finished = []
+        plain.add_done_callback(lambda _f: finished.append("plain"))
+        urgent.add_done_callback(lambda _f: finished.append("urgent"))
+        assert not slow.done(), "the slot was released before both queued"
+        for future in (slow, plain, urgent):
+            assert future.result(timeout=120).feasible
+    assert finished == ["urgent", "plain"]
 
 
 # --- HTTP round trip -------------------------------------------------------
@@ -315,10 +359,30 @@ def test_http_expired_deadline_maps_to_504(service):
     assert body["error"]["kind"] == "deadline-expired"
 
 
+def _post_raw(service, body: bytes):
+    host, port = service.address
+    request = urllib.request.Request(
+        f"http://{host}:{port}/query",
+        data=body,
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        return response.status, json.loads(response.read())
+
+
 def test_http_bad_deadline_type_maps_to_400(service):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(service, {"query": QUERY, "deadline_ms": "soon"})
     assert excinfo.value.code == 400
+    # Python's json module accepts these bare tokens; they are not
+    # budgets, and an admitted NaN would reach the response as invalid
+    # JSON.
+    for token in ("NaN", "Infinity", "-Infinity"):
+        body = '{"query": %s, "deadline_ms": %s}' % (json.dumps(QUERY), token)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_raw(service, body.encode())
+        assert excinfo.value.code == 400, token
+        assert json.loads(excinfo.value.read())["error"]["kind"] == "bad-request"
 
 
 def test_http_tight_deadline_returns_200_with_incumbent_and_gap():

@@ -71,12 +71,6 @@ def test_ge_constraints_do_not_bound(items_relation):
         derive_variable_bounds(problem, _coeffs(items_relation))
 
 
-def test_default_bound_fallback(items_relation):
-    problem = _problem(items_relation, [])
-    ub = derive_variable_bounds(problem, _coeffs(items_relation), default_bound=9)
-    assert ub.tolist() == [9] * 5
-
-
 def test_mixed_sign_coefficients_skipped(items_relation):
     from repro.db.expressions import BinOp
 

@@ -23,6 +23,8 @@ def test_defaults_valid():
         ("summary_strategy", "zip"),
         ("service_backend", "fork"),
         ("time_limit", 0.0),
+        ("deadline_ms", float("nan")),
+        ("deadline_ms", float("inf")),
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -30,9 +32,18 @@ def test_invalid_values_rejected(field, value):
         SPQConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["solver", "scale_delta_reuse"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "solver",
+        "scale_delta_reuse",
+        "convergence_acceleration",
+        "default_multiplicity_bound",
+    ],
+)
 def test_removed_knobs_are_not_fields(field):
-    # Every solve goes to HiGHS, and delta repair is always on.
+    # Every solve goes to HiGHS, delta repair and convergence
+    # acceleration are always on, and an unbounded variable is an error.
     with pytest.raises(TypeError):
         SPQConfig(**{field: None})
 
