@@ -9,14 +9,22 @@ relation — the *dirty rows*.
 
 The dirty-row rule follows from how scenario realization consumes
 randomness: scenario-wise draws are positional and sequential over the
-whole relation (``vg.sample_all`` draws one value per row, in row
-order), so
+whole relation.  ``vg.sample_all`` draws block by block, in block order,
+and as many values per block as the block has draw steps (a row-wise VG
+has one single-row block per row, in row order; a GBM stock has one
+step per distinct horizon).  So
 
 * an **update** dirties only the updated row's position,
 * an **insert** (always an append) dirties only the appended positions —
   the existing prefix keeps its draws,
 * a **delete** shifts every later row down one position, dirtying every
   position at or beyond the first deleted row (``shifted_from``).
+
+For block VGs this holds while a delta keeps block membership and every
+block's step count.  A delta that changes them shifts the draws of
+every later block, which this rule does not track.  Examples are an
+update to a stock's key or horizon, and an insert that adds a new
+horizon to an existing stock.
 
 The :class:`FingerprintLineage` registry turns the content fingerprint
 into an incrementally-maintained *chain*: each applied delta records

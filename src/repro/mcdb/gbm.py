@@ -13,6 +13,14 @@ the price at horizon ``t`` (in days) is
 with ``W_t`` a standard Brownian motion.  The *gain* attribute of a tuple
 that sells at horizon ``t`` is ``S_t − S₀``.  Correlation across horizons
 of the same stock is realized by building ``W`` from shared increments.
+
+Scenario-wise generation (Section 5.5) costs one vectorized Θ(N) draw
+per scenario for any horizon layout.  That includes a SketchRefine
+partition that keeps only some of a stock's horizons.  At bind time,
+every block's grid is laid out as one padded matrix.
+:meth:`~GeometricBrownianMotionVG.sample_all` is then a fixed handful of
+array operations.  It returns exactly the stream of the per-block loop
+that tuple-wise generation and the parallel executor still use.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ class GeometricBrownianMotionVG(VGFunction):
         self._drift: np.ndarray | None = None
         self._vol: np.ndarray | None = None
         self._horizon: np.ndarray | None = None
-        # Fast-path state: set when all blocks share one horizon grid.
+        # Unused, but constructor attributes feed params_fingerprint(),
+        # which keys persisted partition indexes and scenario caches;
+        # dropping it would orphan them.
         self._uniform: dict | None = None
 
     def _build_blocks(self, relation):
@@ -72,60 +82,60 @@ class GeometricBrownianMotionVG(VGFunction):
             raise VGFunctionError("volatility must be nonnegative")
         if np.any(self._horizon <= 0):
             raise VGFunctionError("sell horizons must be positive")
-        for rows in self.blocks:
-            for col, name in ((self._drift, "drift"), (self._vol, "volatility")):
-                if np.ptp(col[rows]) != 0:
-                    raise VGFunctionError(
-                        f"{name} must be constant within a stock block"
-                    )
-        self._detect_uniform_grid()
+        self._bind_grid()
 
-    def _detect_uniform_grid(self) -> None:
-        """Enable the vectorized path when every block uses one horizon grid.
+    def _bind_grid(self) -> None:
+        """Lay every block's Brownian grid out as one padded matrix.
 
-        All built-in datasets satisfy this (each row group has the same
-        set of sell horizons), turning :meth:`sample_all` into a handful
-        of array operations instead of a Python loop over thousands of
-        stocks.
+        Block ``b``'s grid is its sorted distinct horizons; its steps
+        fill column ``b`` of a ``(max_steps, n_blocks)`` matrix from the
+        top, and the cells below stay zero.  ``_step_slot`` lists the
+        filled cells block by block (the order the block loop draws
+        them in) with ``_step_sqrt_dt = sqrt(diff([0, grid]))`` beside
+        them, and ``_row_slot`` is the cell of each row's horizon.  Also
+        precomputes each row's ``(μ − σ²/2)·t``.
         """
-        assert self._horizon is not None
-        blocks = self.blocks
-        first = np.sort(np.unique(self._horizon[blocks[0]]))
-        grids_match = all(
-            np.array_equal(np.sort(np.unique(self._horizon[rows])), first)
-            for rows in blocks
-        )
-        if not grids_match:
-            self._uniform = None
-            return
-        horizon_index = {t: k for k, t in enumerate(first.tolist())}
-        row_block = np.empty(self.n_rows, dtype=np.int64)
-        row_step = np.empty(self.n_rows, dtype=np.int64)
-        for b, rows in enumerate(blocks):
-            row_block[rows] = b
-            for r in rows:
-                row_step[r] = horizon_index[float(self._horizon[r])]
-        self._uniform = {
-            "grid": first,
-            "dt": np.diff(np.concatenate([[0.0], first])),
-            "row_block": row_block,
-            "row_step": row_step,
-        }
+        assert self._horizon is not None and self._block_of_row is not None
+        row_block = self._block_of_row
+        horizon = self._horizon
+        order = np.lexsort((horizon, row_block))
+        block_sorted = row_block[order]
+        horizon_sorted = horizon[order]
+        new_block = np.ones(len(order), dtype=bool)
+        new_block[1:] = block_sorted[1:] != block_sorted[:-1]
+        # Drift and volatility are per stock: compare every row with its
+        # block's first sorted row instead of a ptp per block.
+        head = order[np.flatnonzero(new_block)]
+        for col, name in ((self._drift, "drift"), (self._vol, "volatility")):
+            if np.any(col != col[head][row_block]):
+                raise VGFunctionError(
+                    f"{name} must be constant within a stock block"
+                )
+        new_step = new_block.copy()
+        new_step[1:] |= horizon_sorted[1:] != horizon_sorted[:-1]
+        step_block = block_sorted[new_step]
+        step_horizon = horizon_sorted[new_step]
+        n_steps = np.bincount(step_block, minlength=self.n_blocks)
+        first_step = np.cumsum(n_steps) - n_steps
+        step_rank = np.arange(len(step_block)) - first_step[step_block]
+        previous = np.zeros(len(step_horizon))
+        previous[1:] = step_horizon[:-1]
+        previous[step_rank == 0] = 0.0
+        self._grid_shape = (int(n_steps.max(initial=0)), self.n_blocks)
+        self._step_slot = step_rank * self.n_blocks + step_block
+        self._step_sqrt_dt = np.sqrt(step_horizon - previous)
+        self._row_slot = np.empty(len(order), dtype=np.int64)
+        self._row_slot[order] = self._step_slot[np.cumsum(new_step) - 1]
+        self._growth = (self._drift - 0.5 * self._vol**2) * horizon
 
     # --- sampling ------------------------------------------------------------
 
-    def _gains_from_w(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Gains for ``rows`` given Brownian values ``w`` at their horizons.
-
-        ``w`` has shape ``(len(rows), size)``.
-        """
+    def _gains_from_w(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Gains for ``rows`` (default: all) given Brownian values ``w``
+        at their horizons; ``w`` has shape ``(len(rows), size)``."""
         assert self._price is not None
-        s0 = self._price[rows][:, None]
-        mu = self._drift[rows][:, None]
-        sigma = self._vol[rows][:, None]
-        t = self._horizon[rows][:, None]
-        log_growth = (mu - 0.5 * sigma**2) * t + sigma * w
-        return s0 * (np.exp(log_growth) - 1.0)
+        log_growth = self._growth[rows, None] + self._vol[rows, None] * w
+        return self._price[rows, None] * (np.exp(log_growth) - 1.0)
 
     def _sample_block(self, block_index, rng, size):
         rows = self.blocks[block_index]
@@ -137,20 +147,22 @@ class GeometricBrownianMotionVG(VGFunction):
         w_grid = np.cumsum(increments, axis=0)
         step_of_row = np.searchsorted(grid, horizons)
         w = w_grid[step_of_row, :]
-        return self._gains_from_w(rows, w)
+        return self._gains_from_w(w, rows)
 
     def sample_all(self, rng):
-        """One scenario; vectorized when all blocks share a horizon grid."""
-        if self._uniform is None:
-            return super().sample_all(rng)
-        u = self._uniform
-        n_blocks = len(self.blocks)
-        n_steps = len(u["grid"])
-        increments = rng.normal(0.0, 1.0, size=(n_blocks, n_steps)) * np.sqrt(u["dt"])
-        w_grid = np.cumsum(increments, axis=1)
-        w = w_grid[u["row_block"], u["row_step"]][:, None]
-        rows = np.arange(self.n_rows)
-        return self._gains_from_w(rows, w)[:, 0]
+        """One scenario: the block loop's exact stream, as array code.
+
+        The loop draws each block's grid increments in turn; here one
+        draw of every block's steps lands block by block in the padded
+        grid.  Padding sits below each block's real steps and is zero,
+        so the running sums down each column are the loop's to the bit.
+        """
+        increments = np.zeros(self._grid_shape[0] * self._grid_shape[1])
+        increments[self._step_slot] = (
+            rng.normal(0.0, 1.0, size=len(self._step_slot)) * self._step_sqrt_dt
+        )
+        w_grid = np.cumsum(increments.reshape(self._grid_shape), axis=0)
+        return self._gains_from_w(w_grid.take(self._row_slot)[:, None])[:, 0]
 
     # --- analytic structure ----------------------------------------------------
 

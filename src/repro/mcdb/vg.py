@@ -13,9 +13,10 @@ strategies (Section 5.5) possible:
 * **scenario-wise** generation seeds one RNG per *scenario* and draws one
   realization of every block.
 
-Subclasses implement :meth:`_sample_block`; a vectorized
-:meth:`sample_all` fast path may be overridden when the block loop is a
-bottleneck (all built-in VG functions do).
+Subclasses implement :meth:`_sample_block`.  :meth:`sample_all` loops
+the blocks by default; where that loop is hot a subclass overrides it
+with array code, best written to return the loop's exact stream, as
+the GBM family's does for every horizon layout.
 
 The **registry** makes VG families constructible by name: decorate a
 class with :func:`register_vg` and it becomes reachable from
@@ -70,12 +71,14 @@ class VGFunction(ABC):
         self.params_fingerprint()
         self._relation = relation
         self._blocks = self._build_blocks(relation)
-        n = relation.n_rows
-        covered = np.full(n, -1, dtype=np.int64)
-        for b, rows in enumerate(self._blocks):
-            if np.any(covered[rows] != -1):
+        covered = np.full(relation.n_rows, -1, dtype=np.int64)
+        if self._blocks:
+            sizes = np.fromiter(map(len, self._blocks), dtype=np.int64)
+            flat = np.concatenate(self._blocks).astype(np.int64, copy=False)
+            covered[flat] = np.repeat(np.arange(len(sizes)), sizes)
+            # A row named by two blocks is written twice but counted once.
+            if np.count_nonzero(covered >= 0) != len(flat):
                 raise VGFunctionError("blocks must be disjoint")
-            covered[rows] = b
         if np.any(covered < 0):
             raise VGFunctionError("blocks must cover every row of the relation")
         self._block_of_row = covered
@@ -150,11 +153,13 @@ class VGFunction(ABC):
         return values
 
     def sample_all(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one full scenario (one value per row), vectorized.
+        """Draw one full scenario (one value per row).
 
-        The default implementation loops blocks with a single shared RNG;
-        subclasses override it with vectorized logic.  Both paths must
-        produce the same *distribution* (not the same bit stream).
+        The default implementation loops blocks in order with a single
+        shared RNG.  Subclasses may override it with array code.  The
+        contract asks only for the same *distribution*. An override that
+        returns this loop's exact stream (as GBM's does) can be tested
+        byte for byte against it.
         """
         relation = self._require_bound()
         out = np.empty(relation.n_rows, dtype=float)
@@ -422,9 +427,16 @@ def grouped_blocks(values: np.ndarray) -> list[np.ndarray]:
 
     Used by VG functions whose correlation structure is keyed by a
     grouping column (e.g. stock symbol).  Blocks preserve first-occurrence
-    order, making the partition deterministic.
+    order, and rows inside a block keep their relation order, making the
+    partition deterministic.
     """
-    order: dict = {}
-    for i, v in enumerate(np.asarray(values).tolist()):
-        order.setdefault(v, []).append(i)
-    return [np.asarray(rows, dtype=np.int64) for rows in order.values()]
+    values = np.asarray(values)
+    first_seen: dict = {}
+    codes = np.fromiter(
+        (first_seen.setdefault(v, len(first_seen)) for v in values.tolist()),
+        dtype=np.int64,
+        count=len(values),
+    )
+    rows = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(first_seen))).tolist()
+    return [rows[start:end] for start, end in zip([0] + ends[:-1], ends)]

@@ -133,8 +133,12 @@ class RefineCache:
 
         Walks the process-wide lineage; returns ``None`` when no
         ancestor ran this query (cold solve).  An artifact recorded for
-        ``fingerprint`` itself is not a repair — same-content reuse is
-        already handled by the content-keyed scenario/partition caches.
+        ``fingerprint`` itself is not a repair.  The content-keyed
+        scenario and partition caches make same-content reuse cheap for
+        realization and partitioning, but not for solving: an identical
+        repeat makes every sketch and refine solver call again.  The
+        ledger's ``scale_live`` repeat op makes the first query's 73
+        solver calls again, 2.7 s traced on a 2-CPU box.
         """
         from ..db.delta import lineage
 

@@ -71,6 +71,7 @@ from ..errors import (
 )
 from ..obs import FAMILIES, histogram_exposition, status_sections
 from .broker import BrokerSaturatedError, QueryBroker
+from .farm import WorkerCrashError
 from .qos import DeadlineExpiredError
 
 #: How long ``GET /trace/<id>`` and ``"trace": true`` wait for a trace's
@@ -327,6 +328,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         except DeadlineExpiredError as error:
             self._error(504, "deadline-expired", str(error))
+            return
+        except WorkerCrashError as error:
+            # An EvaluationError too, but the request was well formed.
+            self._error(409, "solve", str(error))
             return
         except EvaluationError as error:
             # Bad client-supplied config values (e.g. a non-numeric

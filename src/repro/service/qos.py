@@ -80,8 +80,7 @@ class EDFQueue:
 
     A plain list with linear min-scans: the broker queue is bounded by
     the broker's ``max_pending`` (tens, not millions), where O(n) scans
-    beat heap bookkeeping — and ``remove()`` of an arbitrary item stays
-    trivially correct.
+    beat heap bookkeeping.
     """
 
     def __init__(self):
@@ -121,20 +120,6 @@ class EDFQueue:
             key=lambda i: self._entries[i][:2],
         )
         return self._entries.pop(index)[2]
-
-    def remove(self, item) -> None:
-        """Remove a specific queued item (raises ValueError if absent)."""
-        for index, entry in enumerate(self._entries):
-            if entry[2] is item:
-                del self._entries[index]
-                return
-        raise ValueError("item not in EDFQueue")
-
-    def clear(self) -> list:
-        """Drop every entry; returns the items for settlement."""
-        items = [entry[2] for entry in self._entries]
-        self._entries.clear()
-        return items
 
     def items(self) -> list:
         """Snapshot of queued items in rank order (tests/status)."""

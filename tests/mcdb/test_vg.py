@@ -88,6 +88,7 @@ def test_default_support_is_unbounded(relation):
 def test_grouped_blocks_by_value():
     blocks = grouped_blocks(np.array(["x", "y", "x", "z", "y"], dtype=object))
     assert [b.tolist() for b in blocks] == [[0, 2], [1, 4], [3]]
+    assert grouped_blocks(np.array([], dtype=object)) == []
 
 
 def test_grouped_blocks_preserve_first_occurrence_order():

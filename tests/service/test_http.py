@@ -10,7 +10,7 @@ import pytest
 
 from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.mcdb import GaussianNoiseVG, StochasticModel
-from repro.service import QueryBroker, SPQService
+from repro.service import QueryBroker, SPQService, WorkerCrashError
 
 QUERY = """
 SELECT PACKAGE(*) FROM items SUCH THAT
@@ -223,6 +223,29 @@ def test_error_mapping(service):
         code, body = _status_of(excinfo.value)
         assert code == 400
         assert body["error"]["kind"] == "bad-request"
+
+
+def test_worker_crash_maps_to_409_solve(monkeypatch):
+    # A crash is an EvaluationError subclass, but not a bad request.
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
+    model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
+    catalog = Catalog()
+    catalog.register(relation, model)
+    broker = QueryBroker(catalog, config=SPQConfig(), pool_size=1)
+
+    def crash(self, query, *args, **kwargs):
+        raise WorkerCrashError("worker 0 died while evaluating the request")
+
+    monkeypatch.setattr(SPQEngine, "execute", crash)
+    svc = SPQService(broker, port=0, own_broker=True).start_background()
+    try:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(svc, {"query": QUERY})
+        code, body = _status_of(excinfo.value)
+        assert code == 409
+        assert body["error"]["kind"] == "solve"
+    finally:
+        svc.shutdown()
 
 
 # --- POST /update (docs/live_data.md) ----------------------------------------

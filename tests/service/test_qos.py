@@ -134,26 +134,15 @@ def test_deadline_less_retry_does_not_starve_late_deadlines():
     assert queue.pop() == "retried-1"
 
 
-def test_edf_tie_breaks_fifo_and_remove_by_identity():
+def test_edf_tie_breaks_fifo():
     clock = FakeClock(0.0)
     queue = EDFQueue()
     first = {"id": 1}
     twin = {"id": 1}  # equal by value, distinct by identity
     queue.push(first, TaskDeadline(100.0, clock=clock))
     queue.push(twin, TaskDeadline(100.0, clock=clock))
-    queue.remove(twin)
-    assert len(queue) == 1
     assert queue.pop() is first
-    with pytest.raises(ValueError):
-        queue.remove(twin)
-
-
-def test_edf_clear_returns_items_for_settlement():
-    queue = EDFQueue()
-    queue.push("x")
-    queue.push("y")
-    assert sorted(queue.clear()) == ["x", "y"]
-    assert len(queue) == 0
+    assert queue.pop() is twin
     with pytest.raises(IndexError):
         queue.pop()
 
