@@ -4,8 +4,10 @@
 Starts the HTTP serving layer as a subprocess over the portfolio
 workload, posts the same Table-3 Q1 query twice, and asserts the second
 request is served from the scenario store (hit counter moved, generation
-counter did not).  Used by the CI ``service-smoke`` job; also runnable
-locally::
+counter did not) and replays its search from the store's memo: the same
+multiplicities and objective, and every solve span of its traced tree
+marked ``memo=true``.  Used by the CI ``service-smoke`` job; also
+runnable locally::
 
     PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -62,14 +64,21 @@ def wait_for_status(base: str, timeout: float = 30.0) -> None:
     raise SystemExit("server never became healthy")
 
 
-def post_query(base: str, query: str) -> dict:
+def post_query(base: str, query: str, trace: bool = False) -> dict:
     request = urllib.request.Request(
         f"{base}/query",
-        data=json.dumps({"query": query}).encode(),
+        data=json.dumps({"query": query, "trace": trace}).encode(),
         headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(request, timeout=300) as response:
         return json.loads(response.read())
+
+
+def iter_spans(node):
+    """Depth-first walk of a trace document's span tree."""
+    yield node
+    for child in node.get("children", ()):
+        yield from iter_spans(child)
 
 
 def main() -> int:
@@ -96,7 +105,7 @@ def main() -> int:
             "MAXIMIZE EXPECTED SUM(Gain)"
         )
         first = post_query(base, query)
-        second = post_query(base, query)
+        second = post_query(base, query, trace=True)
         print(f"first:  feasible={first['feasible']}"
               f" wall={first['wall_time_s']:.3f}s store={first['store']}")
         print(f"second: feasible={second['feasible']}"
@@ -112,6 +121,19 @@ def main() -> int:
             "second request did not hit the scenario store"
         )
         assert second["objective"] == first["objective"]
+        assert (
+            second["package"]["multiplicities"]
+            == first["package"]["multiplicities"]
+        ), "the repeated query returned a different package"
+        # ... and it re-ran nothing: every solve was a memo replay.
+        solves = [
+            span for span in iter_spans(second["trace"]["root"])
+            if span["name"] in ("solve", "solve.q0")
+        ]
+        assert solves, "traced repeat has no solve spans"
+        unserved = [s["name"] for s in solves if not s["attrs"].get("memo")]
+        assert not unserved, f"repeat re-solved {len(unserved)} models"
+        print(f"second: {len(solves)} solves, all from the store's memo")
 
         with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
             metrics = response.read().decode()

@@ -23,9 +23,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import leastsq
 
 #: Minimum points for the arctangent fit (it has four parameters).
 _ARCTAN_MIN_POINTS = 4
+
+#: Memo miss marker (a cached fit may itself be ``None``).
+_UNFITTED = object()
 
 
 def snap_to_grid(alpha: float, step: float) -> float:
@@ -38,34 +42,50 @@ def snap_to_grid(alpha: float, step: float) -> float:
 
 
 def _fit_arctan_root(alphas: np.ndarray, surpluses: np.ndarray) -> float | None:
-    """Root of the fitted ``a·arctan(b(α−c)) + d``; ``None`` if unusable."""
-    try:
-        import warnings
+    """Root of the fitted ``a·arctan(b(α−c)) + d``; ``None`` if unusable.
 
-        from scipy.optimize import OptimizeWarning, curve_fit
+    The Levenberg–Marquardt fit ``scipy.optimize.curve_fit`` runs for
+    this model, called directly: same start, residual and acceptance
+    rule, without the covariance estimate nothing here reads.
+    """
+    if not (np.isfinite(alphas).all() and np.isfinite(surpluses).all()):
+        return None
 
-        def model(alpha, a, b, c, d):
-            return a * np.arctan(b * (alpha - c)) + d
-
-        spread = max(float(alphas.max() - alphas.min()), 1e-3)
-        p0 = [
-            max(float(surpluses.max() - surpluses.min()), 1e-3),
-            2.0 / spread,
-            float(alphas.mean()),
-            float(surpluses.mean()),
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            params, _ = curve_fit(model, alphas, surpluses, p0=p0, maxfev=2000)
+    def residual(params):
         a, b, c, d = params
-        if abs(a) < 1e-12 or abs(b) < 1e-12:
-            return None
-        ratio = -d / a
-        if not -np.pi / 2 + 1e-9 < ratio < np.pi / 2 - 1e-9:
-            return None
-        return float(c + math.tan(ratio) / b)
+        return a * np.arctan(b * (alphas - c)) + d - surpluses
+
+    spread = max(float(alphas.max() - alphas.min()), 1e-3)
+    p0 = [
+        max(float(surpluses.max() - surpluses.min()), 1e-3),
+        2.0 / spread,
+        float(alphas.mean()),
+        float(surpluses.mean()),
+    ]
+    try:
+        params, _, _, _, ier = leastsq(residual, p0, full_output=True, maxfev=2000)
     except Exception:
         return None
+    if ier not in (1, 2, 3, 4):
+        return None
+    a, b, c, d = params
+    if abs(a) < 1e-12 or abs(b) < 1e-12:
+        return None
+    ratio = -d / a
+    if not -np.pi / 2 + 1e-9 < ratio < np.pi / 2 - 1e-9:
+        return None
+    return float(c + math.tan(ratio) / b)
+
+
+def _memoised_arctan_root(alphas, surpluses, memo) -> float | None:
+    """:func:`_fit_arctan_root` through the evaluation's memo, if any."""
+    if memo is None:
+        return _fit_arctan_root(alphas, surpluses)
+    key = ("alpha", alphas.tobytes(), surpluses.tobytes())
+    root = memo.get(key, _UNFITTED)
+    if root is _UNFITTED:
+        root = memo[key] = _fit_arctan_root(alphas, surpluses)
+    return root
 
 
 def _fit_linear_root(alphas: np.ndarray, surpluses: np.ndarray) -> float | None:
@@ -102,6 +122,7 @@ def guess_alpha(
     history: list[tuple[float, float]],
     grid_step: float,
     target_p: float | None = None,
+    memo=None,
 ) -> float:
     """Next α for one probabilistic item given its ``(α, r)`` history.
 
@@ -112,6 +133,9 @@ def guess_alpha(
     incumbent feasible for any smaller α (its chosen scenarios are the
     ones the incumbent already satisfies), so smaller steps provably
     cannot change the solution.
+
+    ``memo`` (the evaluation's, see ``EvaluationContext.memo``) serves
+    an arctangent fit of a history already fitted.
     """
     if not history:
         raise ValueError("alpha search requires at least one (alpha, surplus) point")
@@ -121,7 +145,7 @@ def guess_alpha(
 
     candidate = None
     if len(history) >= _ARCTAN_MIN_POINTS and len(np.unique(alphas)) >= _ARCTAN_MIN_POINTS:
-        candidate = _fit_arctan_root(alphas, surpluses)
+        candidate = _memoised_arctan_root(alphas, surpluses, memo)
     if candidate is None:
         candidate = _bracket_root(alphas, surpluses)
     if candidate is None and len(history) >= 2:

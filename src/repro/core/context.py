@@ -61,13 +61,14 @@ class EvaluationContext:
         #: from it so concurrent/repeated queries share realizations.
         self.scenario_store = store
         self._mean_cache: dict[int, np.ndarray] = {}
-        #: Exact per-evaluation memos of the two pure functions CSA
-        #: re-evaluates (docs/architecture.md, "Ask once per evaluation"):
-        #: model digest -> raw solver outcome (``solver/highs.py``), and
-        #: (item, package) -> satisfied count (``Validator``).  They die
-        #: with the context; nothing is shared across evaluations.
-        self.solve_memo: dict = {}
-        self.validation_memo: dict = {}
+        #: Exact memo of the pure functions CSA re-evaluates
+        #: (docs/architecture.md, "Ask once"): model digest
+        #: -> raw solver outcome (``solver/highs.py``), validation key ->
+        #: satisfied count (``Validator``), (α, r) history -> arctangent
+        #: root (``core/alpha.py``).  Every key is content, so with a store
+        #: the memo is the store's and outlives the evaluation; without
+        #: one it is private and dies with the context.
+        self.memo = store.memo if store is not None else {}
 
         if self.model is not None:
             self.estimator = ExpectationEstimator(self.model, config, store=store)
@@ -201,7 +202,7 @@ class EvaluationContext:
         objectives) are added on top by the SAA/CSA formulations.
         """
         builder = MILPBuilder()
-        builder.solve_memo = self.solve_memo
+        builder.solve_memo = self.memo
         x_idx = builder.add_variables(
             "x", self.problem.n_vars, lb=0.0, ub=self.variable_ub, integer=True
         )

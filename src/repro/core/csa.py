@@ -221,7 +221,11 @@ def csa_solve(
         hits_before = validator.memo_hits
         with validate_watch:
             report = validator.validate(x, claimed_objective=claimed)
-        eps_q = epsilon_certificate(sense, report.objective, bounds) if sense else None
+        eps_q = (
+            epsilon_certificate(sense, report.objective, bounds)
+            if sense and report.feasible
+            else None
+        )
         report.epsilon_upper = eps_q
         surpluses = _item_surpluses(items, report, claimed)
         record = CSAIteration(
@@ -269,7 +273,7 @@ def csa_solve(
         for k in range(n_items):
             histories[k].append((alphas[k], surpluses[k]))
             new_alpha = guess_alpha(
-                histories[k], grid_step, target_p=items[k]["p"]
+                histories[k], grid_step, target_p=items[k]["p"], memo=ctx.memo
             )
             accelerate[k] = new_alpha < alphas[k] - 1e-12
             alphas[k] = new_alpha

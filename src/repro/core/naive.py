@@ -78,7 +78,11 @@ def naive_evaluate(
             record.validate_time = validate_watch.elapsed
             record.feasible = report.feasible
             record.objective = report.objective
-            eps = epsilon_certificate(sense, report.objective, bounds) if sense else None
+            eps = (
+                epsilon_certificate(sense, report.objective, bounds)
+                if sense and report.feasible
+                else None
+            )
             report.epsilon_upper = eps
             record.epsilon_upper = eps
             candidate = _package_result(

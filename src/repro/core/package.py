@@ -140,7 +140,7 @@ class PackageResult:
         ]
         if self.objective is not None:
             lines.append(f"objective estimate: {self.objective:.6g}")
-        if self.epsilon_upper is not None:
+        if self.feasible and self.epsilon_upper is not None:
             lines.append(f"approximation bound 1+eps <= {1 + self.epsilon_upper:.4g}")
         if self.anytime is not None and not self.anytime.deadline_met:
             gap = (

@@ -63,10 +63,12 @@ def summary_search_evaluate(
 
     # --- Step 1: x(0) = Solve(SAA(Q0, M̂)) ------------------------------------
     q0_watch = Stopwatch()
-    with q0_watch, stage("solve.q0"):
+    with q0_watch, stage("solve.q0") as q0_span:
         q0_result = solve_unconstrained(
             ctx, min(config.solver_time_limit, max(deadline.remaining(), 0.01))
         )
+        if q0_result.meta.get("memo"):
+            q0_span.set("memo", True)
     stats.precompute_time = q0_watch.elapsed
     if not q0_result.has_solution:
         stats.declared_infeasible = q0_result.status == "infeasible"

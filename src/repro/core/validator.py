@@ -16,12 +16,14 @@ streaming discipline.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..config import STREAM_VALIDATION
+from ..db.expressions import render
 from ..mcdb.scenarios import MODE_TUPLE_WISE, ScenarioGenerator
 from ..obs import stage
 from ..silp.model import OP_GE
@@ -78,8 +80,14 @@ class Validator:
     def __init__(self, ctx):
         self.ctx = ctx
         self.n_scenarios = ctx.config.n_validation_scenarios
-        #: Counts served from ``ctx.validation_memo`` instead of realized.
+        #: Counts served from ``ctx.memo`` instead of realized.
         self.memo_hits = 0
+        self._key_prefix = _memo_prefix(ctx)
+        #: What a satisfied count depends on, per item, besides the package.
+        self._item_keys = {
+            item["index"]: (render(item["expr"]), item["inner_op"], item["rhs"])
+            for item in ctx.chance_items()
+        }
 
     # --- scenario scoring ---------------------------------------------------------
 
@@ -95,13 +103,14 @@ class Validator:
     def satisfied_count(self, x: np.ndarray, item: dict) -> int:
         """Number of validation scenarios whose inner constraint holds.
 
-        A pure function of (item, package) within one evaluation — the
-        validation stream is keyed by seed, chunk and tuple — so each
+        A pure function of the model, the validation stream's identity
+        (seed, ``M̂``, active rows), the item and the package, so each
         distinct package is realized once and CSA's re-validations (every
-        CSA-Solve restarts from the same ``x^{(0)}``) are a lookup.
+        CSA-Solve restarts from the same ``x^{(0)}``) — and, through the
+        store's memo, a repeated query's — are a lookup.
         """
-        memo = self.ctx.validation_memo
-        key = (item["index"], *package_key(x))
+        memo = self.ctx.memo
+        key = (*self._key_prefix, *self._item_keys[item["index"]], *package_key(x))
         count = memo.get(key)
         if count is None:
             count = memo[key] = self._count_satisfied(x, item)
@@ -162,6 +171,27 @@ class Validator:
                 objective=objective_value,
                 claimed_objective=claimed_objective,
             )
+
+
+def _memo_prefix(ctx) -> tuple:
+    """Validation-key prefix naming the model and the validation stream.
+
+    Only a store's memo is shared, so only it needs content: the model
+    fingerprint comes first (``ScenarioStore.prune_fingerprints`` reads
+    it there).  A private memo keeps a constant prefix, so a store-less
+    run never hashes the relation just to key a dict.
+    """
+    store = ctx.scenario_store
+    if store is None or ctx.model is None:
+        return ("validate",)
+    from ..service.store import model_fingerprint
+
+    stream = hashlib.blake2b(
+        repr((ctx.config.seed, ctx.config.n_validation_scenarios)).encode(),
+        digest_size=16,
+    )
+    stream.update(np.ascontiguousarray(ctx.problem.active_rows, dtype=np.int64))
+    return (model_fingerprint(ctx.model), "validate", stream.digest())
 
 
 def _inner_holds(scores: np.ndarray, inner_op: str, rhs: float) -> np.ndarray:

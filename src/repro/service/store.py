@@ -34,6 +34,14 @@ memmap-path descriptor (spilling resident ones once), and
 verifying their content hash.  The solve farm
 (:mod:`repro.service.farm`) uses exactly this pair to keep one realized
 matrix per content key across its whole worker pool.
+
+Beside the matrices the store owns :attr:`ScenarioStore.memo`, an
+:class:`AnswerMemo` of the exact answers an evaluation computes from
+them — raw solver outcomes, validation counts and α fits — so a repeated
+query replays its own CSA search instead of re-running it.  Its keys are
+content too (``docs/architecture.md``, "Ask once"), so a
+delta needs no invalidation rule; the memo is per process and is never
+handed off.
 """
 
 from __future__ import annotations
@@ -51,6 +59,12 @@ import numpy as np
 
 from ..db.expressions import Expr, render
 from ..obs import stage
+
+#: Byte bound on :attr:`ScenarioStore.memo`.  The ledger's ``serve_hot``
+#: hot set (12 query/seed keys, default config) leaves 579 answers in it,
+#: 0.84 MB; the bound keeps about twenty such working sets before the
+#: least-recently-used answers go.
+_MEMO_LIMIT_BYTES = 16 * 1024**2
 
 #: Attribute used to cache a model's fingerprint on the instance (the
 #: hash covers the full relation content; compute it once per model).
@@ -166,6 +180,78 @@ def store_key(generator, expr: Expr) -> tuple:
     )
 
 
+def _footprint(obj) -> int:
+    """Approximate bytes held by a memo key or answer."""
+    if isinstance(obj, np.ndarray):
+        return 112 + obj.nbytes
+    if isinstance(obj, (bytes, str)):
+        return 49 + len(obj)
+    if isinstance(obj, dict):
+        return 64 + sum(_footprint(k) + _footprint(v) for k, v in obj.items())
+    if isinstance(obj, (tuple, list)):
+        return 56 + sum(_footprint(item) for item in obj)
+    return 32
+
+
+class AnswerMemo:
+    """Thread-safe LRU mapping of exact answers, bounded in bytes.
+
+    Only ``get`` and item assignment are used by the evaluators, so a
+    plain ``dict`` stands in for it wherever no store is attached.
+    Entries over the bound are evicted, never spilled; an answer larger
+    than the whole bound is not kept.
+    """
+
+    def __init__(self, limit_bytes: int = _MEMO_LIMIT_BYTES):
+        self.limit_bytes = limit_bytes
+        self._entries: "OrderedDict[object, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key, default=None):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return default
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def __setitem__(self, key, value) -> None:
+        size = _footprint(key) + _footprint(value)
+        if size > self.limit_bytes:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= old[1]
+            self._entries[key] = (value, size)
+            self.nbytes += size
+            while self.nbytes > self.limit_bytes:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def keys(self) -> list:
+        """Keys in LRU-to-MRU order (for tests/inspection)."""
+        with self._lock:
+            return list(self._entries)
+
+    def prune(self, fingerprints: "set[str]") -> None:
+        """Drop entries keyed under a model fingerprint in ``fingerprints``."""
+        with self._lock:
+            for key in [
+                k for k in self._entries
+                if isinstance(k, tuple) and k and k[0] in fingerprints
+            ]:
+                self.nbytes -= self._entries.pop(key)[1]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
 @dataclass
 class StoreStats:
     """Counters exposed on ``/metrics`` and in experiment reports."""
@@ -261,6 +347,8 @@ class ScenarioStore:
         self._cond = threading.Condition()
         self._stats = StoreStats()
         self._closed = False
+        #: Exact answers derived from the stored matrices (module docstring).
+        self.memo = AnswerMemo()
 
     # --- lookup / fill ------------------------------------------------------
 
@@ -604,10 +692,12 @@ class ScenarioStore:
         reuse the old fingerprint, and so their memory is reclaimed
         promptly — post-delta queries key on the new fingerprint and
         would never hit them anyway.  Returns the number dropped
-        (counted under ``stale_dropped``).
+        (counted under ``stale_dropped``).  Validation answers keyed
+        under those fingerprints leave :attr:`memo` too, uncounted.
         """
         if not fingerprints:
             return 0
+        self.memo.prune(fingerprints)
         dropped = 0
         with self._cond:
             victims = [
@@ -624,11 +714,13 @@ class ScenarioStore:
         return dropped
 
     def clear(self) -> None:
-        """Drop every entry, releasing memmap handles and spill files.
+        """Drop every entry and memo answer, releasing memmap handles and
+        spill files.
 
         Counters survive (they describe the store's lifetime); the store
         stays usable.  Idempotent.
         """
+        self.memo.clear()
         with self._cond:
             for entry in self._entries.values():
                 self._release_entry(entry)
@@ -641,6 +733,7 @@ class ScenarioStore:
         A closed store serves subsequent requests by direct generation
         (no caching), so stale handles degrade gracefully.
         """
+        self.memo.clear()
         with self._cond:
             if self._closed:
                 return

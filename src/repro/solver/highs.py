@@ -8,13 +8,14 @@ solver returns a worse incumbent than the hint, the hint wins.  This
 makes warm-started solves never worse than the previous iteration's
 solution, which is the property the incremental SummarySearch loop needs.
 
-A builder that belongs to an evaluation carries that evaluation's
-``solve_memo``: CSA-Solve restarts from ``x^{(0)}`` at α = 0 for every
-(M, Z) and several α grid points keep the same scenarios per summary, so
-it re-poses byte-identical models.  The raw solver outcome is kept under
-a digest of exactly what HiGHS is given and replayed through
-:func:`_normalize` with the *current* hint, so a repeat returns what
-re-solving would have — without the solve.
+A builder that belongs to an evaluation carries that evaluation's memo
+as ``solve_memo`` (the ScenarioStore's when one is attached): CSA-Solve
+restarts from ``x^{(0)}`` at α = 0 for every (M, Z), several α grid
+points keep the same scenarios per summary, and a repeated query poses
+its whole search again, so byte-identical models recur.  The raw solver
+outcome is kept under a digest of exactly what HiGHS is given and
+replayed through :func:`_normalize` with the *current* hint, so a repeat
+returns what re-solving would have — without the solve.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def solve_with_highs(
     elapsed = time.perf_counter() - started
     result = _normalize(builder, c, hint, integrality, res, elapsed)
     if reduction is not None:
-        result.meta["reduction"] = reduction
+        result.meta["reduction"] = dict(reduction)
         emit(KIND_SOLVER_REDUCE, **reduction)
     return result
 

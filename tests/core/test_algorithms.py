@@ -6,12 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import Catalog, Relation
 from repro.core.context import EvaluationContext
 from repro.core.deterministic import deterministic_evaluate
 from repro.core.naive import naive_evaluate
 from repro.core.summarysearch import summary_search_evaluate
 from repro.core.validator import Validator
 from repro.errors import EvaluationError
+from repro.mcdb import GaussianNoiseVG, StochasticModel
 from repro.silp.compile import compile_query
 
 CHANCE_QUERY = """
@@ -91,6 +93,41 @@ def test_chance_infeasible_query_fails_gracefully(
     assert not result.feasible
     # M must have been grown to the cap before giving up (Section 6.2.1).
     assert result.stats.final_n_scenarios == 30
+
+
+@pytest.mark.parametrize(
+    "evaluate, feasible",
+    [(naive_evaluate, True), (summary_search_evaluate, False)],
+)
+def test_an_infeasible_package_carries_no_epsilon_certificate(
+    fast_config, evaluate, feasible
+):
+    """ε bounds the distance to the optimum of *feasible* packages only.
+
+    On eight Gaussian tuples (σ = 3) naive validates only its last
+    package, and SummarySearch ends at M = 80 with a package satisfying
+    about a third of the validation scenarios.  No infeasible package
+    gets an ε: not in a round's record, not in the result, not in
+    ``summary()``.
+    """
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 3.0)})
+    )
+    problem = compile_query(
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+        " SUM(Value) >= 15 WITH PROBABILITY >= 0.9"
+        " MINIMIZE EXPECTED SUM(Value)",
+        catalog,
+    )
+    result = evaluate(problem, fast_config)
+    infeasible = [r for r in result.stats.iterations if not r.feasible]
+    assert infeasible and all(r.epsilon_upper is None for r in infeasible)
+    assert result.package is not None and result.feasible is feasible
+    assert (result.epsilon_upper is not None) is feasible
+    assert (result.validation.epsilon_upper is not None) is feasible
+    assert ("1+eps" in result.summary()) is feasible
 
 
 def test_naive_accumulates_scenarios_on_failure(items_catalog, fast_config):

@@ -1,11 +1,14 @@
 """α search: grid snapping, root finding, floors, plateau handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeWarning, curve_fit
 
-from repro.core.alpha import guess_alpha, snap_to_grid
+from repro.core.alpha import _fit_arctan_root, guess_alpha, snap_to_grid
 
 
 def test_snap_to_grid_basics():
@@ -87,3 +90,52 @@ def test_plateau_of_equal_surpluses_progresses():
     history = [(0.0, -0.9)] + [(0.01 * k, -0.056) for k in range(1, 5)]
     out = guess_alpha(history, 0.01, target_p=0.9)
     assert out > 0.05
+
+
+# --- the arctangent fit is curve_fit's, called directly ----------------------------
+
+
+def curve_fit_root(alphas, surpluses):
+    """The fit as ``scipy.optimize.curve_fit`` runs it: the oracle."""
+    try:
+        def model(alpha, a, b, c, d):
+            return a * np.arctan(b * (alpha - c)) + d
+
+        spread = max(float(alphas.max() - alphas.min()), 1e-3)
+        p0 = [
+            max(float(surpluses.max() - surpluses.min()), 1e-3),
+            2.0 / spread,
+            float(alphas.mean()),
+            float(surpluses.mean()),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            params, _ = curve_fit(model, alphas, surpluses, p0=p0, maxfev=2000)
+        a, b, c, d = params
+        if abs(a) < 1e-12 or abs(b) < 1e-12:
+            return None
+        ratio = -d / a
+        if not -np.pi / 2 + 1e-9 < ratio < np.pi / 2 - 1e-9:
+            return None
+        return float(c + math.tan(ratio) / b)
+    except Exception:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.integers(1, 50), min_size=4, max_size=10, unique=True),
+    shape=st.tuples(
+        st.floats(0.01, 0.5), st.floats(0.5, 40.0), st.floats(0.0, 1.0),
+        st.floats(-0.3, 0.3),
+    ),
+    noise=st.lists(
+        st.floats(-0.05, 0.05) | st.sampled_from([0.0, float("nan")]),
+        min_size=10, max_size=10,
+    ),
+)
+def test_arctan_fit_is_bit_identical_to_curve_fit(steps, shape, noise):
+    a, b, c, d = shape
+    alphas = np.array(steps, dtype=float) / 50
+    surpluses = a * np.arctan(b * (alphas - c)) + d + np.array(noise[: len(steps)])
+    assert _fit_arctan_root(alphas, surpluses) == curve_fit_root(alphas, surpluses)

@@ -1,13 +1,15 @@
-"""Exactness of the per-evaluation memos (solve + validation).
+"""Exactness of the evaluation memo (solve + validation + α fit).
 
-Every case is evaluated twice: once as shipped, and once with the
-memos defeated *from the test side* — the context's two dicts are
-replaced by dicts that never store, so every lookup misses and every
-solve and validation really runs.  The two runs must agree on the
+Every case is evaluated twice: once as shipped, and once with the memo
+defeated *from the test side* — the context's memo (or the store's) is
+replaced by a dict that never stores, so every lookup misses and every
+solve, validation and fit really runs.  The two runs must agree on the
 package, the objective, the ε certificate and, round by round, on every
 ``CSAIteration`` and ``IterationRecord`` (timings aside).  Cases are
 labelled by whether CSA repeats itself on them, and the hits are
-counted, so neither side of the sweep can go unexercised.
+counted, so neither side of the sweep can go unexercised.  With a
+store the memo outlives the evaluation, so a repeated query is checked
+the same way, before and after a delta.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.alpha as alpha_module
 import repro.core.summarysearch as summarysearch_module
 from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.core.context import EvaluationContext
@@ -65,21 +68,43 @@ def _leave_no_process_caches_behind():
     refine_cache.clear()
 
 
-def evaluate(register, query, method, config, with_store, defeated, directory=None):
-    """One evaluation; returns (comparable outcome, solve hits, validate hits)."""
+def evaluate(
+    register, query, method, config, with_store, defeated, directory=None,
+    store=None, calls=None,
+):
+    """One evaluation; returns (comparable outcome, solve hits, validate hits).
+
+    ``store`` evaluates on that ScenarioStore (``with_store`` makes a
+    fresh one); ``calls``, if given, receives the number of solves,
+    validated items and α fits asked for, and how many the memo served.
+    """
     PartitionIndex.clear_memory()
     refine_cache.clear()
     rounds, solve_hits, validate_hits = [], [], []
+    fits, fitted, validated = [], [], []
     with pytest.MonkeyPatch.context() as patch:
         if defeated:
             real_init = EvaluationContext.__init__
 
             def init(self, *args, **kwargs):
                 real_init(self, *args, **kwargs)
-                self.solve_memo = NeverStores()
-                self.validation_memo = NeverStores()
+                self.memo = NeverStores()
 
             patch.setattr(EvaluationContext, "__init__", init)
+
+        real_memoised = alpha_module._memoised_arctan_root
+        real_fit = alpha_module._fit_arctan_root
+
+        def memoised(*args):
+            fits.append(1)
+            return real_memoised(*args)
+
+        def fit(*args):
+            fitted.append(1)
+            return real_fit(*args)
+
+        patch.setattr(alpha_module, "_memoised_arctan_root", memoised)
+        patch.setattr(alpha_module, "_fit_arctan_root", fit)
 
         real_csa = summarysearch_module.csa_solve
 
@@ -105,13 +130,14 @@ def evaluate(register, query, method, config, with_store, defeated, directory=No
             before = self.memo_hits
             report = real_validate(self, *args, **kwargs)
             validate_hits.append(self.memo_hits - before)
+            validated.append(len(report.items))
             return report
 
         patch.setattr(Validator, "validate", validate)
 
-        engine = SPQEngine(
-            config=config, store=ScenarioStore() if with_store else None
-        )
+        if store is None and with_store:
+            store = ScenarioStore()
+        engine = SPQEngine(config=config, store=store)
         relation = register(engine, directory)
         try:
             result = engine.execute(query, method=method)
@@ -140,6 +166,12 @@ def evaluate(register, query, method, config, with_store, defeated, directory=No
             dataclasses.replace(r, **untimed) for r in result.stats.iterations
         ],
     }
+    if calls is not None:
+        calls.update(
+            solves=len(solve_hits), solve_hits=sum(solve_hits),
+            validations=sum(validated), validate_hits=sum(validate_hits),
+            fits=len(fits), fit_hits=len(fits) - len(fitted),
+        )
     return outcome, sum(solve_hits), sum(validate_hits)
 
 
@@ -217,6 +249,102 @@ def test_memoised_evaluation_equals_recomputed_one(
         assert (solve_hits, validate_hits) == (0, 0)
 
 
+# --- the store's memo: a repeated query replays its own search ---------------------
+
+
+# (id, dataset, method, config overrides, every call is evaluated on the store)
+REPEATED = [
+    ("correlated-q2", workload("portfolio_correlated", "Q2", 30),
+     "summarysearch", dict(seed=1), True),
+    # The driver's sketch is a store-less evaluation of its own, so only
+    # the partition refines replay from the store.
+    ("scale-driver-disk", portfolio_q1(40, on_disk=True), "sketchrefine",
+     dict(seed=5, scale_n_partitions=3), False),
+]
+
+
+@pytest.mark.parametrize(
+    "dataset, method, overrides, all_on_store",
+    [pytest.param(*case[1:], id=case[0]) for case in REPEATED],
+)
+def test_a_repeated_query_replays_its_search_from_the_store(
+    dataset, method, overrides, all_on_store, tmp_path
+):
+    register, query = dataset
+    config = CONFIG.replace(**overrides)
+    store = ScenarioStore()
+    calls = [{}, {}]
+    first, _, _ = evaluate(
+        register, query, method, config, True, False, tmp_path / "first",
+        store=store, calls=calls[0],
+    )
+    second, _, _ = evaluate(
+        register, query, method, config, True, False, tmp_path / "second",
+        store=store, calls=calls[1],
+    )
+    defeated = ScenarioStore()
+    defeated.memo = NeverStores()
+    recomputed, solve_hits, validate_hits = evaluate(
+        register, query, method, config, True, True, tmp_path / "recomputed",
+        store=defeated,
+    )
+    assert (solve_hits, validate_hits) == (0, 0)
+    assert first == second == recomputed
+    # The repeat asks the same questions and is served what the first
+    # run computed.
+    before, repeat = calls
+    for kind in ("solves", "validations", "fits"):
+        assert repeat[kind] == before[kind]
+    for kind in ("solve", "validate", "fit"):
+        assert repeat[f"{kind}_hits"] > before[f"{kind}_hits"]
+    if all_on_store:
+        # Nothing of the search is re-run.
+        assert repeat["solve_hits"] == repeat["solves"]
+        assert repeat["validate_hits"] == repeat["validations"]
+        assert repeat["fit_hits"] == repeat["fits"]
+
+
+def test_after_a_delta_a_shared_store_answers_what_a_fresh_one_does():
+    from repro.db.delta import RelationDelta
+
+    params = PortfolioParams(n_stocks=40, seed=7)
+    delta = RelationDelta(updates={3: {"price": 18.0}}, deletes=[17])
+    query = get_query("portfolio", "Q1").spaql
+    config = CONFIG.replace(seed=5)
+
+    def before(engine, _):
+        engine.register(*build_portfolio(params))
+
+    def after(engine, _):
+        relation, model = build_portfolio(params)
+        post, _ = relation.apply_delta(delta)
+        engine.register(
+            post,
+            StochasticModel(
+                post,
+                {a: model.vg(a).unbound_copy() for a in model.attribute_names},
+            ),
+        )
+
+    store = ScenarioStore()
+    evaluate(before, query, "summarysearch", config, True, False, store=store)
+    shared = evaluate(after, query, "summarysearch", config, True, False, store=store)
+    fresh = evaluate(after, query, "summarysearch", config, True, False)
+    assert shared[0] == fresh[0]
+    assert shared[0]["multiplicities"] is not None
+
+
+def test_store_less_contexts_share_nothing():
+    problem = chance_problem()
+    first = EvaluationContext(problem, CONFIG)
+    second = EvaluationContext(problem, CONFIG)
+    assert first.memo is not second.memo
+    Validator(first).validate(np.array([1, 0, 1, 0, 0]))
+    assert len(first.memo) == 2 and len(second.memo) == 0
+    store = ScenarioStore()
+    assert EvaluationContext(problem, CONFIG, store=store).memo is store.memo
+
+
 def test_in_memory_sketchrefine_of_a_deterministic_query_is_untouched():
     """``core/sketchrefine.py`` builds standalone models: no memo, no hits."""
     rng = np.random.default_rng(0)
@@ -286,7 +414,7 @@ def test_satisfied_count_is_what_a_fresh_validator_returns(pool, order, seed):
         fresh = Validator(EvaluationContext(chance_problem(), config))
         assert validator.satisfied_count(x, item) == fresh.satisfied_count(x, item)
     distinct = {(tuple(pool[w % len(pool)]), i) for w, i in order}
-    assert len(ctx.validation_memo) == len(distinct)
+    assert len(ctx.memo) == len(distinct)
     assert validator.memo_hits == len(order) - len(distinct)
 
 
