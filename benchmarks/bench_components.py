@@ -118,14 +118,16 @@ def test_csa_incremental_vs_cold(benchmark):
     feasible MIP start.  The cold path rebuilds the model from scratch
     and rediscovers an incumbent from nothing; the incremental path
     clones the cached base block and carries the previous incumbent as
-    its warm start.
+    its warm start.  The cold context is made here: its ``base_milp``
+    rebuilds from scratch, and it is never handed a warm start.
     """
     spec = get_query("portfolio", "Q1")
     catalog = cached_catalog("portfolio", "Q1", scale=400)
     config = bench_config(mip_gap=0.01)
     problem = compile_query(spec.spaql, catalog)
     inc_ctx = EvaluationContext(problem, config)
-    cold_ctx = EvaluationContext(problem, config.replace(incremental_solves=False))
+    cold_ctx = EvaluationContext(problem, config)
+    cold_ctx.base_milp = cold_ctx.build_base_milp
     item = inc_ctx.chance_items()[0]
     m_scenarios, n_summaries = 32, 4
     builder = SummaryBuilder(inc_ctx, m_scenarios, n_summaries)

@@ -348,7 +348,7 @@ def test_trace_overhead_disabled_noop_enabled_under_2pct():
             engine.execute(spec.spaql)
         n_spans = len(traced.spans)
         started = time.perf_counter()
-        engine.execute(spec.spaql, trace_enabled=False, profile_stages=False)
+        engine.execute(spec.spaql, trace_enabled=False)
         warm_wall = time.perf_counter() - started
     assert n_spans > 0
 

@@ -99,7 +99,7 @@ def main() -> int:
     assert n_spans > 0 and traced.dropped == 0
 
     started = time.perf_counter()
-    engine.execute(spec.spaql, trace_enabled=False, profile_stages=False)
+    engine.execute(spec.spaql, trace_enabled=False)
     warm_wall = time.perf_counter() - started
 
     overhead = n_spans * enabled_cost / warm_wall

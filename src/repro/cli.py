@@ -262,19 +262,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for scenario generation"
                              " (results are identical for any count)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="rebuild and cold-solve every solver iteration"
-                             " instead of reusing the model skeleton and"
-                             " warm-starting from the previous solution")
-    parser.add_argument("--scale-out", action="store_true",
-                        help="route oversized stochastic queries (>="
-                             " --scale-threshold active tuples) through the"
-                             " out-of-core stochastic SketchRefine driver"
-                             " (repro.scale)")
-    parser.add_argument("--scale-threshold", type=int, default=200_000,
-                        metavar="ROWS",
-                        help="active-tuple count at which --scale-out"
-                             " reroutes summarysearch (default: 200000)")
     parser.add_argument("--partitions", type=int, default=None, metavar="K",
                         help="partition count for the sketchrefine method"
                              " (default: config)")
@@ -317,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                           ' value}], ...], "deletes": [...]}} (repeatable;'
                           " applied in order — see docs/live_data.md)")
     run.add_argument("--output", help="write the package relation as CSV")
-    run.add_argument("--profile-stages", action="store_true",
-                     help="aggregate per-stage self times across the run and"
-                          " print a flat profile table at the end")
+    run.add_argument("--profile-stages", action="store_true", dest="self_times",
+                     help="print the run's per-stage self times (the"
+                          " 'repro trace' top table) at the end")
     run.add_argument("--trace-out", metavar="PATH",
                      help="write the evaluation's span tree as JSON"
                           " (render it with 'repro trace PATH')")
@@ -493,8 +480,6 @@ def _workload_specs(args):
 
 def _build_config(args, **extra) -> SPQConfig:
     scale_kwargs = {}
-    if getattr(args, "scale_out", False):
-        scale_kwargs["scale_threshold_rows"] = args.scale_threshold
     if getattr(args, "partitions", None) is not None:
         scale_kwargs["scale_n_partitions"] = args.partitions
     if getattr(args, "scale_budget", None):
@@ -508,7 +493,6 @@ def _build_config(args, **extra) -> SPQConfig:
         time_limit=args.time_limit,
         deadline_ms=getattr(args, "deadline_ms", None),
         n_workers=max(args.workers, 1),
-        incremental_solves=not args.no_incremental,
         vg_overrides=tuple(getattr(args, "vg", []) or ()),
         **scale_kwargs,
         **extra,
@@ -539,10 +523,7 @@ def cmd_run(args) -> int:
     """``repro run``: evaluate one query and print the package."""
     from .service.store import ScenarioStore
 
-    config = _build_config(
-        args,
-        **({"profile_stages": True} if args.profile_stages else {}),
-    )
+    config = _build_config(args)
     catalog = _build_catalog(args, config)
     query = args.query
     if query is None and args.query_file is not None:
@@ -594,11 +575,11 @@ def cmd_run(args) -> int:
                 handle.write("\n")
             print(f"trace written to {args.trace_out}"
                   f" (render: repro trace {args.trace_out})")
-    if args.profile_stages:
-        from .obs import stage_profile
+    if args.self_times:
+        from .obs import aggregate_self_times, format_top_table
 
         print("\nper-stage self time:")
-        print(stage_profile.table())
+        print(format_top_table(aggregate_self_times(engine.last_trace["root"])))
     return EXIT_OK if result.succeeded else EXIT_INFEASIBLE
 
 

@@ -83,24 +83,13 @@ class SPQConfig:
     #: Number of Monte Carlo scenarios averaged to estimate E[t_i.A] when
     #: the VG function has no closed-form mean.
     n_expectation_scenarios: int = 2_000
-    #: Prefer analytic means when the VG function provides them.
-    analytic_expectations: bool = True
 
     # --- bounds probing (Appendix B, assumption A1) -------------------------
     #: Scenarios sampled to estimate empirical value bounds (s̲, s̄) when
     #: the VG support is unbounded.
     n_probe_scenarios: int = 64
 
-    # --- incremental & parallel evaluation ----------------------------------
-    #: Reuse the deterministic MILP block across solver iterations: the
-    #: base model is built and materialized once per evaluation, each
-    #: SAA/CSA iteration clones it and appends only its indicator rows,
-    #: and the previous iteration's solution seeds the next solve as a
-    #: MIP start.  Warm starts guarantee iterations never regress below
-    #: the previous solution; at the default (tight) ``mip_gap`` results
-    #: are identical with the flag on or off, while under a loose gap the
-    #: warm-started path may return a better within-gap package.
-    incremental_solves: bool = True
+    # --- parallel evaluation ------------------------------------------------
     #: Worker processes for scenario-matrix generation (1 = sequential).
     #: Chunking is keyed by scenario/block identity, so results are
     #: bit-identical to sequential generation for any worker count.
@@ -157,15 +146,11 @@ class SPQConfig:
     scale_chunk_rows: int = 65_536
     #: Byte budget for a ColumnStore's resident chunk cache (None =
     #: unbounded).  Applies to stores opened through this config (the
-    #: CLI's ``--scale-out`` path); peak usage is surfaced as the
-    #: ``repro_scale_resident_peak_bytes`` gauge.
+    #: CLI's ``--table DIR --scale-budget``); peak usage is surfaced as
+    #: the ``repro_scale_resident_peak_bytes`` gauge.  A
+    #: ``summarysearch`` query whose scenario footprint exceeds its
+    #: store's budget routes to the scale driver (``docs/scaling.md``).
     scale_resident_budget: int | None = None
-    #: Auto-route threshold: a stochastic query whose active-tuple count
-    #: reaches this routes from ``summarysearch`` to the scale driver
-    #: (``None`` disables auto-routing; the CLI's ``--scale-out`` sets
-    #: it).  Explicit ``method="sketchrefine"`` requests always use the
-    #: driver regardless.
-    scale_threshold_rows: int | None = None
 
     # --- observability (repro.obs) ------------------------------------------
     #: Record trace spans for every evaluation (parse/compile/solve/
@@ -177,10 +162,6 @@ class SPQConfig:
     #: Completed traces kept in the broker's in-memory ring for
     #: ``GET /trace/<id>`` (oldest evicted beyond this).
     trace_ring_size: int = 256
-    #: Aggregate per-stage *self* time (wall minus children) into the
-    #: process-wide flat profile (``repro.obs.profile.stage_profile``;
-    #: printed by ``repro run --profile-stages``).
-    profile_stages: bool = False
     #: Broker queries slower than this are appended to the slow-query
     #: JSONL log; ``None`` uses the log's default (1s) when a log path
     #: is set.
@@ -291,8 +272,6 @@ class SPQConfig:
             raise EvaluationError("scale_chunk_rows must be >= 1")
         if self.scale_resident_budget is not None and self.scale_resident_budget < 1:
             raise EvaluationError("scale_resident_budget must be positive or None")
-        if self.scale_threshold_rows is not None and self.scale_threshold_rows < 1:
-            raise EvaluationError("scale_threshold_rows must be >= 1 or None")
         if self.trace_ring_size < 1:
             raise EvaluationError("trace_ring_size must be >= 1")
         if self.slow_query_threshold_s is not None and self.slow_query_threshold_s < 0:

@@ -140,7 +140,11 @@ def finalize_anytime(result, config, elapsed_s: float) -> None:
     )
     truncated = tuple(result.meta.get("truncated_stages", ()))
     if not timed_out:
-        gap: float | None = 0.0 if result.package is not None else None
+        # Only a package that validated is certified; an infeasible one
+        # has no distance to any optimum to report.
+        gap: float | None = (
+            0.0 if result.package is not None and result.feasible else None
+        )
         bound = None
     else:
         gap, bound = _truncation_gap(result)

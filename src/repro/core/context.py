@@ -122,8 +122,8 @@ class EvaluationContext:
         self.size_bounds = package_size_bounds(
             problem, self.mean_coefficients, self.variable_ub
         )
-        #: Incremental base-model template: (builder, x indices); callers
-        #: receive clones of the builder (see :meth:`base_milp`).
+        #: Base-model template: (builder, x indices); callers receive
+        #: clones of the builder (see :meth:`base_milp`).
         self._incremental_base: tuple | None = None
 
     # --- coefficients -----------------------------------------------------------
@@ -228,16 +228,13 @@ class EvaluationContext:
     def base_milp(self) -> tuple[MILPBuilder, np.ndarray]:
         """The base MILP, positioned for appending probabilistic rows.
 
-        With ``config.incremental_solves`` the deterministic block is
-        built (and its sparse rows materialized) exactly once per
-        evaluation; every call returns a cheap clone of that template, so
-        iteration *q+1* of the SAA/CSA loops reuses iteration *q*'s model
-        skeleton and only pays for its own indicator rows.  Without the
-        flag this is a plain :meth:`build_base_milp`, rebuilding from
-        scratch.
+        The deterministic block is built (and its sparse rows
+        materialized) exactly once per evaluation; every call returns a
+        cheap clone of that template, so iteration *q+1* of the SAA/CSA
+        loops reuses iteration *q*'s model skeleton and only pays for its
+        own indicator rows.  :meth:`build_base_milp` stays the cold
+        reference.
         """
-        if not self.config.incremental_solves:
-            return self.build_base_milp()
         if self._incremental_base is None:
             builder, x_idx = self.build_base_milp()
             # Materialize the deterministic rows now: every clone shares

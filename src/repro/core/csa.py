@@ -78,9 +78,9 @@ def formulate_csa(
     constraint is dropped (0% of scenarios need to be satisfied), and a
     probability objective degenerates to a feasibility objective.
 
-    With ``config.incremental_solves`` the deterministic block is reused
-    across calls (only the summary-indicator rows are appended), and
-    ``warm_x`` — the incumbent the summaries were built around — seeds
+    The deterministic block is reused across calls (only the
+    summary-indicator rows are appended), and ``warm_x`` — the incumbent
+    the summaries were built around — seeds
     the solver as a MIP start when it is feasible for the new CSA.
     """
     builder, x_idx = ctx.base_milp()
@@ -113,8 +113,7 @@ def formulate_csa(
         objective_weights = weights
         objective_indicators = y_idx
         objective_flipped = item.get("sense") == SENSE_MIN
-    if ctx.config.incremental_solves:
-        apply_warm_start(builder, x_idx, warm_x, indicator_blocks)
+    apply_warm_start(builder, x_idx, warm_x, indicator_blocks)
     return CSAFormulation(
         builder=builder,
         x_indices=x_idx,

@@ -166,10 +166,10 @@ class SPQEngine:
             # Already under an active trace (broker thread or farm
             # worker activated it); just nest.
             return self._execute_traced(query, method, effective)
-        if not (effective.trace_enabled or effective.profile_stages):
+        if not effective.trace_enabled:
             return self._execute_traced(query, method, effective)
         # Self-rooted trace: CLI / library use without a broker above.
-        own = TraceSession(trace_id=new_trace_id(), profile=effective.profile_stages)
+        own = TraceSession(trace_id=new_trace_id())
         try:
             with activate(own):
                 return self._execute_traced(query, method, effective)
@@ -235,17 +235,36 @@ class SPQEngine:
             return deterministic_evaluate(problem, effective, store=self.store)
         if method == METHOD_NAIVE:
             return naive_evaluate(problem, effective, store=self.store)
-        if (
-            effective.scale_threshold_rows is not None
-            and problem.n_vars >= effective.scale_threshold_rows
-            and problem.chance_constraints
-            and not problem.has_probability_objective
-        ):
-            # Oversized relation: route summarysearch through the scale
-            # driver (``--scale-out`` / config.scale_threshold_rows).
+        if _exceeds_resident_budget(problem, effective):
+            # The scenarios would not fit the store's resident budget:
+            # route summarysearch through the out-of-core driver.
             from ..scale.driver import scale_sketch_refine_evaluate
 
             return scale_sketch_refine_evaluate(
                 problem, effective, store=self.store
             )
         return summary_search_evaluate(problem, effective, store=self.store)
+
+
+def _exceeds_resident_budget(
+    problem: StochasticPackageProblem, config: SPQConfig
+) -> bool:
+    """Whether SummarySearch's scenario footprint outgrows the relation.
+
+    The footprint is ``n_vars × max_scenarios`` float64 cells per chance
+    constraint; it routes only a chance-constrained, non-probability
+    objective query over a relation with a ``resident_budget`` (an
+    on-disk column store opened with one).  In-memory relations and
+    unbudgeted stores never route.
+    """
+    budget = getattr(problem.relation, "resident_budget", None)
+    if (
+        budget is None
+        or not problem.chance_constraints
+        or problem.has_probability_objective
+    ):
+        return False
+    footprint = (
+        problem.n_vars * config.max_scenarios * 8 * len(problem.chance_constraints)
+    )
+    return footprint > budget

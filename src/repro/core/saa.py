@@ -64,9 +64,9 @@ def formulate_saa(
 ) -> SAAFormulation:
     """``FormulateSAA(Q, S)`` with ``|S| = n_scenarios`` (Algorithm 1, line 3).
 
-    With ``config.incremental_solves`` the deterministic block is reused
-    from the previous formulation (only the scenario-indicator rows are
-    appended), and ``warm_x`` — the previous iteration's package — seeds
+    The deterministic block is reused from the previous formulation (only
+    the scenario-indicator rows are appended), and ``warm_x`` — the
+    previous iteration's package — seeds
     the solver as a MIP start when it is still feasible.
     """
     builder, x_idx = ctx.base_milp()
@@ -107,8 +107,7 @@ def formulate_saa(
         )
         objective_indicators = y_idx
         indicator_blocks.append((y_idx, matrix, inner_op, rhs))
-    if ctx.config.incremental_solves:
-        apply_warm_start(builder, x_idx, warm_x, indicator_blocks)
+    apply_warm_start(builder, x_idx, warm_x, indicator_blocks)
     return SAAFormulation(
         builder=builder,
         x_indices=x_idx,

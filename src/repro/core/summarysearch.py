@@ -182,7 +182,6 @@ def summary_search_evaluate(
                     "objective_sense": ctx.objective_sense,
                     "final_M": n_scenarios,
                     "final_Z": min(n_summaries, n_scenarios),
-                    "incremental_solves": config.incremental_solves,
                 },
             )
             best = _keep_best(ctx, best, candidate)

@@ -83,7 +83,7 @@ class ExpectationEstimator:
         if name in self._attribute_means:
             return self._attribute_means[name]
         vg = self.model.vg(name)
-        mean = vg.mean() if self.config.analytic_expectations else None
+        mean = vg.mean()
         if mean is None:
             mean = self._stored_mean(
                 name, lambda: self._monte_carlo_attribute_mean(name)

@@ -12,9 +12,9 @@ Five cooperating pieces, all dependency-free and cheap when unused:
   ``/metrics`` as ``repro_stage_seconds_bucket{stage=...}``, and the one
   mergeable snapshot (``collect`` / ``merge`` / ``diff``) behind
   ``/status`` and ``/metrics``.
-* :mod:`repro.obs.profile` — flat per-stage self-time aggregation
-  (``SPQConfig.profile_stages``) plus the waterfall / top-N renderers
-  behind the ``repro trace`` CLI.
+* :mod:`repro.obs.profile` — per-stage self-time aggregation over one
+  span tree plus the waterfall / top-N renderers behind the
+  ``repro trace`` CLI.
 * :mod:`repro.obs.events` — trace-scoped convergence event streams
   (root-LP reduction verdicts, CSA ε-trajectory, refine outcomes)
   rendered by ``repro trace --convergence``.
@@ -53,11 +53,9 @@ from .metrics import (
     status_sections,
 )
 from .profile import (
-    StageProfile,
     aggregate_self_times,
     format_top_table,
     format_waterfall,
-    stage_profile,
     trace_document,
 )
 from .resources import (
@@ -87,7 +85,6 @@ __all__ = [
     "QueryResourceProbe",
     "SlowQueryLog",
     "StageHistograms",
-    "StageProfile",
     "TraceRing",
     "TraceSession",
     "activate",
@@ -112,7 +109,6 @@ __all__ = [
     "span_tree",
     "stage",
     "stage_histograms",
-    "stage_profile",
     "status_sections",
     "trace_document",
 ]

@@ -1,58 +1,15 @@
-"""Flat per-stage profiles and trace renderers.
+"""Span-tree self-time aggregation and trace renderers.
 
-Two consumers of the span stream:
-
-* :class:`StageProfile` — the opt-in ``SPQConfig.profile_stages`` hook:
-  every finished span adds its *self time* (wall minus direct
-  children's wall) to a process-wide flat profile, so a long run
-  answers "where did the time go" without storing any spans.  This is
-  the measurement ROADMAP item 3 ("vectorized hot path, profile-first,
-  no single >30% component") reads.
-* The ``repro trace`` CLI renderers — :func:`format_waterfall` draws a
-  span tree as an offset-scaled waterfall, :func:`format_top_table`
-  ranks stages by aggregated self time.  Both operate on the JSON
-  documents served by ``GET /trace/<id>`` (see :func:`trace_document`
-  for the accepted shapes).
+The ``repro trace`` CLI (and ``repro run --profile-stages``) read one
+span tree: :func:`aggregate_self_times` sums each stage's *self time*
+(wall minus direct children's wall), :func:`format_top_table` ranks
+stages by it, and :func:`format_waterfall` draws the tree as an
+offset-scaled waterfall.  All operate on the JSON documents served by
+``GET /trace/<id>`` (see :func:`trace_document` for the accepted
+shapes).
 """
 
 from __future__ import annotations
-
-import threading
-
-
-class StageProfile:
-    """Flat self-time aggregation across every traced evaluation."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stages: dict[str, dict] = {}
-
-    def add(self, stage: str, self_s: float, wall_s: float) -> None:
-        with self._lock:
-            entry = self._stages.get(stage)
-            if entry is None:
-                entry = self._stages[stage] = {
-                    "self_s": 0.0, "wall_s": 0.0, "count": 0,
-                }
-            entry["self_s"] += self_s
-            entry["wall_s"] += wall_s
-            entry["count"] += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: dict(entry) for name, entry in self._stages.items()}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stages = {}
-
-    def table(self, top: int | None = 10) -> str:
-        """The top-N self-time table for this profile."""
-        return format_top_table(self.snapshot(), top=top)
-
-
-#: The process-wide profile sessions feed when ``profile_stages`` is on.
-stage_profile = StageProfile()
 
 
 # --- span-tree helpers -----------------------------------------------------

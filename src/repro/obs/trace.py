@@ -37,9 +37,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .metrics import stage_histograms
-from .profile import stage_profile
 
-#: The active (session, parent_span_id, parent_stage) frame, or None.
+#: The active (session, parent_span_id) frame, or None.
 _CURRENT: ContextVar = ContextVar("repro_obs_frame", default=None)
 
 _span_counter = itertools.count(1)
@@ -64,7 +63,7 @@ class TraceSession:
     """Span accumulator for one traced evaluation (one per query)."""
 
     __slots__ = (
-        "trace_id", "spans", "max_spans", "dropped", "profile",
+        "trace_id", "spans", "max_spans", "dropped",
         "events", "max_events", "events_dropped", "resources",
     )
 
@@ -72,7 +71,6 @@ class TraceSession:
         self,
         trace_id: str,
         max_spans: int = 2048,
-        profile: bool = False,
         max_events: int = 4096,
     ):
         self.trace_id = trace_id
@@ -81,9 +79,6 @@ class TraceSession:
         #: Spans discarded once ``max_spans`` was reached (a runaway
         #: solve loop must not hold unbounded memory per query).
         self.dropped = 0
-        #: Feed finished spans into the flat self-time profile
-        #: (``SPQConfig.profile_stages``).
-        self.profile = profile
         #: Convergence events (:mod:`repro.obs.events`), bounded like
         #: spans: a per-node solver stream must not hold unbounded
         #: memory per query.
@@ -137,7 +132,7 @@ def activate(session: TraceSession, parent_id: str | None = None):
     span when crossing a thread or process boundary, None for a
     self-rooted trace).
     """
-    token = _CURRENT.set((session, parent_id, None))
+    token = _CURRENT.set((session, parent_id))
     try:
         yield session
     finally:
@@ -167,16 +162,13 @@ class _Stage:
 
     __slots__ = (
         "_frame", "name", "attrs", "span_id", "_token",
-        "_start_epoch", "_start_wall", "_start_cpu", "child_wall",
+        "_start_epoch", "_start_wall", "_start_cpu",
     )
 
     def __init__(self, frame, name: str, attrs: dict):
         self._frame = frame
         self.name = name
         self.attrs = attrs
-        #: Wall time accumulated by direct children; self time is
-        #: ``wall - child_wall`` (feeds the flat profile).
-        self.child_wall = 0.0
 
     def set(self, key: str, value) -> "_Stage":
         """Attach one attribute; chainable."""
@@ -186,7 +178,7 @@ class _Stage:
     def __enter__(self) -> "_Stage":
         self.span_id = new_span_id()
         session = self._frame[0]
-        self._token = _CURRENT.set((session, self.span_id, self))
+        self._token = _CURRENT.set((session, self.span_id))
         self._start_epoch = time.time()
         self._start_cpu = time.thread_time()
         self._start_wall = time.perf_counter()
@@ -196,7 +188,7 @@ class _Stage:
         wall = time.perf_counter() - self._start_wall
         cpu = time.thread_time() - self._start_cpu
         _CURRENT.reset(self._token)
-        session, parent_id, parent_stage = self._frame
+        session, parent_id = self._frame
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         session.add(
@@ -211,11 +203,7 @@ class _Stage:
                 "attrs": self.attrs,
             }
         )
-        if parent_stage is not None:
-            parent_stage.child_wall += wall
         stage_histograms.observe(self.name, wall)
-        if session.profile:
-            stage_profile.add(self.name, max(0.0, wall - self.child_wall), wall)
         return False
 
 

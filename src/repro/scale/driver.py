@@ -275,7 +275,6 @@ def _run(
     # --- refine (fan-out) -----------------------------------------------------------
     refine_config = config.replace(
         n_workers=1,
-        scale_threshold_rows=None,
         deadline_ms=None,
         time_limit=max(deadline.remaining(), 0.01),
     )
@@ -585,7 +584,7 @@ def _solve_sketch(problem, ctx, config, pilot: PilotStats, groups):
         constraints=constraints,
         repeat=None,
     )
-    sketch_config = config.replace(n_workers=1, scale_threshold_rows=None)
+    sketch_config = config.replace(n_workers=1)
     return (
         summary_search_evaluate(sketch_problem, sketch_config),
         rep_relation,

@@ -41,7 +41,6 @@ _EXCLUDED_CONFIG_FIELDS = {
     "time_limit",
     "n_workers",
     "trace_enabled",
-    "scale_threshold_rows",
     "scale_resident_budget",
 }
 

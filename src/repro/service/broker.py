@@ -83,15 +83,13 @@ def run_request(engine, query, method: str, overrides: dict, trace, **span):
     A thread slot calls it on its engine, a farm worker in its own
     process.  Pins ``catalog.version`` before the solve (a delta landing
     mid-evaluation must not relabel a pre-delta answer) and stamps it on
-    ``result.meta``; with ``trace = (trace_id, root_span_id, profile)``
+    ``result.meta``; with ``trace = (trace_id, root_span_id)``
     the evaluation runs in a session parented to the broker's root span,
     inside a ``worker`` span carrying ``span`` when given.  Never raises:
     returns ``(ok, result_or_error, TraceSession.payload() or None)``.
     """
     version = engine.catalog.version
-    session = (
-        None if trace is None else TraceSession(trace[0], profile=bool(trace[2]))
-    )
+    session = None if trace is None else TraceSession(trace[0])
     try:
         with ExitStack() as scope:
             if session is not None:
@@ -114,7 +112,7 @@ class _Request:
     query: object
     method: str
     overrides: dict
-    #: ``(trace_id, root_span_id, profile)`` or None; kept by a retry.
+    #: ``(trace_id, root_span_id)`` or None; kept by a retry.
     trace: tuple | None
     #: Pinned at admission: the EDF rank, checked again at dispatch.
     deadline: TaskDeadline | None
@@ -328,9 +326,7 @@ class QueryBroker:
             self._submitted += 1
             state = self._open_trace_locked(query, method, overrides)
             trace = (
-                (state["trace_id"], state["root_id"], state["profile"])
-                if state is not None
-                else None
+                (state["trace_id"], state["root_id"]) if state is not None else None
             )
             request = _Request(query, method, overrides, trace, deadline)
             future = request.future
@@ -391,9 +387,6 @@ class QueryBroker:
         state = {
             "trace_id": new_trace_id(),
             "root_id": new_span_id(),
-            "profile": bool(
-                overrides.get("profile_stages", self.config.profile_stages)
-            ),
             "start_epoch": time.time(),
             "t0": time.perf_counter(),
             "query": snippet,

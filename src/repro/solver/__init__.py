@@ -8,12 +8,11 @@ equivalent to CPLEX indicator constraints), solved by HiGHS through
 (:mod:`repro.solver.reduce`).
 """
 
-from .model import BuilderCheckpoint, MILPBuilder
+from .model import MILPBuilder
 from .result import MILPResult, STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_TIME_LIMIT, STATUS_FEASIBLE
 from .highs import solve_with_highs
 
 __all__ = [
-    "BuilderCheckpoint",
     "MILPBuilder",
     "MILPResult",
     "STATUS_OPTIMAL",

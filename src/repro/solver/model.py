@@ -14,15 +14,13 @@ where ``lo/hi`` bound ``a·x`` over the variable box.  If the implication
 is vacuous (``lo ≥ v`` resp. ``hi ≤ v``) no row is emitted; if it is
 unsatisfiable the indicator is pinned to zero.
 
-The builder also supports *incremental* reuse across closely related
-models, which is how SummarySearch avoids rebuilding the deterministic
-block of the DILP on every CSA iteration:
+The builder is append-only and supports *incremental* reuse across
+closely related models, which is how SummarySearch avoids rebuilding the
+deterministic block of the DILP on every CSA iteration:
 
 * :meth:`clone` copies a built base model in O(n) (sharing immutable row
   and cache storage) — the SAA/CSA loops clone a retained base template
   and append only their per-iteration indicator rows;
-* :meth:`checkpoint` / :meth:`rollback` are the in-place alternative for
-  single-consumer retain-and-append workflows;
 * :meth:`to_arrays` caches the sparse rows it has already materialized
   and stacks new rows on top instead of re-building the full triplet
   list;
@@ -32,8 +30,6 @@ block of the DILP on every CSA iteration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
@@ -42,20 +38,6 @@ from .result import MILPResult
 
 SENSE_MIN = "minimize"
 SENSE_MAX = "maximize"
-
-
-@dataclass(frozen=True)
-class BuilderCheckpoint:
-    """Restorable snapshot of a :class:`MILPBuilder`'s state.
-
-    Only counts and the objective are stored: the builder is append-only,
-    so rolling back means truncating to the recorded sizes.
-    """
-
-    n_variables: int
-    n_constraints: int
-    objective: dict
-    sense: str
 
 
 class MILPBuilder:
@@ -79,8 +61,7 @@ class MILPBuilder:
         #: lets repeated validated_warm_start() calls skip the re-check.
         self._warm_start_valid_for: tuple[int, int] | None = None
         #: Bounds-as-arrays cache; entries are append-only, so a cache of
-        #: the right length is current (rollback invalidates explicitly:
-        #: rollback-then-append could restore the old length).
+        #: the right length is current.
         self._bounds_cache: tuple[np.ndarray, np.ndarray] | None = None
         #: Model digest -> raw solver outcome, shared by every builder of
         #: one evaluation (set by ``EvaluationContext.build_base_milp``,
@@ -240,46 +221,6 @@ class MILPBuilder:
 
     # --- incremental reuse --------------------------------------------------------------
 
-    def checkpoint(self) -> BuilderCheckpoint:
-        """Snapshot the current state for a later :meth:`rollback`."""
-        return BuilderCheckpoint(
-            n_variables=self.n_variables,
-            n_constraints=self.n_constraints,
-            objective=dict(self._objective),
-            sense=self._sense,
-        )
-
-    def rollback(self, cp: BuilderCheckpoint) -> None:
-        """Truncate back to ``cp``: drop later variables, rows, objective.
-
-        Rows materialized by an earlier :meth:`to_arrays` call and still
-        within the checkpoint stay cached, so re-appending rows after a
-        rollback only pays for the new rows.
-        """
-        if cp.n_variables > self.n_variables or cp.n_constraints > self.n_constraints:
-            raise SolverError(
-                "cannot roll back to a checkpoint taken from a larger model"
-            )
-        del self._names[cp.n_variables:]
-        del self._lb[cp.n_variables:]
-        del self._ub[cp.n_variables:]
-        del self._integer[cp.n_variables:]
-        del self._rows[cp.n_constraints:]
-        del self._row_lb[cp.n_constraints:]
-        del self._row_ub[cp.n_constraints:]
-        self._objective = dict(cp.objective)
-        self._sense = cp.sense
-        self._warm_start = None
-        self._warm_start_valid_for = None
-        # Length alone cannot detect rollback-then-append, so drop the
-        # bounds cache outright.
-        self._bounds_cache = None
-        if self._csr_cache is not None and self._csr_cache[0] > cp.n_constraints:
-            k = cp.n_constraints
-            _, data, indices, indptr = self._csr_cache
-            nnz = int(indptr[k])
-            self._csr_cache = (k, data[:nnz], indices[:nnz], indptr[: k + 1])
-
     def clone(self) -> "MILPBuilder":
         """Independent copy sharing immutable row/cache storage.
 
@@ -375,15 +316,15 @@ class MILPBuilder:
     def _materialize_matrix(self, n: int) -> sparse.csr_matrix:
         """CSR of all rows, reusing the cached prefix from earlier calls.
 
-        Rows are append-only (rollback only truncates, trimming the cache
-        with it), so a cached row block is always a valid prefix; only
-        rows added since the last materialization need triplet building.
+        Rows are append-only, so a cached row block is always a valid
+        prefix; only rows added since the last materialization need
+        triplet building.
         """
         m = len(self._rows)
         if m == 0:
             return sparse.csr_matrix((0, n))
         k = 0
-        if self._csr_cache is not None and self._csr_cache[0] <= m:
+        if self._csr_cache is not None:
             k = self._csr_cache[0]
         blocks = []
         if k:

@@ -9,6 +9,7 @@ import pytest
 from repro import Catalog, Relation
 from repro.core.context import EvaluationContext
 from repro.core.deterministic import deterministic_evaluate
+from repro.core.engine import SPQEngine
 from repro.core.naive import naive_evaluate
 from repro.core.summarysearch import summary_search_evaluate
 from repro.core.validator import Validator
@@ -95,6 +96,24 @@ def test_chance_infeasible_query_fails_gracefully(
     assert result.stats.final_n_scenarios == 30
 
 
+#: Eight Gaussian tuples (σ = 3) on which naive validates its last
+#: package and SummarySearch ends at M = 80 with an infeasible one.
+EIGHT_TUPLE_QUERY = (
+    "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+    " SUM(Value) >= 15 WITH PROBABILITY >= 0.9"
+    " MINIMIZE EXPECTED SUM(Value)"
+)
+
+
+def eight_tuple_catalog():
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 3.0)})
+    )
+    return catalog
+
+
 @pytest.mark.parametrize(
     "evaluate, feasible",
     [(naive_evaluate, True), (summary_search_evaluate, False)],
@@ -110,17 +129,7 @@ def test_an_infeasible_package_carries_no_epsilon_certificate(
     gets an ε: not in a round's record, not in the result, not in
     ``summary()``.
     """
-    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0]})
-    catalog = Catalog()
-    catalog.register(
-        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 3.0)})
-    )
-    problem = compile_query(
-        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
-        " SUM(Value) >= 15 WITH PROBABILITY >= 0.9"
-        " MINIMIZE EXPECTED SUM(Value)",
-        catalog,
-    )
+    problem = compile_query(EIGHT_TUPLE_QUERY, eight_tuple_catalog())
     result = evaluate(problem, fast_config)
     infeasible = [r for r in result.stats.iterations if not r.feasible]
     assert infeasible and all(r.epsilon_upper is None for r in infeasible)
@@ -128,6 +137,21 @@ def test_an_infeasible_package_carries_no_epsilon_certificate(
     assert (result.epsilon_upper is not None) is feasible
     assert (result.validation.epsilon_upper is not None) is feasible
     assert ("1+eps" in result.summary()) is feasible
+
+
+@pytest.mark.parametrize(
+    "method, gap", [("naive", 0.0), ("summarysearch", None)]
+)
+def test_an_infeasible_untruncated_answer_has_no_anytime_gap(
+    fast_config, method, gap
+):
+    """The engine's envelope certifies only a validated package: an
+    untruncated but infeasible answer reports gap None, not 0.0."""
+    engine = SPQEngine(catalog=eight_tuple_catalog(), config=fast_config)
+    result = engine.execute(EIGHT_TUPLE_QUERY, method=method)
+    assert result.package is not None and result.feasible is (gap is not None)
+    assert result.anytime.deadline_met
+    assert result.anytime.gap == gap
 
 
 def test_naive_accumulates_scenarios_on_failure(items_catalog, fast_config):

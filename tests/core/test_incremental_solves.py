@@ -1,10 +1,16 @@
 """Incremental evaluation layer: base-model reuse and warm starts must
 be pure optimizations — formulations and results identical to cold mode.
+
+Cold mode is made here, on the test side: a cold context builds its base
+model from scratch on every call (``base_milp = build_base_milp``) and
+the formulations install no warm start.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.csa as csa_module
+import repro.core.saa as saa_module
 from repro.core.context import EvaluationContext
 from repro.core.csa import formulate_csa
 from repro.core.naive import naive_evaluate
@@ -12,6 +18,13 @@ from repro.core.saa import formulate_saa
 from repro.core.summaries import SummaryBuilder
 from repro.core.summarysearch import summary_search_evaluate
 from repro.core.warmstart import apply_warm_start, indicator_values
+
+
+def cold_context(problem, config):
+    """A context that rebuilds its base model on every formulation."""
+    ctx = EvaluationContext(problem, config)
+    ctx.base_milp = ctx.build_base_milp
+    return ctx
 
 
 def assert_same_arrays(a, b):
@@ -23,9 +36,7 @@ def assert_same_arrays(a, b):
 
 
 def test_incremental_saa_formulation_equals_cold(chance_problem, fast_config):
-    cold_ctx = EvaluationContext(
-        chance_problem, fast_config.replace(incremental_solves=False)
-    )
+    cold_ctx = cold_context(chance_problem, fast_config)
     inc_ctx = EvaluationContext(chance_problem, fast_config)
     for n_scenarios in (5, 9, 9):
         cold = formulate_saa(cold_ctx, n_scenarios)
@@ -36,9 +47,7 @@ def test_incremental_saa_formulation_equals_cold(chance_problem, fast_config):
 
 
 def test_incremental_csa_formulation_equals_cold(chance_problem, fast_config):
-    cold_ctx = EvaluationContext(
-        chance_problem, fast_config.replace(incremental_solves=False)
-    )
+    cold_ctx = cold_context(chance_problem, fast_config)
     inc_ctx = EvaluationContext(chance_problem, fast_config)
     n_scenarios, n_summaries = 12, 3
     item = inc_ctx.chance_items()[0]
@@ -113,14 +122,17 @@ def test_warm_started_csa_solve_installs_hint(chance_context):
 
 @pytest.mark.parametrize("method", ["summarysearch", "naive"])
 def test_methods_return_same_package_incremental_on_and_off(
-    chance_problem, fast_config, method
+    chance_problem, fast_config, method, monkeypatch
 ):
     evaluate = summary_search_evaluate if method == "summarysearch" else naive_evaluate
-    results = [
-        evaluate(chance_problem, fast_config.replace(incremental_solves=flag))
-        for flag in (True, False)
-    ]
-    on, off = results
+    on = evaluate(chance_problem, fast_config)
+    with monkeypatch.context() as cold:
+        cold.setattr(
+            EvaluationContext, "base_milp", EvaluationContext.build_base_milp
+        )
+        for module in (csa_module, saa_module):
+            cold.setattr(module, "apply_warm_start", lambda *args: False)
+        off = evaluate(chance_problem, fast_config)
     assert on.feasible == off.feasible
     if on.package is None:
         assert off.package is None

@@ -207,8 +207,8 @@ CASES = [
      dict(seed=1), False, True),
     ("correlated-q2-store", workload("portfolio_correlated", "Q2", 30),
      "summarysearch", dict(seed=1), True, True),
-    ("tpch-q3-cold-builds", workload("tpch", "Q3", 120), "summarysearch",
-     dict(seed=1, incremental_solves=False), False, True),
+    ("tpch-q3", workload("tpch", "Q3", 120), "summarysearch",
+     dict(seed=1), False, True),
     ("tpch-q1-probability-objective", workload("tpch", "Q1", 120),
      "summarysearch", dict(seed=2), False, False),
     ("tpch-q8-infeasible-store", workload("tpch", "Q8", 100), "summarysearch",
@@ -217,8 +217,8 @@ CASES = [
      dict(seed=1), False, False),
     ("naive-correlated-q2", workload("portfolio_correlated", "Q2", 30),
      "naive", dict(seed=2), False, None),
-    ("naive-tpch-q3-cold-builds", workload("tpch", "Q3", 120), "naive",
-     dict(seed=1, incremental_solves=False), False, False),
+    ("naive-tpch-q3", workload("tpch", "Q3", 120), "naive",
+     dict(seed=1), False, False),
     ("scale-driver-memory", portfolio_q1(30, on_disk=False), "sketchrefine",
      dict(seed=5, scale_n_partitions=3), False, True),
     ("scale-driver-disk-store", portfolio_q1(40, on_disk=True), "sketchrefine",

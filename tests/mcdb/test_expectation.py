@@ -10,12 +10,8 @@ from repro.mcdb import GaussianNoiseVG, ParetoNoiseVG, StochasticModel
 from repro.mcdb.expectation import ExpectationEstimator
 
 
-def _config(n=800, analytic=True):
-    return SPQConfig(
-        n_expectation_scenarios=n,
-        analytic_expectations=analytic,
-        seed=7,
-    )
+def _config(n=800):
+    return SPQConfig(n_expectation_scenarios=n, seed=7)
 
 
 def test_analytic_mean_used_when_available(items_model):
@@ -25,8 +21,8 @@ def test_analytic_mean_used_when_available(items_model):
 
 
 def test_monte_carlo_when_analytic_disabled(items_model):
-    estimator = ExpectationEstimator(items_model, _config(analytic=False))
-    mean = estimator.attribute_mean("Value")
+    estimator = ExpectationEstimator(items_model, _config())
+    mean = estimator._monte_carlo_attribute_mean("Value")
     exact = items_model.relation.column("price")
     assert not np.allclose(mean, exact)  # sampled, not exact
     assert np.allclose(mean, exact, atol=0.2)

@@ -35,7 +35,7 @@ def test_engine_roots_its_own_trace(items_catalog, fast_config):
 
 def test_engine_trace_disabled_records_nothing(items_catalog, fast_config):
     engine = SPQEngine(catalog=items_catalog, config=fast_config)
-    engine.execute(QUERY, trace_enabled=False, profile_stages=False)
+    engine.execute(QUERY, trace_enabled=False)
     assert engine.last_trace is None
 
 

@@ -1,11 +1,10 @@
-"""Tests for the flat profile, trace-document parsing, and renderers."""
+"""Tests for self-time aggregation, trace-document parsing, and renderers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs import (
-    StageProfile,
     TraceSession,
     activate,
     aggregate_self_times,
@@ -52,32 +51,6 @@ def test_aggregate_self_times(tree):
     # Self time never goes negative even if children over-report.
     weird = _node("a", 0.0, 1.0, [_node("b", 0.0, 5.0)])
     assert aggregate_self_times(weird)["a"]["self_s"] == 0.0
-
-
-def test_stage_profile_accumulates_self_time():
-    profile = StageProfile()
-    profile.add("solve", 2.0, 3.0)
-    profile.add("solve", 1.0, 1.5)
-    profile.add("parse", 0.1, 0.1)
-    snap = profile.snapshot()
-    assert snap["solve"] == {"self_s": 3.0, "wall_s": 4.5, "count": 2}
-    table = profile.table(top=1)
-    assert "solve" in table and "parse" not in table
-    profile.reset()
-    assert profile.snapshot() == {}
-    assert profile.table() == "(no spans)"
-
-
-def test_profile_flag_feeds_stage_profile_singleton():
-    from repro.obs import stage_profile
-
-    before = stage_profile.snapshot().get("profiled.stage", {}).get("count", 0)
-    session = TraceSession(new_trace_id(), profile=True)
-    with activate(session):
-        with stage("profiled.stage"):
-            pass
-    after = stage_profile.snapshot()["profiled.stage"]["count"]
-    assert after == before + 1
 
 
 # --- trace_document shapes ---------------------------------------------------

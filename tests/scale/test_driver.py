@@ -247,14 +247,41 @@ def test_engine_method_sketchrefine_routes_deterministic(scale_config):
     assert "n_refined" not in result.meta
 
 
-def test_engine_auto_routes_oversized_summarysearch(scale_config):
-    engine = _engine(scale_config)
-    routed = engine.execute(
-        SPEC.spaql, method="summarysearch", scale_threshold_rows=10
+def test_engine_auto_routes_oversized_summarysearch(
+    scale_config, tmp_path, monkeypatch
+):
+    """The route is derived: summarysearch goes to the driver only when
+    n_vars × max_scenarios × 8 B per chance constraint exceeds the
+    relation's resident budget; unbudgeted stores and in-memory
+    relations never route."""
+    import repro.core.engine as engine_module
+
+    params = PortfolioParams(n_stocks=30, seed=7)
+
+    def engine_on(dataset):
+        engine = SPQEngine(config=scale_config)
+        engine.register(*dataset)
+        return engine
+
+    tiny = build_portfolio_store(
+        params, tmp_path / "tiny", chunk_rows=32, resident_budget=1024
     )
+    routed = engine_on(tiny).execute(SPEC.spaql, method="summarysearch")
     assert routed.method == "sketchrefine"
-    direct = engine.execute(SPEC.spaql, method="summarysearch")
-    assert direct.method == "summarysearch"
+    assert routed.meta["n_partitions"] >= 1
+
+    # The other direction needs only the routing decision, not a solve.
+    def summarysearch_stub(problem, config, store=None):
+        raise LookupError("summarysearch")
+
+    monkeypatch.setattr(engine_module, "summary_search_evaluate", summarysearch_stub)
+    roomy = build_portfolio_store(
+        params, tmp_path / "roomy", chunk_rows=32, resident_budget=1 << 30
+    )
+    unbudgeted = build_portfolio_store(params, tmp_path / "unbudgeted")
+    for dataset in (roomy, unbudgeted, build_portfolio(params)):
+        with pytest.raises(LookupError, match="summarysearch"):
+            engine_on(dataset).execute(SPEC.spaql, method="summarysearch")
 
 
 def test_unknown_method_still_rejected(scale_config):

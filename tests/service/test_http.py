@@ -212,11 +212,15 @@ def test_error_mapping(service):
     assert excinfo.value.code == 404
 
     # Unknown config override → 400, including the removed solver
-    # switch and delta-reuse knob.
+    # switch, delta-reuse knob, and the four knobs only tests set.
     for knob, value in (
         ("bogus_knob", 1),
         ("solver", "branch-bound"),
         ("scale_delta_reuse", False),
+        ("profile_stages", True),
+        ("incremental_solves", False),
+        ("analytic_expectations", False),
+        ("scale_threshold_rows", 10),
     ):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(service, {"query": QUERY, "overrides": {knob: value}})

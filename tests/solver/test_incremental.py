@@ -1,9 +1,8 @@
-"""Incremental MILPBuilder API: checkpoint/rollback, CSR cache, clones,
-warm starts.
+"""Incremental MILPBuilder API: clones, CSR cache, warm starts.
 
 The invariant under test throughout: a model assembled incrementally
-(retain base → rollback/clone → append rows) materializes to exactly the
-same arrays as the same model built from scratch.
+(retain base → clone → append rows) materializes to exactly the same
+arrays as the same model built from scratch.
 """
 
 import numpy as np
@@ -41,54 +40,6 @@ def assert_same_arrays(a, b):
             np.testing.assert_array_equal(got, want)
 
 
-def test_rollback_then_append_equals_scratch():
-    builder, idx = base_model()
-    cp = builder.checkpoint()
-    builder.to_arrays()  # warm the CSR cache before mutating further
-    append_indicators(builder, idx)
-    builder.to_arrays()
-    builder.rollback(cp)
-    append_indicators(builder, idx)
-    incremental = builder.to_arrays()
-
-    scratch, scratch_idx = base_model()
-    append_indicators(scratch, scratch_idx)
-    assert_same_arrays(incremental, scratch.to_arrays())
-
-
-def test_rollback_restores_objective_and_counts():
-    builder, idx = base_model()
-    cp = builder.checkpoint()
-    y = builder.add_variables("y", 3, lb=0.0, ub=1.0)
-    builder.add_constraint(y, np.ones(3), lb=1.0)
-    builder.set_objective(y, np.ones(3), "minimize")
-    builder.rollback(cp)
-    assert builder.n_variables == 4
-    assert builder.n_constraints == 1
-    assert builder.sense == "maximize"
-    x = np.zeros(4)
-    assert builder.objective_value(x) == 0.0
-    # Rolling back to a checkpoint from a larger model is refused.
-    bigger_cp = cp
-    builder.rollback(bigger_cp)  # same size: fine
-    small = MILPBuilder()
-    small.add_variable("x")
-    with pytest.raises(SolverError):
-        small.rollback(builder.checkpoint())
-
-
-def test_repeated_rollback_append_cycles_stay_consistent():
-    builder, idx = base_model()
-    cp = builder.checkpoint()
-    scratch, scratch_idx = base_model()
-    append_indicators(scratch, scratch_idx)
-    want = scratch.to_arrays()
-    for _ in range(4):
-        append_indicators(builder, idx)
-        assert_same_arrays(builder.to_arrays(), want)
-        builder.rollback(cp)
-
-
 def test_clone_is_independent_and_equal():
     builder, idx = base_model()
     builder.to_arrays()
@@ -118,24 +69,6 @@ def test_csr_cache_survives_variable_growth():
     np.testing.assert_array_equal(second[1].toarray()[:, :4], first[1].toarray())
 
 
-def test_rollback_invalidates_bounds_cache():
-    """Regression: rollback-then-append can restore the old variable
-    count, so the bounds-as-arrays cache must not be served by length."""
-    builder = MILPBuilder()
-    builder.add_variables("x", 3, lb=0.0, ub=1.0)
-    cp = builder.checkpoint()
-    first = builder.add_variables("y", 2, lb=0.0, ub=1.0)
-    builder.row_value_bounds(first, [1.0, 1.0])  # populate the cache
-    builder.rollback(cp)
-    second = builder.add_variables("z", 2, lb=0.0, ub=10.0)
-    assert builder.row_value_bounds(second, [1.0, 1.0]) == (0.0, 20.0)
-    # Big-M rows derived after the rollback must see the fresh bounds.
-    y = builder.add_variable("b", 0.0, 1.0)
-    builder.add_indicator(y, second, [1.0, 1.0], ">=", 15.0)
-    arrays = builder.to_arrays()
-    assert arrays[1].shape[0] == 1  # emitted, not vacuous/pinned
-
-
 def test_warm_start_validation():
     builder, idx = base_model()
     with pytest.raises(SolverError):
@@ -148,14 +81,12 @@ def test_warm_start_validation():
     assert builder.validated_warm_start() is None
 
 
-def test_warm_start_cleared_by_rollback_and_not_cloned():
+def test_warm_start_not_cloned():
     builder, idx = base_model()
-    cp = builder.checkpoint()
     builder.set_warm_start([1.0, 1.0, 0.0, 0.0])
     clone = builder.clone()
     assert clone.validated_warm_start() is None
-    builder.rollback(cp)
-    assert builder.validated_warm_start() is None
+    assert builder.validated_warm_start() is not None
 
 
 @pytest.mark.parametrize("solve", [solve_with_highs, solve_with_branch_bound])

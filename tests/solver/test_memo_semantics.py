@@ -160,13 +160,12 @@ def test_on_an_eligible_model_the_hint_is_part_of_the_key():
     assert len(memo) == 3
 
 
-def test_rollback_then_different_rows_is_a_miss(milp_calls):
+def test_clone_then_different_rows_is_a_miss(milp_calls):
     memo: dict = {}
-    builder = knapsack(memo)
-    base = builder.checkpoint()
+    base = knapsack(memo)
 
     def solve_with_row(coefficients, ub):
-        builder.rollback(base)
+        builder = base.clone()
         builder.add_constraint([0, 1, 2], coefficients, ub=ub)
         return builder.solve(time_limit=5.0)
 

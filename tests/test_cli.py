@@ -444,11 +444,9 @@ def test_cli_scale_flags_wire_into_config():
     parser = build_parser()
     args = parser.parse_args(
         ["run", "--table", "x.csv", "--query", "q",
-         "--scale-out", "--scale-threshold", "5000",
          "--partitions", "12", "--scale-budget", "64M"]
     )
     config = _build_config(args)
-    assert config.scale_threshold_rows == 5_000
     assert config.scale_n_partitions == 12
     assert config.scale_resident_budget == 64 * 1024 * 1024
 
@@ -459,7 +457,36 @@ def test_cli_scale_flags_default_off():
     parser = build_parser()
     args = parser.parse_args(["run", "--table", "x.csv", "--query", "q"])
     config = _build_config(args)
-    assert config.scale_threshold_rows is None
+    assert config.scale_resident_budget is None
+
+
+@pytest.mark.parametrize(
+    "budget, method",
+    [(["--scale-budget", "1K"], "sketchrefine"), ([], "summarysearch")],
+    ids=["budget-1K", "unbudgeted"],
+)
+def test_cli_scale_budget_routes_oversized_summarysearch(
+    tmp_path, capsys, budget, method
+):
+    """5 rows × 60 scenarios × 8 B = 2 400 B of scenarios outgrow a 1K
+    store budget, so summarysearch routes to the driver; an unbudgeted
+    store keeps it."""
+    from repro.db.csvio import read_csv_to_store
+
+    csv = tmp_path / "items.csv"
+    csv.write_text("price,weight\n5.0,2\n8.0,1\n3.0,4\n6.0,3\n4.0,2\n")
+    read_csv_to_store(csv, tmp_path / "items-store", chunk_rows=2).close()
+    code = main([
+        "run",
+        "--table", str(tmp_path / "items-store") + ":items",
+        "--stochastic", "Value=gaussian(price, 1.0)",
+        "--query", STOCH_QUERY,
+        "--method", "summarysearch",
+        *FAST_FLAGS,
+        *budget,
+    ])
+    assert code == 0
+    assert f"[{method}]" in capsys.readouterr().out
 
 
 def test_cli_method_accepts_sketchrefine(csv_path, capsys):

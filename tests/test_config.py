@@ -1,5 +1,7 @@
 """SPQConfig validation and derivation."""
 
+import dataclasses
+
 import pytest
 
 from repro import SPQConfig
@@ -39,13 +41,56 @@ def test_invalid_values_rejected(field, value):
         "scale_delta_reuse",
         "convergence_acceleration",
         "default_multiplicity_bound",
+        "profile_stages",
+        "incremental_solves",
+        "analytic_expectations",
+        "scale_threshold_rows",
     ],
 )
 def test_removed_knobs_are_not_fields(field):
     # Every solve goes to HiGHS, delta repair and convergence
     # acceleration are always on, and an unbounded variable is an error.
+    # Base-model reuse, warm starts and analytic means are always on,
+    # the self-time table is a view of the trace, and the scale route
+    # is derived from the model and the store's resident budget.
     with pytest.raises(TypeError):
         SPQConfig(**{field: None})
+
+
+#: Every SPQConfig field.  No new knob for something the code can decide
+#: from the model: a field joins this set only when a workload, script or
+#: deployment needs a non-default value, and a field that only tests set
+#: leaves it.  Editing this set is the place to argue for the knob.
+FIELDS = {
+    # Monte Carlo sizes and SummarySearch (the paper's M̂, M, m, z, ε)
+    "n_validation_scenarios", "n_initial_scenarios", "scenario_increment",
+    "max_scenarios", "initial_summaries", "summary_increment", "epsilon",
+    "summary_strategy", "max_csa_iterations", "max_quality_rounds",
+    "n_expectation_scenarios", "n_probe_scenarios",
+    # parallel evaluation and the stochastic model
+    "n_workers", "vg_overrides",
+    # serving
+    "scenario_store_budget", "scenario_store_spill", "service_pool_size",
+    "service_max_pending", "service_backend", "worker_recycle_after",
+    # out-of-core scale tier
+    "scale_n_partitions", "scale_pilot_scenarios", "scale_chunk_rows",
+    "scale_resident_budget",
+    # observability
+    "trace_enabled", "trace_ring_size", "slow_query_threshold_s",
+    "slow_query_log", "slow_query_log_max_bytes",
+    # solving, reproducibility, budgets
+    "solver_time_limit", "mip_gap", "seed", "time_limit", "deadline_ms",
+}
+
+
+def test_config_field_set_is_pinned():
+    assert {f.name for f in dataclasses.fields(SPQConfig)} == FIELDS
+
+
+def test_refine_cache_excludes_only_real_fields():
+    from repro.scale.refinecache import _EXCLUDED_CONFIG_FIELDS
+
+    assert _EXCLUDED_CONFIG_FIELDS <= FIELDS
 
 
 def test_max_scenarios_must_cover_initial():
