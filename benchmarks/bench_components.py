@@ -4,7 +4,7 @@ Covers the moving parts the end-to-end numbers are made of:
 
 * scenario generation — scenario-wise vs tuple-wise seeding (the §5.5
   trade-off: bulk generation favors scenario-wise on larger tables);
-* summary construction — the three strategies of §5.5;
+* summary construction — §5.5's in-memory strategy (the one implemented);
 * out-of-sample validation (streaming, package-restricted);
 * DILP solve — Naïve's SAA vs the reduced CSA at equal M (the paper's
   core size argument: Θ(N·M·K) vs Θ(N·Z·K));
@@ -19,12 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import (
-    STREAM_OPTIMIZATION,
-    SUMMARY_IN_MEMORY,
-    SUMMARY_SCENARIO_WISE,
-    SUMMARY_TUPLE_WISE,
-)
+from repro.config import STREAM_OPTIMIZATION
 from repro.core.context import EvaluationContext
 from repro.core.csa import formulate_csa
 from repro.core.saa import formulate_saa
@@ -39,10 +34,10 @@ from conftest import bench_config, cached_catalog
 M = 64
 
 
-def _context(strategy=SUMMARY_IN_MEMORY):
+def _context():
     spec = get_query("galaxy", "Q1")
     catalog = cached_catalog("galaxy", "Q1")
-    config = bench_config(summary_strategy=strategy)
+    config = bench_config()
     problem = compile_query(spec.spaql, catalog)
     return EvaluationContext(problem, config)
 
@@ -58,11 +53,8 @@ def test_scenario_generation_modes(benchmark, mode):
     benchmark.extra_info["n_rows"] = ctx.relation.n_rows
 
 
-@pytest.mark.parametrize(
-    "strategy", (SUMMARY_IN_MEMORY, SUMMARY_TUPLE_WISE, SUMMARY_SCENARIO_WISE)
-)
-def test_summary_construction_strategies(benchmark, strategy):
-    ctx = _context(strategy)
+def test_summary_construction(benchmark):
+    ctx = _context()
     builder = SummaryBuilder(ctx, M, 1)
     item = ctx.chance_items()[0]
     x = np.zeros(ctx.problem.n_vars, dtype=np.int64)
@@ -70,7 +62,6 @@ def test_summary_construction_strategies(benchmark, strategy):
     benchmark.pedantic(
         lambda: builder.build(item, alpha=0.05, prev_x=x), rounds=3, iterations=1
     )
-    benchmark.extra_info["strategy"] = strategy
 
 
 def test_validation_streaming(benchmark):
@@ -192,9 +183,9 @@ def test_parallel_scenario_generation_workers(benchmark):
     )
     try:
         expected = sequential.coefficient_matrix(expr, n_scenarios)
-        executor.coefficient_matrix(expr, 16)  # spin the pool up once
+        executor.coefficient_columns(expr, range(16))  # spin the pool up once
         got = benchmark.pedantic(
-            lambda: executor.coefficient_matrix(expr, n_scenarios),
+            lambda: executor.coefficient_columns(expr, range(n_scenarios)),
             rounds=3,
             iterations=1,
         )

@@ -5,7 +5,7 @@ headers): the number of out-of-sample validation scenarios ``M_hat``, the
 initial number of optimization scenarios ``M0`` and its increment ``m``,
 the summary-count increment ``z``, and the user approximation bound
 ``epsilon``.  :class:`SPQConfig` bundles these together with
-implementation knobs (summary-generation strategy, seeds, limits) so
+implementation knobs (seeds, limits, serving and scale settings) so
 that an entire evaluation is reproducible from one object.
 
 The paper's defaults (``M_hat = 1e6``/``1e7``, four-hour time limits) are
@@ -28,13 +28,6 @@ STREAM_EXPECTATION = 2
 STREAM_DATASET = 3
 STREAM_PROBE = 4
 STREAM_PARTITION = 5
-
-#: Summary generation strategies (Section 5.5).
-SUMMARY_IN_MEMORY = "in-memory"
-SUMMARY_TUPLE_WISE = "tuple-wise"
-SUMMARY_SCENARIO_WISE = "scenario-wise"
-
-_SUMMARY_STRATEGIES = (SUMMARY_IN_MEMORY, SUMMARY_TUPLE_WISE, SUMMARY_SCENARIO_WISE)
 
 #: Serving-layer dispatch backends (``repro.service.broker``).
 BACKEND_THREAD = "thread"
@@ -69,10 +62,6 @@ class SPQConfig:
     initial_summaries: int = 1
     summary_increment: int = 1
     epsilon: float = 0.10
-    summary_strategy: str = SUMMARY_IN_MEMORY
-    #: Maximum CSA-Solve iterations before falling back to the best
-    #: solution in the history (guards against slow α oscillation).
-    max_csa_iterations: int = 25
     #: Maximum number of quality-refinement rounds (Z-growth steps taken
     #: after a feasible solution exists, Algorithm 2 line 9) before the
     #: best feasible solution is accepted.  ``None`` reproduces the
@@ -91,7 +80,7 @@ class SPQConfig:
 
     # --- parallel evaluation ------------------------------------------------
     #: Worker processes for scenario-matrix generation (1 = sequential).
-    #: Chunking is keyed by scenario/block identity, so results are
+    #: Chunking is keyed by scenario identity, so results are
     #: bit-identical to sequential generation for any worker count.
     n_workers: int = 1
 
@@ -140,10 +129,6 @@ class SPQConfig:
     #: the shared scenario store) to estimate per-tuple mean/variance for
     #: partitioning and the sketch representatives' parameters.
     scale_pilot_scenarios: int = 16
-    #: Rows per on-disk chunk when relations are written to columnar
-    #: storage (``Relation.to_disk``, ``read_csv_to_store``, the chunked
-    #: dataset builders).
-    scale_chunk_rows: int = 65_536
     #: Byte budget for a ColumnStore's resident chunk cache (None =
     #: unbounded).  Applies to stores opened through this config (the
     #: CLI's ``--table DIR --scale-budget``); peak usage is surfaced as
@@ -221,11 +206,6 @@ class SPQConfig:
             raise EvaluationError("summary_increment must be >= 1")
         if self.epsilon < 0:
             raise EvaluationError("epsilon must be nonnegative")
-        if self.summary_strategy not in _SUMMARY_STRATEGIES:
-            raise EvaluationError(
-                f"unknown summary_strategy {self.summary_strategy!r};"
-                f" expected one of {_SUMMARY_STRATEGIES}"
-            )
         if self.time_limit <= 0:
             raise EvaluationError("time_limit must be positive")
         if self.deadline_ms is not None:
@@ -268,8 +248,6 @@ class SPQConfig:
             raise EvaluationError(
                 "scale_pilot_scenarios must be >= 2 (variance needs two draws)"
             )
-        if self.scale_chunk_rows < 1:
-            raise EvaluationError("scale_chunk_rows must be >= 1")
         if self.scale_resident_budget is not None and self.scale_resident_budget < 1:
             raise EvaluationError("scale_resident_budget must be positive or None")
         if self.trace_ring_size < 1:

@@ -1,8 +1,8 @@
 """Shared evaluation state for one (problem, config) pair.
 
 Both algorithms need the same scaffolding: expectation estimates (μ̂,
-Section 3.2), derived variable bounds, scenario generators for the
-optimization and validation streams, and the base MILP (decision
+Section 3.2), derived variable bounds, scenario caches for the
+optimization and probe streams, and the base MILP (decision
 variables + mean constraints + mean objective).  Building it once in
 :class:`EvaluationContext` keeps Naïve, SummarySearch, and the
 deterministic baseline consistent — they differ only in how they
@@ -13,22 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import (
-    SPQConfig,
-    STREAM_OPTIMIZATION,
-    STREAM_PROBE,
-    STREAM_VALIDATION,
-    SUMMARY_TUPLE_WISE,
-)
+from ..config import SPQConfig, STREAM_OPTIMIZATION, STREAM_PROBE
 from ..db.expressions import Expr, evaluate
 from ..errors import EvaluationError
 from ..mcdb.expectation import ExpectationEstimator
-from ..mcdb.scenarios import (
-    MODE_SCENARIO_WISE,
-    MODE_TUPLE_WISE,
-    ScenarioCache,
-    ScenarioGenerator,
-)
+from ..mcdb.scenarios import ScenarioCache, ScenarioGenerator
 from ..silp.model import (
     ExpectationObjectiveIR,
     OP_EQ,
@@ -72,50 +61,21 @@ class EvaluationContext:
 
         if self.model is not None:
             self.estimator = ExpectationEstimator(self.model, config, store=store)
-            opt_mode = (
-                MODE_TUPLE_WISE
-                if config.summary_strategy == SUMMARY_TUPLE_WISE
-                else MODE_SCENARIO_WISE
-            )
-            self.opt_generator = ScenarioGenerator(
-                self.model, config.seed, STREAM_OPTIMIZATION, mode=opt_mode
-            )
-            # One worker pool per context: the cache and every direct
-            # matrix consumer share it (see opt_matrix_source).
-            self.opt_executor = None
-            if config.n_workers > 1:
-                from ..parallel.executor import ParallelScenarioExecutor
-
-                self.opt_executor = ParallelScenarioExecutor(
-                    self.opt_generator, config.n_workers
-                )
-            self.opt_cache = (
-                ScenarioCache(
-                    self.opt_generator,
-                    n_workers=config.n_workers,
-                    executor=self.opt_executor,
-                    store=store,
-                )
-                if opt_mode == MODE_SCENARIO_WISE
-                else None
-            )
-            self.val_generator = ScenarioGenerator(
-                self.model, config.seed, STREAM_VALIDATION, mode=MODE_TUPLE_WISE
-            )
-            self.probe_generator = ScenarioGenerator(
-                self.model, config.seed, STREAM_PROBE, mode=MODE_SCENARIO_WISE
+            self.opt_cache = ScenarioCache(
+                ScenarioGenerator(self.model, config.seed, STREAM_OPTIMIZATION),
+                n_workers=config.n_workers,
+                store=store,
             )
             # Probe realizations (Appendix B bounds) also flow through
             # the shared store: they are identical across queries over
             # the same data, seed, and expression.
-            self.probe_cache = ScenarioCache(self.probe_generator, store=store)
+            self.probe_cache = ScenarioCache(
+                ScenarioGenerator(self.model, config.seed, STREAM_PROBE),
+                store=store,
+            )
         else:
             self.estimator = None
-            self.opt_generator = None
             self.opt_cache = None
-            self.opt_executor = None
-            self.val_generator = None
-            self.probe_generator = None
             self.probe_cache = None
 
         self.variable_ub = derive_variable_bounds(problem, self.mean_coefficients)
@@ -148,31 +108,14 @@ class EvaluationContext:
     def optimization_matrix(self, expr: Expr, n_scenarios: int) -> np.ndarray:
         """Coefficient matrix over the optimization stream, active rows.
 
-        Shape ``(n_vars, n_scenarios)``.  With the in-memory strategy the
-        full-relation matrix is cached and grows monotonically with ``M``
-        (scenario sets accumulate, Algorithm 1 line 9).
+        Shape ``(n_vars, n_scenarios)``.  The full-relation matrix is
+        cached and grows monotonically with ``M`` (scenario sets
+        accumulate, Algorithm 1 line 9).
         """
-        if self.opt_generator is None:
+        if self.opt_cache is None:
             raise EvaluationError("problem has no stochastic model")
-        if self.opt_cache is not None:
-            full = self.opt_cache.coefficient_matrix(expr, n_scenarios)
-            return full[self.problem.active_rows, :]
-        matrix = self.opt_matrix_source.coefficient_matrix(
-            expr, n_scenarios, rows=self.problem.active_rows
-        )
-        return matrix
-
-    @property
-    def opt_matrix_source(self):
-        """Optimization-stream matrix provider (parallel when configured).
-
-        The executor mirrors :class:`ScenarioGenerator`'s ``matrix`` /
-        ``coefficient_matrix`` signatures with bit-identical output, so
-        callers can hold one code path for both configurations.
-        """
-        return (
-            self.opt_executor if self.opt_executor is not None else self.opt_generator
-        )
+        full = self.opt_cache.coefficient_matrix(expr, n_scenarios)
+        return full[self.problem.active_rows, :]
 
     def probe_matrix(self, expr: Expr, n_scenarios: int) -> np.ndarray:
         """Probe-stream coefficient matrix over the active rows.
@@ -185,13 +128,6 @@ class EvaluationContext:
             raise EvaluationError("problem has no stochastic model")
         full = self.probe_cache.coefficient_matrix(expr, n_scenarios)
         return full[self.problem.active_rows, :]
-
-    def optimization_scenario_vector(self, expr: Expr, scenario: int) -> np.ndarray:
-        """One optimization-scenario coefficient vector (active rows)."""
-        if self.opt_generator is None:
-            raise EvaluationError("problem has no stochastic model")
-        full = self.opt_generator.coefficient_scenario(expr, scenario)
-        return full[self.problem.active_rows]
 
     # --- base MILP ------------------------------------------------------------------
 

@@ -37,6 +37,11 @@ from .validator import ValidationReport, Validator
 from .warmstart import apply_warm_start
 
 
+#: CSA-Solve iterations before falling back to the best solution in the
+#: history (guards against slow α oscillation).
+MAX_CSA_ITERATIONS = 25
+
+
 @dataclass
 class CSAFormulation:
     """The reduced DILP plus bookkeeping to interpret solutions."""
@@ -209,7 +214,7 @@ def csa_solve(
     best: CSASolveResult | None = None
     cycle = False
 
-    for q in range(ctx.config.max_csa_iterations + 1):
+    for q in range(MAX_CSA_ITERATIONS + 1):
         key = _solution_key(x, alphas)
         if key in seen:
             cycle = True
@@ -264,7 +269,7 @@ def csa_solve(
 
         if deadline is not None and deadline.expired():
             break
-        if q == ctx.config.max_csa_iterations:
+        if q == MAX_CSA_ITERATIONS:
             break
 
         # --- update α per item and rebuild summaries ------------------------

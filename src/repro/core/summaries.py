@@ -14,15 +14,12 @@ monotonically.  Convergence acceleration (Section 5.5): when α decreases,
 tuples in the incumbent use the *opposite* reduction so the incumbent
 stays feasible for the new CSA.
 
-Three generation strategies (Section 5.5) with the paper's complexity
-trade-offs:
-
-* ``in-memory`` — keep all Θ(N·M) realizations; trivial reductions.
-* ``tuple-wise`` — per-block seeds; scoring touches only package blocks
-  (Θ(P·M)), summarization regenerates everything (Θ(N·M)), with
-  row-chunked folding keeping memory Θ(chunk·M).
-* ``scenario-wise`` — per-scenario seeds; scoring regenerates full
-  scenarios (Θ(N·M)), summarization only the chosen ones (Θ(α·N·M)).
+Section 5.5 offers three summary-generation strategies that trade time
+against memory; the *in-memory* one is implemented: the Θ(N·M)
+optimization matrix is realized once per evaluation (grow-only in ``M``,
+see ``ScenarioCache``), and scoring and folding are plain reductions
+over it.  Relations whose scenarios exceed memory are the scale tier's
+job (``repro.scale``), not a summary strategy's.
 """
 
 from __future__ import annotations
@@ -32,18 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import (
-    STREAM_PARTITION,
-    SUMMARY_IN_MEMORY,
-    SUMMARY_SCENARIO_WISE,
-    SUMMARY_TUPLE_WISE,
-)
+from ..config import STREAM_PARTITION
 from ..errors import EvaluationError
-from ..silp.model import OP_GE, OP_LE
+from ..silp.model import OP_GE
 from ..utils.rngkeys import make_generator
-
-#: Active rows folded per chunk in the tuple-wise strategy.
-_ROW_CHUNK = 8192
 
 
 @dataclass
@@ -94,7 +83,6 @@ class SummaryBuilder:
         self.partitions = make_partitions(
             n_scenarios, n_summaries, ctx.config.seed
         )
-        self.strategy = ctx.config.summary_strategy
 
     # --- scenario scores (Section 5.3) -------------------------------------------
 
@@ -104,18 +92,6 @@ class SummaryBuilder:
             return np.zeros(self.n_scenarios)
         positions = np.nonzero(prev_x)[0]
         weights = np.asarray(prev_x, dtype=float)[positions]
-        if self.strategy == SUMMARY_SCENARIO_WISE:
-            scores = np.empty(self.n_scenarios)
-            for j in range(self.n_scenarios):
-                vector = self.ctx.optimization_scenario_vector(item["expr"], j)
-                scores[j] = weights @ vector[positions]
-            return scores
-        if self.strategy == SUMMARY_TUPLE_WISE:
-            base_rows = self.ctx.problem.active_rows[positions]
-            matrix = self.ctx.opt_matrix_source.coefficient_matrix(
-                item["expr"], self.n_scenarios, rows=base_rows
-            )
-            return weights @ matrix
         matrix = self.ctx.optimization_matrix(item["expr"], self.n_scenarios)
         return weights @ matrix[positions, :]
 
@@ -151,7 +127,8 @@ class SummaryBuilder:
         accel_rows = None
         if accelerate and prev_x is not None:
             accel_rows = np.nonzero(prev_x)[0]
-        values = self._reduce(item, chosen, accel_rows)
+        matrix = self.ctx.optimization_matrix(item["expr"], self.n_scenarios)
+        values = _fold_matrix(matrix, chosen, item["inner_op"], accel_rows)
         return SummarySet(
             values=values,
             selected_counts=np.array([len(c) for c in chosen], dtype=np.int64),
@@ -159,52 +136,6 @@ class SummaryBuilder:
             alpha=alpha,
             inner_op=item["inner_op"],
         )
-
-    def _reduce(
-        self,
-        item: dict,
-        chosen: list[np.ndarray],
-        accel_rows: np.ndarray | None,
-    ) -> np.ndarray:
-        if self.strategy == SUMMARY_SCENARIO_WISE:
-            return self._reduce_scenario_wise(item, chosen, accel_rows)
-        if self.strategy == SUMMARY_TUPLE_WISE:
-            return self._reduce_row_chunked(item, chosen, accel_rows)
-        matrix = self.ctx.optimization_matrix(item["expr"], self.n_scenarios)
-        return _fold_matrix(matrix, chosen, item["inner_op"], accel_rows)
-
-    def _reduce_scenario_wise(self, item, chosen, accel_rows) -> np.ndarray:
-        """Θ(α·N·M) work, Θ(N) memory: regenerate only chosen scenarios."""
-        n_vars = self.ctx.problem.n_vars
-        values = np.empty((n_vars, len(chosen)))
-        for z, scenario_ids in enumerate(chosen):
-            folded = None
-            for j in scenario_ids:
-                vector = self.ctx.optimization_scenario_vector(item["expr"], int(j))
-                folded = vector if folded is None else _fold_pair(
-                    folded, vector, item["inner_op"], accel_rows
-                )
-            values[:, z] = folded
-        return values
-
-    def _reduce_row_chunked(self, item, chosen, accel_rows) -> np.ndarray:
-        """Θ(N·M) work, Θ(chunk·M) memory: fold active rows in chunks."""
-        n_vars = self.ctx.problem.n_vars
-        values = np.empty((n_vars, len(chosen)))
-        active = self.ctx.problem.active_rows
-        for start in range(0, n_vars, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, n_vars)
-            matrix = self.ctx.opt_matrix_source.coefficient_matrix(
-                item["expr"], self.n_scenarios, rows=active[start:stop]
-            )
-            chunk_accel = None
-            if accel_rows is not None:
-                local = accel_rows[(accel_rows >= start) & (accel_rows < stop)]
-                chunk_accel = local - start
-            values[start:stop, :] = _fold_matrix(
-                matrix, chosen, item["inner_op"], chunk_accel
-            )
-        return values
 
 
 def _fold_matrix(
@@ -225,16 +156,3 @@ def _fold_matrix(
         values[:, z] = column
     return values
 
-
-def _fold_pair(
-    folded: np.ndarray,
-    vector: np.ndarray,
-    inner_op: str,
-    accel_rows: np.ndarray | None,
-) -> np.ndarray:
-    main = np.minimum if inner_op == OP_GE else np.maximum
-    accel = np.maximum if inner_op == OP_GE else np.minimum
-    out = main(folded, vector)
-    if accel_rows is not None and len(accel_rows):
-        out[accel_rows] = accel(folded[accel_rows], vector[accel_rows])
-    return out

@@ -2,22 +2,23 @@
 
 A *scenario* realizes every stochastic attribute of a relation (Section
 2.2).  Scenario identity is stable: scenario ``j`` of a given stream is
-the same realization no matter when or how often it is generated, which
-is what lets SummarySearch re-generate chosen scenarios while building
-summaries (Section 5.5) and lets the validator use a fixed out-of-sample
-scenario set (Section 3.2).
+the same realization no matter when, how often, or by which worker it
+is generated, which is what lets ``ScenarioCache`` grow a matrix by its
+new columns as ``M`` grows and lets the validator use a fixed
+out-of-sample scenario set (Section 3.2).
 
-Two generation modes mirror the paper's two strategies:
+Two generation modes:
 
 * ``MODE_SCENARIO_WISE`` — RNG keyed by ``(seed, stream, attr, j)``; one
   vectorized draw realizes all tuples of scenario ``j``.  Generating a
   single scenario costs Θ(N); restricting to a subset of rows does not
-  reduce the cost (the paper's Θ(NM) sort complexity).
+  reduce the cost.  The optimization, probe, expectation and partition
+  streams use it.
 * ``MODE_TUPLE_WISE`` — RNG keyed by ``(seed, stream, attr, block)``; one
   draw realizes all ``M`` scenarios of one independence block.
   Restricting generation to the blocks that intersect a package costs
-  Θ(PM) (the paper's tuple-wise sort complexity), but scenario sets are
-  tied to the chosen ``M``.
+  Θ(PM), but scenario sets are tied to the chosen ``M``.  The validator
+  uses it: it only ever realizes the rows of the package it checks.
 
 The two modes produce different (but identically distributed) streams;
 each is internally reproducible.
@@ -29,6 +30,7 @@ import numpy as np
 
 from ..db.expressions import Expr, attributes_of, evaluate
 from ..errors import EvaluationError
+from ..parallel.executor import ParallelScenarioExecutor
 from ..utils.rngkeys import make_generator
 from .stochastic import StochasticModel
 
@@ -89,20 +91,11 @@ class ScenarioGenerator:
         attr: str,
         n_scenarios: int,
         rows: np.ndarray | None = None,
-        block_provider=None,
     ) -> np.ndarray:
         """Realizations of ``attr``: shape ``(len(rows), n_scenarios)``.
 
         ``rows`` restricts generation to the given row positions; only
         tuple-wise mode exploits the restriction to reduce work.
-
-        ``block_provider`` substitutes for the sequential tuple-wise
-        per-block draws when supplied — a callable
-        ``(attr, block_ids, n_scenarios) -> iterable[(block_id, values)]``
-        that must realize exactly the same ``(seed, stream, substream,
-        attr, block)``-keyed draws; the parallel executor uses it to fan
-        blocks out across workers while this method keeps the single
-        copy of the scatter/reassembly logic.
         """
         if n_scenarios < 1:
             raise EvaluationError("n_scenarios must be >= 1")
@@ -129,21 +122,13 @@ class ScenarioGenerator:
             out = np.empty((len(rows), n_scenarios), dtype=float)
             position = np.full(n_rows, -1, dtype=np.int64)
             position[rows] = np.arange(len(rows))
-        if block_provider is not None:
-            pairs = block_provider(attr, block_ids, n_scenarios)
-        else:
-            pairs = self._draw_blocks(vg, attr_id, block_ids, n_scenarios)
-        for b, values in pairs:
+        for b in block_ids:
+            rng = make_generator(self.seed, self.stream, self.substream, attr_id, b)
+            values = vg.sample_block(b, rng, n_scenarios)
             block_rows = vg.blocks[b]
             mask = position[block_rows] >= 0
             out[position[block_rows[mask]], :] = values[mask, :]
         return out
-
-    def _draw_blocks(self, vg, attr_id: int, block_ids, n_scenarios: int):
-        """Sequential per-block draws for the tuple-wise strategy."""
-        for b in block_ids:
-            rng = make_generator(self.seed, self.stream, self.substream, attr_id, b)
-            yield b, vg.sample_block(b, rng, n_scenarios)
 
     # --- expression coefficients -----------------------------------------------
 
@@ -152,18 +137,12 @@ class ScenarioGenerator:
         expr: Expr,
         n_scenarios: int,
         rows: np.ndarray | None = None,
-        matrix_provider=None,
     ) -> np.ndarray:
         """Per-scenario coefficient vectors for ``SUM(expr)`` constraints.
 
         Evaluates ``expr`` with deterministic columns broadcast across
         scenarios and stochastic attributes realized per scenario.
         Output shape: ``(len(rows), n_scenarios)``.
-
-        ``matrix_provider`` substitutes for :meth:`matrix` when supplied
-        (same signature); the parallel executor uses it to fan attribute
-        realization out across workers while the expression evaluation
-        stays in-process.
         """
         names = attributes_of(expr)
         stochastic = [n for n in sorted(names) if self.model.is_stochastic(n)]
@@ -171,9 +150,8 @@ class ScenarioGenerator:
         if not stochastic:
             values = self._deterministic_vector(expr, rows)
             return np.broadcast_to(values[:, None], (n_out, n_scenarios)).copy()
-        provider = matrix_provider if matrix_provider is not None else self.matrix
         realized = {
-            name: provider(name, n_scenarios, rows=rows) for name in stochastic
+            name: self.matrix(name, n_scenarios, rows=rows) for name in stochastic
         }
 
         def resolver(name: str) -> np.ndarray:
@@ -245,23 +223,16 @@ class ScenarioCache:
         self,
         generator: ScenarioGenerator,
         n_workers: int = 1,
-        executor=None,
         store=None,
     ):
         if generator.mode != MODE_SCENARIO_WISE:
             raise EvaluationError(
                 "ScenarioCache requires scenario-wise mode (prefix-stable sets)"
             )
-        if executor is not None and executor.generator is not generator:
-            raise EvaluationError(
-                "ScenarioCache executor must wrap the cache's own generator"
-            )
         self.generator = generator
         self.n_workers = max(1, int(n_workers))
-        #: Shared ParallelScenarioExecutor (e.g. the evaluation context's)
-        #: so one worker pool serves every consumer of this generator.
-        self._executor = executor
-        self._owns_executor = False
+        #: This cache's ParallelScenarioExecutor, made on the first fill.
+        self._executor = None
         #: Shared ScenarioStore (owned by its creator, never closed here).
         self._store = store
         #: id(expr) -> (expr, content key).  The Expr is pinned so its
@@ -271,15 +242,11 @@ class ScenarioCache:
 
     def _new_columns(self, expr: Expr, start: int, stop: int) -> np.ndarray:
         if self._executor is None:
-            # Imported lazily: repro.parallel builds on this module.  At
-            # n_workers=1 the executor is a sequential pass-through, so
-            # this is the single code path for both configurations.
-            from ..parallel.executor import ParallelScenarioExecutor
-
+            # At n_workers=1 the executor is a sequential pass-through,
+            # so this is the single code path for both configurations.
             self._executor = ParallelScenarioExecutor(
                 self.generator, self.n_workers
             )
-            self._owns_executor = True
         return self._executor.coefficient_columns(expr, range(start, stop))
 
     def _content_key(self, expr: Expr) -> tuple:
@@ -318,18 +285,15 @@ class ScenarioCache:
         return matrix
 
     def close(self) -> None:
-        """Shut down the worker pool, if this cache created it.  Idempotent.
+        """Shut down the worker pool, if any.  Idempotent.
 
-        A shared (injected) executor stays attached — its owner manages
-        its lifecycle — and so does a shared scenario store.  A closed
-        cache stays sequential: it never silently resurrects a pool on
-        the next fill.
+        A shared scenario store stays attached.  A closed cache stays
+        sequential: it never silently resurrects a pool on the next fill.
         """
-        if self._executor is not None and self._owns_executor:
+        if self._executor is not None:
             self._executor.close()
             self._executor = None
-            self._owns_executor = False
-            self.n_workers = 1
+        self.n_workers = 1
 
     def clear(self) -> None:
         """Drop all locally cached matrices and content keys.

@@ -1,17 +1,13 @@
 """Fan scenario-matrix generation out across worker processes.
 
-The executor parallelizes exactly the loops ``ScenarioGenerator`` runs
-sequentially, chunked along the axis that carries RNG identity:
-
-* scenario-wise mode — chunks of scenario indices ``j``; each worker
-  draws its scenarios from the ``(seed, stream, substream, attr, j)``
-  keys, so column ``j`` is the same array no matter who computed it;
-* tuple-wise mode — chunks of independence-block ids; each worker draws
-  its blocks from the ``(seed, stream, substream, attr, block)`` keys.
-
-Reassembly follows the same canonical order as the sequential code, so
-parallel output is bit-identical to ``n_workers=1`` (the determinism
-regression tests assert ``np.array_equal``, not ``allclose``).
+The executor parallelizes the one loop ``ScenarioCache`` runs to fill
+its new columns, chunked along the axis that carries RNG identity:
+contiguous chunks of scenario indices ``j``, each worker drawing its
+scenarios from the ``(seed, stream, substream, attr, j)`` keys, so
+column ``j`` is the same array no matter who computed it.  Reassembly
+keeps scenario order, so parallel output is bit-identical to
+``n_workers=1`` (the determinism regression tests assert
+``np.array_equal``, not ``allclose``).
 
 Workers are plain ``ProcessPoolExecutor`` processes seeded once with a
 pickled copy of the generator (relations are immutable, generators are
@@ -76,33 +72,6 @@ def _init_worker(generator) -> None:
     _WORKER_GENERATOR = generator
 
 
-def _attr_scenario_chunk(attr, scenarios, rows):
-    """Columns of ``attr`` realizations for the given scenario ids."""
-    generator = _WORKER_GENERATOR
-    n_out = generator.relation.n_rows if rows is None else len(rows)
-    out = np.empty((n_out, len(scenarios)), dtype=float)
-    for i, j in enumerate(scenarios):
-        full = generator.realize(attr, int(j))
-        out[:, i] = full if rows is None else full[rows]
-    return out
-
-
-def _attr_block_chunk(attr, n_scenarios, block_ids):
-    """Tuple-wise draws: ``[(block_id, values)]`` for the given blocks."""
-    from ..utils.rngkeys import make_generator
-
-    generator = _WORKER_GENERATOR
-    vg = generator.model.vg(attr)
-    attr_id = generator.model.attr_id(attr)
-    out = []
-    for b in block_ids:
-        rng = make_generator(
-            generator.seed, generator.stream, generator.substream, attr_id, int(b)
-        )
-        out.append((int(b), vg.sample_block(int(b), rng, n_scenarios)))
-    return out
-
-
 def _coefficient_scenario_chunk(expr, scenarios):
     """Full-relation coefficient columns for the given scenario ids."""
     generator = _WORKER_GENERATOR
@@ -124,11 +93,12 @@ def _shutdown_pool(pool) -> None:
 
 
 class ParallelScenarioExecutor:
-    """Chunked, process-parallel façade over one :class:`ScenarioGenerator`.
+    """Process-parallel coefficient columns of one :class:`ScenarioGenerator`.
 
-    With ``n_workers=1`` every method delegates straight to the wrapped
-    generator — the executor is then a zero-cost pass-through, which lets
-    callers hold one code path for both configurations.
+    With ``n_workers=1`` :meth:`coefficient_columns` runs the wrapped
+    generator's sequential loop — the executor is then a zero-cost
+    pass-through, which lets callers hold one code path for both
+    configurations.
     """
 
     def __init__(self, generator, n_workers: int = 1):
@@ -182,51 +152,6 @@ class ParallelScenarioExecutor:
             return None
 
     # --- parallel generation -------------------------------------------------
-
-    def matrix(self, attr: str, n_scenarios: int, rows=None) -> np.ndarray:
-        """Parallel ``ScenarioGenerator.matrix`` (bit-identical output)."""
-        from ..mcdb.scenarios import MODE_SCENARIO_WISE
-
-        generator = self.generator
-        if generator.mode == MODE_SCENARIO_WISE:
-            rows_arr = None if rows is None else np.asarray(rows)
-            chunks = scenario_chunks(range(n_scenarios), self.n_workers)
-            results = self._map(
-                _attr_scenario_chunk, [(attr, c, rows_arr) for c in chunks]
-            )
-            if results is None:
-                return generator.matrix(attr, n_scenarios, rows=rows)
-            return np.concatenate(results, axis=1)
-        # Tuple-wise: the generator keeps the single copy of the scatter
-        # logic; only the per-block draws fan out.
-        return generator.matrix(
-            attr, n_scenarios, rows=rows, block_provider=self._parallel_blocks
-        )
-
-    def _parallel_blocks(self, attr, block_ids, n_scenarios):
-        """Block draws fanned across workers (sequential fallback)."""
-        chunks = scenario_chunks(block_ids, self.n_workers)
-        results = self._map(
-            _attr_block_chunk, [(attr, n_scenarios, c) for c in chunks]
-        )
-        if results is None:
-            generator = self.generator
-            vg = generator.model.vg(attr)
-            return generator._draw_blocks(
-                vg, generator.model.attr_id(attr), block_ids, n_scenarios
-            )
-        return [pair for chunk_result in results for pair in chunk_result]
-
-    def coefficient_matrix(self, expr, n_scenarios: int, rows=None) -> np.ndarray:
-        """Parallel ``ScenarioGenerator.coefficient_matrix``.
-
-        Stochastic attribute matrices are generated in parallel; the
-        (deterministic) expression evaluation runs in this process, so
-        the result is bit-identical to the sequential code path.
-        """
-        return self.generator.coefficient_matrix(
-            expr, n_scenarios, rows=rows, matrix_provider=self.matrix
-        )
 
     def coefficient_columns(self, expr, scenarios) -> np.ndarray:
         """Full-relation coefficient columns for explicit scenario ids.

@@ -32,16 +32,30 @@ from ..silp.model import MeanConstraint
 #: Artifacts kept per process (oldest evicted).
 _ARTIFACT_LIMIT = 32
 
-#: Config fields excluded from the query digest: time budgets and
-#: process topology never change the solved answer (the repo's
-#: bit-identical-for-any-worker-count invariant), so artifacts stay
-#: reusable across deadline and worker-count changes.
+#: Config fields excluded from the query digest: time budgets, process
+#: topology, serving and observability settings never change the solved
+#: answer (the repo's bit-identical-for-any-worker-count invariant), so
+#: artifacts stay reusable across deadline, worker-count and service
+#: changes.  Every other field is hashed, so a new field fails safe: it
+#: costs a refine reuse until it is listed here, never a wrong answer.
 _EXCLUDED_CONFIG_FIELDS = {
     "deadline_ms",
     "time_limit",
     "n_workers",
-    "trace_enabled",
     "scale_resident_budget",
+    # serving
+    "scenario_store_budget",
+    "scenario_store_spill",
+    "service_pool_size",
+    "service_max_pending",
+    "service_backend",
+    "worker_recycle_after",
+    # observability
+    "trace_enabled",
+    "trace_ring_size",
+    "slow_query_threshold_s",
+    "slow_query_log",
+    "slow_query_log_max_bytes",
 }
 
 

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.approx import compute_objective_bounds
 from repro.core.context import EvaluationContext
-from repro.core.csa import CSASolveResult, csa_solve, formulate_csa
+from repro.core.csa import (
+    MAX_CSA_ITERATIONS,
+    CSASolveResult,
+    csa_solve,
+    formulate_csa,
+)
 from repro.core.summaries import SummaryBuilder
 from repro.core.validator import Validator
 from repro.silp.compile import compile_query
@@ -96,7 +101,7 @@ def test_csa_solve_terminates_within_budget(chance_context):
     validator = Validator(chance_context)
     result = csa_solve(chance_context, validator, None, np.zeros(5, dtype=np.int64),
                        20, 1, 0.0)
-    assert len(result.iterations) <= chance_context.config.max_csa_iterations + 1
+    assert len(result.iterations) <= MAX_CSA_ITERATIONS + 1
 
 
 def test_probability_objective_claim_is_conservative(items_catalog, fast_config):

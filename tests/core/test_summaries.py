@@ -1,12 +1,10 @@
-"""α-summaries: Proposition 1, the Figure 3 example, greedy G_z,
-convergence acceleration, and strategy equivalence."""
+"""α-summaries: Proposition 1, the Figure 3 example, greedy G_z and
+convergence acceleration."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SUMMARY_SCENARIO_WISE, SUMMARY_TUPLE_WISE
-from repro.core.context import EvaluationContext
 from repro.core.summaries import SummaryBuilder, make_partitions, _fold_matrix
 from repro.errors import EvaluationError
 from repro.silp.model import OP_GE, OP_LE
@@ -177,22 +175,3 @@ def test_acceleration_keeps_incumbent_feasible(chance_context):
         accelerated.values[untouched, 0], plain.values[untouched, 0]
     )
 
-
-def test_in_memory_and_scenario_wise_strategies_identical(
-    chance_problem, fast_config
-):
-    """Both use scenario-keyed streams, so they must produce bitwise
-    identical summaries; tuple-wise uses different keys."""
-    item_x = np.array([1, 0, 0, 1, 0])
-    results = {}
-    for strategy in ("in-memory", SUMMARY_SCENARIO_WISE, SUMMARY_TUPLE_WISE):
-        ctx = EvaluationContext(
-            chance_problem, fast_config.replace(summary_strategy=strategy)
-        )
-        builder = SummaryBuilder(ctx, 10, 2)
-        summary_set = builder.build(ctx.chance_items()[0], 0.4, item_x)
-        results[strategy] = summary_set.values
-    assert np.array_equal(results["in-memory"], results[SUMMARY_SCENARIO_WISE])
-    assert not np.array_equal(results["in-memory"], results[SUMMARY_TUPLE_WISE])
-    # Distributionally comparable nonetheless.
-    assert results[SUMMARY_TUPLE_WISE].shape == results["in-memory"].shape

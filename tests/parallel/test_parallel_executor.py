@@ -1,9 +1,9 @@
 """Determinism regression tests for the parallel scenario executor.
 
 The contract is bit-identical equality (``np.array_equal``, not
-``allclose``): chunking is keyed by scenario/block RNG identity, so any
-worker count must reproduce the sequential stream exactly, in both
-generation modes.
+``allclose``): ``ParallelScenarioExecutor.coefficient_columns`` — the
+cache-fill primitive — chunks by scenario RNG identity, so any worker
+count must reproduce the sequential stream exactly.
 """
 
 import numpy as np
@@ -11,13 +11,9 @@ import pytest
 
 from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.config import STREAM_OPTIMIZATION
-from repro.mcdb import GaussianNoiseVG, GeometricBrownianMotionVG, StochasticModel
-from repro.mcdb.scenarios import (
-    MODE_SCENARIO_WISE,
-    MODE_TUPLE_WISE,
-    ScenarioCache,
-    ScenarioGenerator,
-)
+from repro.db.expressions import Attr
+from repro.mcdb import GaussianNoiseVG, StochasticModel
+from repro.mcdb.scenarios import ScenarioCache, ScenarioGenerator
 from repro.parallel import ParallelScenarioExecutor, scenario_chunks
 from repro.silp.compile import compile_query
 
@@ -39,6 +35,20 @@ def gbm_setup(portfolio_toy):
     return portfolio_toy
 
 
+def _parallel_columns(model, seed, expr, scenarios):
+    """``coefficient_columns`` through a real 4-worker pool."""
+    executor = ParallelScenarioExecutor(
+        ScenarioGenerator(model, seed, STREAM_OPTIMIZATION), N_WORKERS
+    )
+    try:
+        columns = executor.coefficient_columns(expr, scenarios)
+        # The pool really ran: no silent fall-back to the sequential loop.
+        assert executor._pool is not None and not executor._broken
+        return columns
+    finally:
+        executor.close()
+
+
 def test_scenario_chunks_cover_in_order():
     chunks = scenario_chunks(range(10), 4)
     flat = np.concatenate(chunks)
@@ -47,42 +57,29 @@ def test_scenario_chunks_cover_in_order():
     assert scenario_chunks(range(2), 8) and len(scenario_chunks(range(2), 8)) == 2
 
 
-@pytest.mark.parametrize("mode", (MODE_SCENARIO_WISE, MODE_TUPLE_WISE))
-def test_attribute_matrix_bit_identical(gaussian_setup, mode):
+def test_attribute_matrix_bit_identical(gaussian_setup):
     _, model = gaussian_setup
-    sequential = ScenarioGenerator(model, 11, STREAM_OPTIMIZATION, mode=mode)
-    executor = ParallelScenarioExecutor(
-        ScenarioGenerator(model, 11, STREAM_OPTIMIZATION, mode=mode), N_WORKERS
+    sequential = ScenarioGenerator(model, 11, STREAM_OPTIMIZATION).matrix(
+        "Value", M
     )
-    try:
-        expected = sequential.matrix("Value", M)
-        got = executor.matrix("Value", M)
-        assert np.array_equal(got, expected)
-        # Row-restricted generation must agree too.
-        rows = np.array([0, 5, 7, 20])
-        assert np.array_equal(
-            executor.matrix("Value", M, rows=rows),
-            sequential.matrix("Value", M, rows=rows),
-        )
-    finally:
-        executor.close()
+    assert np.array_equal(
+        _parallel_columns(model, 11, Attr("Value"), range(M)), sequential
+    )
+    # A suffix, as the cache asks for when M grows.
+    assert np.array_equal(
+        _parallel_columns(model, 11, Attr("Value"), range(7, M)),
+        sequential[:, 7:],
+    )
 
 
-@pytest.mark.parametrize("mode", (MODE_SCENARIO_WISE, MODE_TUPLE_WISE))
-def test_gbm_block_structure_bit_identical(gbm_setup, mode):
-    """Correlated (block-structured) VGs: per-block draws must land on
-    the same rows regardless of which worker realized the block."""
+def test_gbm_block_structure_bit_identical(gbm_setup):
+    """Correlated (block-structured) VGs: a scenario's draws land on the
+    same rows regardless of which worker realized it."""
     _, model = gbm_setup
-    sequential = ScenarioGenerator(model, 5, STREAM_OPTIMIZATION, mode=mode)
-    executor = ParallelScenarioExecutor(
-        ScenarioGenerator(model, 5, STREAM_OPTIMIZATION, mode=mode), N_WORKERS
+    assert np.array_equal(
+        _parallel_columns(model, 5, Attr("Gain"), range(M)),
+        ScenarioGenerator(model, 5, STREAM_OPTIMIZATION).matrix("Gain", M),
     )
-    try:
-        assert np.array_equal(
-            executor.matrix("Gain", M), sequential.matrix("Gain", M)
-        )
-    finally:
-        executor.close()
 
 
 def test_coefficient_matrix_bit_identical(gaussian_setup):
@@ -97,22 +94,16 @@ def test_coefficient_matrix_bit_identical(gaussian_setup):
     )
     expr = problem.chance_constraints[0].expr
     sequential = ScenarioGenerator(model, 11, STREAM_OPTIMIZATION)
-    executor = ParallelScenarioExecutor(
-        ScenarioGenerator(model, 11, STREAM_OPTIMIZATION), N_WORKERS
+    assert np.array_equal(
+        _parallel_columns(model, 11, expr, range(M)),
+        sequential.coefficient_matrix(expr, M),
     )
-    try:
-        assert np.array_equal(
-            executor.coefficient_matrix(expr, M),
-            sequential.coefficient_matrix(expr, M),
-        )
-        assert np.array_equal(
-            executor.coefficient_columns(expr, range(4, 17)),
-            np.column_stack(
-                [sequential.coefficient_scenario(expr, j) for j in range(4, 17)]
-            ),
-        )
-    finally:
-        executor.close()
+    assert np.array_equal(
+        _parallel_columns(model, 11, expr, range(4, 17)),
+        np.column_stack(
+            [sequential.coefficient_scenario(expr, j) for j in range(4, 17)]
+        ),
+    )
 
 
 def test_scenario_cache_contents_bit_identical(gaussian_setup):
@@ -203,37 +194,22 @@ def _correlated_models():
     _correlated_models(),
     ids=[label for label, _ in _correlated_models()],
 )
-@pytest.mark.parametrize("mode", (MODE_SCENARIO_WISE, MODE_TUPLE_WISE))
-def test_correlated_vgs_bit_identical_across_workers(label, factory, mode):
-    """Each new VG family: n_workers=4 realization equals sequential,
-    bit for bit, in both generation modes (the block-aware RNG
-    substreams make correlated groups chunk-safe)."""
+def test_correlated_vgs_bit_identical_across_workers(label, factory):
+    """Each correlated VG family: n_workers=4 realization equals
+    sequential, bit for bit (the block-aware RNG substreams make
+    correlated groups chunk-safe)."""
     relation = _correlated_relation()
     model = StochasticModel(relation, {"X": factory()})
-    sequential = ScenarioGenerator(model, 23, STREAM_OPTIMIZATION, mode=mode)
-    executor = ParallelScenarioExecutor(
-        ScenarioGenerator(model, 23, STREAM_OPTIMIZATION, mode=mode), N_WORKERS
+    assert np.array_equal(
+        _parallel_columns(model, 23, Attr("X"), range(M)),
+        ScenarioGenerator(model, 23, STREAM_OPTIMIZATION).matrix("X", M),
     )
-    try:
-        assert np.array_equal(
-            executor.matrix("X", M), sequential.matrix("X", M)
-        )
-        rows = np.array([1, 4, 9])
-        assert np.array_equal(
-            executor.matrix("X", M, rows=rows),
-            sequential.matrix("X", M, rows=rows),
-        )
-    finally:
-        executor.close()
 
 
-@pytest.mark.parametrize("summary_strategy", ("in-memory", "tuple-wise"))
-def test_end_to_end_package_identical_across_worker_counts(
-    gaussian_setup, summary_strategy
-):
-    """Engine-level determinism for both generation modes: the in-memory
-    strategy exercises the parallel ScenarioCache fill (scenario-wise
-    keys), the tuple-wise strategy the parallel block-keyed generator."""
+def test_end_to_end_package_identical_across_worker_counts(gaussian_setup):
+    """Engine-level determinism: n_workers=4 fills the optimization
+    ScenarioCache through the worker pool, and the package is the one
+    the sequential fill gives."""
     relation, model = gaussian_setup
     query = (
         "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
@@ -254,7 +230,6 @@ def test_end_to_end_package_identical_across_worker_counts(
             time_limit=60.0,
             seed=3,
             n_workers=n_workers,
-            summary_strategy=summary_strategy,
         )
         engine = SPQEngine(config=config)
         engine.register(relation, model)

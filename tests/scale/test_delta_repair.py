@@ -157,3 +157,18 @@ def test_failed_validation_discards_reuse_and_reruns_cold(scale_config):
     assert run2.feasible
     assert "delta_repair" not in run2.meta
     assert scale_metrics.snapshot()["delta_repair_fallbacks"] == before + 1
+
+
+def test_query_digest_ignores_serving_and_observability_fields(scale_config):
+    """A service or tracing setting cannot change a refine outcome, so it
+    must not cost the query its delta-repair artifact; a solve knob must."""
+    problem = compile_query(SPEC.spaql, _fresh_catalog())
+    digest = query_digest(problem, scale_config)
+    for changes in (
+        {"trace_ring_size": 5},
+        {"slow_query_log": "/tmp/x"},
+        {"service_pool_size": 2},
+    ):
+        assert query_digest(problem, scale_config.replace(**changes)) == digest
+    for changes in ({"epsilon": 0.25}, {"seed": 99}):
+        assert query_digest(problem, scale_config.replace(**changes)) != digest

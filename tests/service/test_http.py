@@ -212,7 +212,7 @@ def test_error_mapping(service):
     assert excinfo.value.code == 404
 
     # Unknown config override → 400, including the removed solver
-    # switch, delta-reuse knob, and the four knobs only tests set.
+    # switch, delta-reuse knob, and the knobs only tests set.
     for knob, value in (
         ("bogus_knob", 1),
         ("solver", "branch-bound"),
@@ -221,6 +221,9 @@ def test_error_mapping(service):
         ("incremental_solves", False),
         ("analytic_expectations", False),
         ("scale_threshold_rows", 10),
+        ("summary_strategy", "tuple-wise"),
+        ("scale_chunk_rows", 1024),
+        ("max_csa_iterations", 5),
     ):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(service, {"query": QUERY, "overrides": {knob: value}})

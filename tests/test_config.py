@@ -1,9 +1,12 @@
 """SPQConfig validation and derivation."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import SPQConfig
 from repro.config import paper_scale_config
 from repro.errors import EvaluationError
@@ -22,7 +25,6 @@ def test_defaults_valid():
         ("initial_summaries", 0),
         ("summary_increment", 0),
         ("epsilon", -0.1),
-        ("summary_strategy", "zip"),
         ("service_backend", "fork"),
         ("time_limit", 0.0),
         ("deadline_ms", float("nan")),
@@ -45,6 +47,9 @@ def test_invalid_values_rejected(field, value):
         "incremental_solves",
         "analytic_expectations",
         "scale_threshold_rows",
+        "summary_strategy",
+        "scale_chunk_rows",
+        "max_csa_iterations",
     ],
 )
 def test_removed_knobs_are_not_fields(field):
@@ -53,6 +58,8 @@ def test_removed_knobs_are_not_fields(field):
     # Base-model reuse, warm starts and analytic means are always on,
     # the self-time table is a view of the trace, and the scale route
     # is derived from the model and the store's resident budget.
+    # Summaries are always built in memory (Section 5.5), the CSA round
+    # cap is a constant, and on-disk chunking uses the columnar default.
     with pytest.raises(TypeError):
         SPQConfig(**{field: None})
 
@@ -65,7 +72,7 @@ FIELDS = {
     # Monte Carlo sizes and SummarySearch (the paper's M̂, M, m, z, ε)
     "n_validation_scenarios", "n_initial_scenarios", "scenario_increment",
     "max_scenarios", "initial_summaries", "summary_increment", "epsilon",
-    "summary_strategy", "max_csa_iterations", "max_quality_rounds",
+    "max_quality_rounds",
     "n_expectation_scenarios", "n_probe_scenarios",
     # parallel evaluation and the stochastic model
     "n_workers", "vg_overrides",
@@ -73,8 +80,7 @@ FIELDS = {
     "scenario_store_budget", "scenario_store_spill", "service_pool_size",
     "service_max_pending", "service_backend", "worker_recycle_after",
     # out-of-core scale tier
-    "scale_n_partitions", "scale_pilot_scenarios", "scale_chunk_rows",
-    "scale_resident_budget",
+    "scale_n_partitions", "scale_pilot_scenarios", "scale_resident_budget",
     # observability
     "trace_enabled", "trace_ring_size", "slow_query_threshold_s",
     "slow_query_log", "slow_query_log_max_bytes",
@@ -85,6 +91,27 @@ FIELDS = {
 
 def test_config_field_set_is_pinned():
     assert {f.name for f in dataclasses.fields(SPQConfig)} == FIELDS
+    assert len(FIELDS) == 31
+
+
+def test_every_field_is_read_outside_config():
+    """A field that no code reads is a dead knob: setting it changes
+    nothing.  A read is ``.<field>`` or a ``getattr(..., "<field>")``
+    string in ``src/repro/`` outside ``config.py``; code that loops over
+    every field (``refinecache.query_digest``) is not a read."""
+    package = Path(repro.__file__).parent
+    text = "\n".join(
+        path.read_text()
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "config.py"
+    )
+    unread = [
+        name
+        for name in sorted(FIELDS)
+        if not re.search(rf"\.{name}\b", text)
+        and not re.search(rf"getattr\([^)]*[\"']{name}[\"']", text)
+    ]
+    assert not unread, unread
 
 
 def test_refine_cache_excludes_only_real_fields():

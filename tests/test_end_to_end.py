@@ -126,16 +126,3 @@ def test_probability_objective_claim_vs_validation(config):
     if claimed is not None:
         assert claimed <= result.objective + 0.1
 
-
-def test_summary_strategies_end_to_end(config):
-    """All three §5.5 strategies solve the same query feasibly."""
-    spec, engine = _engine("galaxy", "Q1", 300, config)
-    objectives = {}
-    for strategy in ("in-memory", "tuple-wise", "scenario-wise"):
-        result = engine.execute(
-            spec.spaql, method="summarysearch", summary_strategy=strategy
-        )
-        assert result.feasible, strategy
-        objectives[strategy] = result.objective
-    # Identical streams for in-memory and scenario-wise: same answer.
-    assert objectives["in-memory"] == pytest.approx(objectives["scenario-wise"])
