@@ -5,9 +5,10 @@ Starts the HTTP serving layer as a subprocess over the portfolio
 workload, posts the same Table-3 Q1 query twice, and asserts the second
 request is served from the scenario store (hit counter moved, generation
 counter did not) and replays its search from the store's memo: the same
-multiplicities and objective, and every solve span of its traced tree
-marked ``memo=true``.  Used by the CI ``service-smoke`` job; also
-runnable locally::
+multiplicities and objective, every solve span of its traced tree
+marked ``memo=true``, and no ``summaries`` or ``milp.build`` span in it
+(each CSA round is replayed whole).  Used by the CI ``service-smoke``
+job; also runnable locally::
 
     PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -133,7 +134,14 @@ def main() -> int:
         assert solves, "traced repeat has no solve spans"
         unserved = [s["name"] for s in solves if not s["attrs"].get("memo")]
         assert not unserved, f"repeat re-solved {len(unserved)} models"
-        print(f"second: {len(solves)} solves, all from the store's memo")
+        # Each CSA round is replayed whole: no summaries, no model built.
+        rebuilt = [
+            span["name"] for span in iter_spans(second["trace"]["root"])
+            if span["name"] in ("summaries", "milp.build")
+        ]
+        assert not rebuilt, f"repeat rebuilt {len(rebuilt)} summaries/models"
+        print(f"second: {len(solves)} solves, all from the store's memo,"
+              " no summaries or models rebuilt")
 
         with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
             metrics = response.read().decode()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SPQConfig, STREAM_OPTIMIZATION, STREAM_PROBE
-from ..db.expressions import Expr, evaluate
+from ..db.expressions import Expr, evaluate, render
 from ..errors import EvaluationError
 from ..mcdb.expectation import ExpectationEstimator
 from ..mcdb.scenarios import ScenarioCache, ScenarioGenerator
@@ -29,6 +29,7 @@ from ..silp.model import (
     StochasticPackageProblem,
 )
 from ..silp.varbounds import derive_variable_bounds, package_size_bounds
+from ..solver.highs import model_digest
 from ..solver.model import MILPBuilder
 
 
@@ -54,7 +55,8 @@ class EvaluationContext:
         #: (docs/architecture.md, "Ask once"): model digest
         #: -> raw solver outcome (``solver/highs.py``), validation key ->
         #: satisfied count (``Validator``), (α, r) history -> arctangent
-        #: root (``core/alpha.py``).  Every key is content, so with a store
+        #: root (``core/alpha.py``), round inputs -> round outcome
+        #: (``core/csa.py``).  Every key is content, so with a store
         #: the memo is the store's and outlives the evaluation; without
         #: one it is private and dies with the context.
         self.memo = store.memo if store is not None else {}
@@ -82,9 +84,21 @@ class EvaluationContext:
         self.size_bounds = package_size_bounds(
             problem, self.mean_coefficients, self.variable_ub
         )
-        #: Base-model template: (builder, x indices); callers receive
-        #: clones of the builder (see :meth:`base_milp`).
+        #: Base-model template: (builder, x indices, its arrays); callers
+        #: receive clones of the builder (see :meth:`base_milp`).
         self._incremental_base: tuple | None = None
+        self._round_head: tuple | None = None
+
+    def close(self) -> None:
+        """Shut down the scenario caches' worker pools.  Idempotent.
+
+        With ``n_workers > 1`` the optimization cache forks a pool on its
+        first fill; the evaluators close their context when they return,
+        so no pool outlives its query.  A shared store stays open.
+        """
+        for cache in (self.opt_cache, self.probe_cache):
+            if cache is not None:
+                cache.close()
 
     # --- coefficients -----------------------------------------------------------
 
@@ -171,14 +185,64 @@ class EvaluationContext:
         own indicator rows.  :meth:`build_base_milp` stays the cold
         reference.
         """
+        builder, x_idx, _ = self._template()
+        return builder.clone(), x_idx
+
+    def _template(self) -> tuple:
         if self._incremental_base is None:
             builder, x_idx = self.build_base_milp()
             # Materialize the deterministic rows now: every clone shares
             # this CSR block and never re-triplets it.
-            builder.to_arrays()
-            self._incremental_base = (builder, x_idx)
-        builder, x_idx = self._incremental_base
-        return builder.clone(), x_idx
+            arrays = builder.to_arrays()
+            self._incremental_base = (builder, x_idx, arrays)
+        return self._incremental_base
+
+    # --- memo keys --------------------------------------------------------------------
+
+    def memo_head(self, kind: str, content) -> tuple:
+        """Key prefix of the answers of one ``kind`` kept in :attr:`memo`.
+
+        Only a store's memo is shared, so only it needs content: the model
+        fingerprint comes first (``AnswerMemo.prune`` reads it there),
+        then ``kind`` and ``content()``, a digest of what else every such
+        answer of this evaluation depends on.  A private memo keeps the
+        constant ``(kind,)``, so a store-less run never hashes the
+        relation just to key a dict.
+        """
+        if self.scenario_store is None or self.model is None:
+            return (kind,)
+        from ..service.store import model_fingerprint
+
+        return (model_fingerprint(self.model), kind, content())
+
+    def round_head(self) -> tuple:
+        """Key prefix of CSA round answers (``core/csa.py``), made once."""
+        if self._round_head is None:
+            self._round_head = self.memo_head("round", self._round_digest)
+        return self._round_head
+
+    def _round_digest(self) -> bytes:
+        """What every CSA round of this evaluation is built from.
+
+        The base block (as its template's arrays), the active rows and
+        the seed (which with the model fix the optimization scenarios
+        and partitions), ``mip_gap``, and each chance item's expression,
+        operator, right-hand side, probability and sense.
+        """
+        items = repr([
+            (render(item["expr"]), item["inner_op"], item["rhs"], item["p"],
+             item["is_objective"], item.get("sense"))
+            for item in self.chance_items()
+        ]).encode()
+        return model_digest(
+            self.config.mip_gap,
+            self._template()[2],
+            (
+                np.asarray(self.problem.active_rows, dtype=np.int64),
+                np.asarray([self.config.seed], dtype=np.int64),
+                np.frombuffer(items, dtype=np.uint8),
+            ),
+        )
 
     # --- objective helpers ----------------------------------------------------------
 

@@ -28,6 +28,7 @@ from ..obs.events import KIND_CSA_ROUND, emit
 from ..silp.canonical import flip_chance_constraint
 from ..silp.model import SENSE_MAX, SENSE_MIN
 from ..solver.model import MILPBuilder
+from ..solver.result import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_UNBOUNDED
 from ..utils.timing import Stopwatch
 from .alpha import guess_alpha, snap_to_grid
 from .approx import epsilon_certificate
@@ -180,6 +181,27 @@ def _solution_key(x: np.ndarray, alphas: list[float]) -> tuple:
     return (*package_key(x), tuple(round(a, 9) for a in alphas))
 
 
+#: Solver outcomes a round answer is kept for (see ``solver/highs.py``).
+_REPLAYABLE = (STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED)
+
+
+def _round_key(ctx, n_scenarios, n_summaries, alphas, accelerate, x) -> tuple:
+    """Memo key of one CSA round's outcome: everything it is built from.
+
+    The summaries depend on the optimization scenarios (model, seed,
+    expression, active rows, ``M``), the partitions (seed, ``M``, ``Z``),
+    the snapped α, the acceleration flags and the incumbent ``x``; the
+    model adds the base block and each item's right-hand side and
+    probability, the MIP start is ``x`` itself and the solve adds
+    ``mip_gap``.  What is shared by every round of the evaluation is in
+    :meth:`EvaluationContext.round_head`.
+    """
+    return (
+        *ctx.round_head(), n_scenarios, n_summaries, tuple(alphas),
+        tuple(accelerate), *package_key(x),
+    )
+
+
 def csa_solve(
     ctx,
     validator: Validator,
@@ -281,6 +303,28 @@ def csa_solve(
             )
             accelerate[k] = new_alpha < alphas[k] - 1e-12
             alphas[k] = new_alpha
+        snapped = [snap_to_grid(alpha, grid_step) for alpha in alphas]
+
+        # A round is a pure function of these inputs: a repeat of one
+        # (within the search, or a repeated query's on a store) replays
+        # its outcome instead of rebuilding its summaries and model.
+        key = _round_key(ctx, n_scenarios, n_summaries, snapped, accelerate, x)
+        replay_watch = Stopwatch()
+        with replay_watch:
+            answer = ctx.memo.get(key)
+        if answer is not None:
+            status, next_x, next_claimed = answer
+            with stage("solve", q=q) as solve_span:
+                solve_span.set("status", status)
+                solve_span.set("memo", True)
+            solve_memo = True
+            record.solver_status = status
+            record.solve_time = replay_watch.elapsed
+            if next_x is None:
+                break
+            x = next_x.copy()
+            claimed = next_claimed
+            continue
 
         summary_watch = Stopwatch()
         with summary_watch, stage("summaries", Z=n_summaries):
@@ -288,7 +332,7 @@ def csa_solve(
             for k, item in enumerate(items):
                 summary_item = _objective_item_for_summaries(item)
                 item_summaries[item["index"]] = summary_builder.build(
-                    summary_item, snap_to_grid(alphas[k], grid_step), x, accelerate[k]
+                    summary_item, snapped[k], x, accelerate[k]
                 )
         # The incumbent the summaries were built around doubles as the
         # MIP start for the re-solve (Algorithm 3's iterate q).
@@ -309,13 +353,25 @@ def csa_solve(
         record.solver_status = result.status
         record.solve_time = result.solve_time
         record.summary_time = summary_watch.elapsed
-        if not result.has_solution:
+        next_x = next_claimed = None
+        if result.has_solution:
+            next_x = formulation.extract_package(result.x)
+            next_claimed = formulation.claimed_objective(result.x, ctx)
+        if result.status in _REPLAYABLE:
+            # Outcomes that do not depend on the time limit, as for the
+            # solve memo: a truncated round is never replayed.
+            ctx.memo[key] = (
+                result.status,
+                None if next_x is None else next_x.copy(),
+                next_claimed,
+            )
+        if next_x is None:
             # Over-conservative summaries made the CSA infeasible (or the
             # solver hit its limit): return the best solution seen so far;
             # SummarySearch will grow M.
             break
-        x = formulation.extract_package(result.x)
-        claimed = formulation.claimed_objective(result.x, ctx)
+        x = next_x
+        claimed = next_claimed
 
     assert best is not None
     best.cycle_detected = cycle

@@ -55,6 +55,14 @@ def deterministic_evaluate(
             " constraints or objectives; use naive or summarysearch"
         )
     ctx = EvaluationContext(problem, config, store=store)
+    try:
+        return _deterministic(ctx)
+    finally:
+        ctx.close()
+
+
+def _deterministic(ctx: EvaluationContext) -> PackageResult:
+    problem, config = ctx.problem, ctx.config
     stats = RunStats(METHOD_DETERMINISTIC)
     watch = Stopwatch()
     with watch:

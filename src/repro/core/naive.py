@@ -33,6 +33,14 @@ def naive_evaluate(
     :class:`repro.service.ScenarioStore` (bit-identical results).
     """
     ctx = EvaluationContext(problem, config, store=store)
+    try:
+        return _naive(ctx)
+    finally:
+        ctx.close()
+
+
+def _naive(ctx: EvaluationContext) -> PackageResult:
+    problem, config = ctx.problem, ctx.config
     validator = Validator(ctx)
     stats = RunStats(METHOD_NAIVE)
     # QoS deadline and batch time limit share one enforcement path.

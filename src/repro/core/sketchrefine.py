@@ -155,10 +155,14 @@ def sketch_refine_evaluate(
     ctx = EvaluationContext(problem, config)
     stats = RunStats(METHOD_SKETCH_REFINE)
     watch = Stopwatch()
-    with watch:
-        result = _run(ctx, n_partitions, stats)
+    try:
+        with watch:
+            x = _run(ctx, n_partitions, stats)
+        objective = None if x is None else ctx.mean_objective_value(x)
+    finally:
+        ctx.close()
     stats.total_time = watch.elapsed
-    if result is None:
+    if x is None:
         return PackageResult(
             package=None,
             feasible=False,
@@ -167,8 +171,6 @@ def sketch_refine_evaluate(
             stats=stats,
             message="sketch (or every refine step) was infeasible",
         )
-    x = result
-    objective = ctx.mean_objective_value(x)
     return PackageResult(
         package=Package(problem, x),
         feasible=True,

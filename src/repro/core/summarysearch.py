@@ -55,6 +55,14 @@ def summary_search_evaluate(
     its length does not match the problem.
     """
     ctx = EvaluationContext(problem, config, store=store)
+    try:
+        return _summary_search(ctx, warm_x)
+    finally:
+        ctx.close()
+
+
+def _summary_search(ctx: EvaluationContext, warm_x) -> PackageResult:
+    problem, config = ctx.problem, ctx.config
     validator = Validator(ctx)
     stats = RunStats(METHOD_SUMMARY_SEARCH)
     # The per-query QoS deadline and the batch time limit share one

@@ -82,12 +82,21 @@ class Validator:
         self.n_scenarios = ctx.config.n_validation_scenarios
         #: Counts served from ``ctx.memo`` instead of realized.
         self.memo_hits = 0
-        self._key_prefix = _memo_prefix(ctx)
+        self._key_prefix = ctx.memo_head("validate", self._stream_digest)
         #: What a satisfied count depends on, per item, besides the package.
         self._item_keys = {
             item["index"]: (render(item["expr"]), item["inner_op"], item["rhs"])
             for item in ctx.chance_items()
         }
+
+    def _stream_digest(self) -> bytes:
+        """The validation stream's identity: seed, ``M̂`` and active rows."""
+        ctx = self.ctx
+        stream = hashlib.blake2b(
+            repr((ctx.config.seed, self.n_scenarios)).encode(), digest_size=16
+        )
+        stream.update(np.ascontiguousarray(ctx.problem.active_rows, dtype=np.int64))
+        return stream.digest()
 
     # --- scenario scoring ---------------------------------------------------------
 
@@ -171,27 +180,6 @@ class Validator:
                 objective=objective_value,
                 claimed_objective=claimed_objective,
             )
-
-
-def _memo_prefix(ctx) -> tuple:
-    """Validation-key prefix naming the model and the validation stream.
-
-    Only a store's memo is shared, so only it needs content: the model
-    fingerprint comes first (``ScenarioStore.prune_fingerprints`` reads
-    it there).  A private memo keeps a constant prefix, so a store-less
-    run never hashes the relation just to key a dict.
-    """
-    store = ctx.scenario_store
-    if store is None or ctx.model is None:
-        return ("validate",)
-    from ..service.store import model_fingerprint
-
-    stream = hashlib.blake2b(
-        repr((ctx.config.seed, ctx.config.n_validation_scenarios)).encode(),
-        digest_size=16,
-    )
-    stream.update(np.ascontiguousarray(ctx.problem.active_rows, dtype=np.int64))
-    return (model_fingerprint(ctx.model), "validate", stream.digest())
 
 
 def _inner_holds(scores: np.ndarray, inner_op: str, rhs: float) -> np.ndarray:

@@ -258,7 +258,8 @@ FAMILIES = (
      "Queued queries whose deadline drained before a worker was free.",
      "deadline", "expired_queued"),
     ("repro_query_gap", "gauge",
-     "Relative optimality gap of the last finished query (0 = exact).",
+     "Relative optimality gap of the last finished query;"
+     " NaN when the last answer carried no gap.",
      "deadline", "last_gap"),
     ("repro_broker_pending", "gauge",
      "Queries currently queued or running.", None, "pending"),

@@ -122,10 +122,15 @@ class ParallelScenarioExecutor:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and wait for its workers (idempotent).
+
+        Garbage collection (the finalizer) only signals the workers to
+        exit; an explicit close also joins them, so none outlives it.
+        """
         if self._finalizer is not None:
-            self._finalizer()
+            self._finalizer.detach()
             self._finalizer = None
+            self._pool.shutdown(wait=True, cancel_futures=True)
         self._pool = None
 
     def _map(self, fn, arg_tuples) -> list | None:

@@ -157,6 +157,20 @@ def _run(
     the cold fallback after a failed repair passes ``reuse=False``.
     """
     ctx = EvaluationContext(problem, config, store=store)
+    try:
+        return _pipeline(
+            ctx, store, stats, IterationRecord, PackageResult,
+            EvaluationContext, Validator, reuse,
+        )
+    finally:
+        ctx.close()
+
+
+def _pipeline(
+    ctx, store, stats, IterationRecord, PackageResult,
+    EvaluationContext, Validator, reuse,
+):
+    problem, config = ctx.problem, ctx.config
     # QoS budget for the whole pipeline: each stage gets the remaining
     # share (deadline_ms is consumed here, not re-applied per stage).
     deadline = Deadline(config.effective_time_limit())

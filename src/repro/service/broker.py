@@ -221,12 +221,13 @@ class QueryBroker:
         self._rejected = 0
         # QoS counters: deadline verdicts of finished queries, admission
         # rejections of dead-on-arrival budgets, queue-expired futures,
-        # and the last observed optimality gap (0.0 = exact).
+        # and the gap of the last finished answer (None when it carried
+        # none, e.g. an infeasible package, or before the first answer).
         self._deadline_met = 0
         self._deadline_missed = 0
         self._deadline_rejected = 0
         self._deadline_expired = 0
-        self._last_gap = 0.0
+        self._last_gap: float | None = None
         #: Bounded store of recent traces behind ``GET /trace/<id>``
         #: (None when tracing is disabled — the whole trace path is then
         #: a no-op check per request).
@@ -562,8 +563,8 @@ class QueryBroker:
                         self._deadline_met += 1
                     else:
                         self._deadline_missed += 1
-                    if anytime.gap is not None:
-                        self._last_gap = float(anytime.gap)
+                gap = getattr(anytime, "gap", None)
+                self._last_gap = None if gap is None else float(gap)
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
             state = self._trace_state.pop(future, None)

@@ -178,7 +178,10 @@ def metrics_text(broker: QueryBroker) -> str:
     for name, kind, help_text, section, key in FAMILIES:
         values = status if section is None else status.get(section)
         if values is not None:  # the farm section exists on "process" only
-            family(name, kind, help_text, [f"{name} {values[key]}"])
+            # A gauge with no value (the gap of an answer that carried
+            # none) is NaN in the text format.
+            value = "NaN" if values[key] is None else values[key]
+            family(name, kind, help_text, [f"{name} {value}"])
     workers = status.get("farm", {}).get("workers")
     if workers is not None:
         family(

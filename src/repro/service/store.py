@@ -37,8 +37,9 @@ matrix per content key across its whole worker pool.
 
 Beside the matrices the store owns :attr:`ScenarioStore.memo`, an
 :class:`AnswerMemo` of the exact answers an evaluation computes from
-them — raw solver outcomes, validation counts and α fits — so a repeated
-query replays its own CSA search instead of re-running it.  Its keys are
+them — raw solver outcomes, validation counts, α fits and CSA round
+outcomes — so a repeated query replays its own CSA search instead of
+re-running it.  Its keys are
 content too (``docs/architecture.md``, "Ask once"), so a
 delta needs no invalidation rule; the memo is per process and is never
 handed off.
@@ -61,9 +62,9 @@ from ..db.expressions import Expr, render
 from ..obs import stage
 
 #: Byte bound on :attr:`ScenarioStore.memo`.  The ledger's ``serve_hot``
-#: hot set (12 query/seed keys, default config) leaves 579 answers in it,
-#: 0.84 MB; the bound keeps about twenty such working sets before the
-#: least-recently-used answers go.
+#: hot set (12 query/seed keys, default config) leaves 844 answers in it
+#: (265 of them CSA rounds), 1.49 MB; the bound keeps about ten such
+#: working sets before the least-recently-used answers go.
 _MEMO_LIMIT_BYTES = 16 * 1024**2
 
 #: Attribute used to cache a model's fingerprint on the instance (the
@@ -692,8 +693,9 @@ class ScenarioStore:
         reuse the old fingerprint, and so their memory is reclaimed
         promptly — post-delta queries key on the new fingerprint and
         would never hit them anyway.  Returns the number dropped
-        (counted under ``stale_dropped``).  Validation answers keyed
-        under those fingerprints leave :attr:`memo` too, uncounted.
+        (counted under ``stale_dropped``).  Validation and CSA round
+        answers keyed under those fingerprints leave :attr:`memo` too,
+        uncounted.
         """
         if not fingerprints:
             return 0

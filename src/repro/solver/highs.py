@@ -66,16 +66,14 @@ def solve_with_highs(
     started = time.perf_counter()
     memo = builder.solve_memo
     if memo is not None:
-        keyed = [
-            c, matrix.data, matrix.indices, matrix.indptr,
-            np.asarray(matrix.shape), row_lb, row_ub, var_lb, var_ub,
-            integrality,
-        ]
         # The hint steers the search only through the reduction's first
         # incumbent; everywhere else it is applied after the solve.
-        if hint is not None and eligible(c, integrality):
-            keyed.append(hint)
-        key = _model_digest(mip_gap, keyed)
+        steers = hint is not None and eligible(c, integrality)
+        key = model_digest(
+            mip_gap,
+            (c, matrix, row_lb, row_ub, var_lb, var_ub, integrality),
+            (hint,) if steers else (),
+        )
         cached = memo.get(key)
         if cached is not None:
             res, reduction = cached
@@ -115,14 +113,19 @@ def solve_with_highs(
     return result
 
 
-def _model_digest(mip_gap: float, arrays) -> bytes:
+def model_digest(mip_gap: float, model, extra=()) -> bytes:
     """Digest of everything HiGHS is given except the time limit.
 
-    Each array goes in with its dtype and shape, so no two argument
-    lists share a byte stream.
+    ``model`` is :meth:`MILPBuilder.to_arrays`'s tuple; ``extra`` arrays
+    follow it.  Each array goes in with its dtype and shape, so no two
+    argument lists share a byte stream.
     """
+    c, matrix, row_lb, row_ub, var_lb, var_ub, integrality = model
     digest = hashlib.blake2b(repr(float(mip_gap)).encode(), digest_size=16)
-    for array in arrays:
+    for array in (
+        c, matrix.data, matrix.indices, matrix.indptr, np.asarray(matrix.shape),
+        row_lb, row_ub, var_lb, var_ub, integrality, *extra,
+    ):
         array = np.ascontiguousarray(array)
         digest.update(f"{array.dtype.str}{array.shape}".encode())
         digest.update(array.data)

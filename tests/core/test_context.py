@@ -1,10 +1,13 @@
 """Shared evaluation context."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core.context import EvaluationContext
 from repro.db.expressions import Attr, Const
+from repro.parallel.executor import ParallelScenarioExecutor
 from repro.silp.compile import compile_query
 
 
@@ -102,3 +105,37 @@ def test_no_stochastic_model_context(fast_config):
 def test_mean_objective_value(chance_context):
     x = np.array([1, 1, 0, 0, 0])
     assert chance_context.mean_objective_value(x) == pytest.approx(13.0)
+
+
+
+def test_parallel_evaluations_leave_no_pool_behind(
+    items_catalog, fast_config, monkeypatch
+):
+    """Each query's worker pool is closed before its evaluation returns."""
+    from repro import SPQEngine
+
+    query = (
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+        " SUM(Value) >= 6 WITH PROBABILITY >= 0.8 MINIMIZE EXPECTED SUM(Value)"
+    )
+    pools = []
+    real_ensure = ParallelScenarioExecutor._ensure_pool
+
+    def ensure(self):
+        if self._pool is None:
+            pools.append(self)
+        return real_ensure(self)
+
+    monkeypatch.setattr(ParallelScenarioExecutor, "_ensure_pool", ensure)
+    before = set(multiprocessing.active_children())
+    sequential = SPQEngine(items_catalog, fast_config)
+    parallel = SPQEngine(items_catalog, fast_config.replace(n_workers=2))
+    for run in range(1, 4):
+        result = parallel.execute(query, method="summarysearch")
+        assert len(pools) == run  # this query forked a pool ...
+        assert set(multiprocessing.active_children()) <= before  # ... and closed it
+        expected = sequential.execute(query, method="summarysearch")
+        assert result.package.multiplicities.tolist() == (
+            expected.package.multiplicities.tolist()
+        )
+        assert result.objective == expected.objective

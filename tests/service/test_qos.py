@@ -24,6 +24,7 @@ from repro.service import (
     SPQService,
     TaskDeadline,
 )
+from repro.service.http import metrics_text
 
 QUERY = """
 SELECT PACKAGE(*) FROM items SUCH THAT
@@ -206,6 +207,40 @@ def test_broker_counts_deadline_verdicts(catalog, config):
     assert status["deadline"]["met"] == 2
     assert status["deadline"]["missed"] == 0
     assert status["deadline"]["last_gap"] == 0.0
+
+
+#: Eight Gaussian tuples (σ = 3) on which SummarySearch ends, untruncated,
+#: with an infeasible package: an answer that carries no gap.
+EIGHT_TUPLE_QUERY = (
+    "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+    " SUM(Value) >= 15 WITH PROBABILITY >= 0.9"
+    " MINIMIZE EXPECTED SUM(Value)"
+)
+
+
+def test_last_gap_follows_the_last_answer_even_without_a_gap(fast_config):
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 3.0)})
+    )
+
+    def gauge(broker) -> str:
+        (line,) = [
+            line for line in metrics_text(broker).splitlines()
+            if line.startswith("repro_query_gap ")
+        ]
+        return line.split()[1]
+
+    with QueryBroker(catalog, config=fast_config, pool_size=1) as broker:
+        assert broker.status()["deadline"]["last_gap"] is None
+        assert broker.execute(QUERY).feasible
+        assert broker.status()["deadline"]["last_gap"] == 0.0
+        assert float(gauge(broker)) == 0.0
+        infeasible = broker.execute(EIGHT_TUPLE_QUERY, method="summarysearch")
+        assert not infeasible.feasible and infeasible.anytime.gap is None
+        assert broker.status()["deadline"]["last_gap"] is None
+        assert gauge(broker) == "NaN"
 
 
 def test_broker_result_carries_anytime_envelope(catalog, config):

@@ -129,16 +129,16 @@ def test_two_queries_racing_on_one_store_get_the_sequential_answer():
     assert run_portfolio(SPQEngine(catalog, CONFIG, store=store)) == expected
 
 
-def test_a_superseded_fingerprint_takes_its_validation_answers_along():
+def test_a_superseded_fingerprint_takes_its_validation_and_round_answers_along():
     catalog = Catalog()
     relation, model = build_portfolio(PortfolioParams(n_stocks=30, seed=7))
     catalog.register(relation, model)
     old = model_fingerprint(model)
     store = ScenarioStore()
     run_portfolio(SPQEngine(catalog, CONFIG, store=store))
-    validations = [k for k in store.memo.keys() if isinstance(k, tuple) and k[0] == old]
-    others = [k for k in store.memo.keys() if k not in validations]
-    assert validations and all(k[1] == "validate" for k in validations)
+    keyed = [k for k in store.memo.keys() if isinstance(k, tuple) and k[0] == old]
+    others = [k for k in store.memo.keys() if k not in keyed]
+    assert {k[1] for k in keyed} == {"validate", "round"}
     assert others  # solve digests and α fits carry no fingerprint
 
     catalog.apply_delta(relation.name, RelationDelta(updates={3: {"price": 18.0}}))
