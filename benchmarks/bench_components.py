@@ -9,9 +9,7 @@ Covers the moving parts the end-to-end numbers are made of:
 * DILP solve — Naïve's SAA vs the reduced CSA at equal M (the paper's
   core size argument: Θ(N·M·K) vs Θ(N·Z·K));
 * incremental vs cold iteration — SummarySearch's q>1 re-solve with the
-  retained model skeleton and warm start vs a from-scratch rebuild;
-* parallel scenario generation — n_workers=4 vs sequential, asserting
-  bit-identical output.
+  retained model skeleton and warm start vs a from-scratch rebuild.
 """
 
 import time
@@ -162,38 +160,6 @@ def test_csa_incremental_vs_cold(benchmark):
     benchmark.extra_info["cold_min_s"] = min(cold_times)
     benchmark.extra_info["incremental_min_s"] = min(incremental_times)
     benchmark.extra_info["speedup"] = min(cold_times) / max(min(incremental_times), 1e-12)
-
-
-def test_parallel_scenario_generation_workers(benchmark):
-    """Scenario-matrix fan-out across 4 worker processes.
-
-    The asserted property is the contract: parallel output is
-    bit-identical to sequential generation (same RNG keys, reassembled
-    in canonical order).  The timing shows the fan-out cost/benefit at
-    this scale.
-    """
-    from repro.parallel import ParallelScenarioExecutor
-
-    ctx = _context()
-    n_scenarios = 192
-    expr = ctx.problem.chance_constraints[0].expr
-    sequential = ScenarioGenerator(ctx.model, 17, STREAM_OPTIMIZATION)
-    executor = ParallelScenarioExecutor(
-        ScenarioGenerator(ctx.model, 17, STREAM_OPTIMIZATION), n_workers=4
-    )
-    try:
-        expected = sequential.coefficient_matrix(expr, n_scenarios)
-        executor.coefficient_columns(expr, range(16))  # spin the pool up once
-        got = benchmark.pedantic(
-            lambda: executor.coefficient_columns(expr, range(n_scenarios)),
-            rounds=3,
-            iterations=1,
-        )
-        assert np.array_equal(got, expected)
-    finally:
-        executor.close()
-    benchmark.extra_info["n_workers"] = 4
-    benchmark.extra_info["bit_identical"] = True
 
 
 def test_expectation_precompute(benchmark):

@@ -260,8 +260,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              " (anytime; see docs/qos.md). Exit code stays"
                              " 0 when an incumbent exists.")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for scenario generation"
-                             " (results are identical for any count)")
+                        help="worker processes for the scale driver's"
+                             " partition refines (results are identical"
+                             " for any count)")
     parser.add_argument("--partitions", type=int, default=None, metavar="K",
                         help="partition count for the sketchrefine method"
                              " (default: config)")

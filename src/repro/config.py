@@ -78,10 +78,11 @@ class SPQConfig:
     #: the VG support is unbounded.
     n_probe_scenarios: int = 64
 
-    # --- parallel evaluation ------------------------------------------------
-    #: Worker processes for scenario-matrix generation (1 = sequential).
-    #: Chunking is keyed by scenario identity, so results are
-    #: bit-identical to sequential generation for any worker count.
+    # --- scale-driver refine pool -------------------------------------------
+    #: Worker processes for the scale driver's refine step (1 = refine
+    #: partitions in-process).  Refines are order-independent, so the
+    #: package is bit-identical for any worker count.  Nothing else
+    #: reads it: scenarios are always realized in the query's process.
     n_workers: int = 1
 
     # --- stochastic model construction ---------------------------------------

@@ -65,7 +65,6 @@ class EvaluationContext:
             self.estimator = ExpectationEstimator(self.model, config, store=store)
             self.opt_cache = ScenarioCache(
                 ScenarioGenerator(self.model, config.seed, STREAM_OPTIMIZATION),
-                n_workers=config.n_workers,
                 store=store,
             )
             # Probe realizations (Appendix B bounds) also flow through
@@ -88,17 +87,6 @@ class EvaluationContext:
         #: receive clones of the builder (see :meth:`base_milp`).
         self._incremental_base: tuple | None = None
         self._round_head: tuple | None = None
-
-    def close(self) -> None:
-        """Shut down the scenario caches' worker pools.  Idempotent.
-
-        With ``n_workers > 1`` the optimization cache forks a pool on its
-        first fill; the evaluators close their context when they return,
-        so no pool outlives its query.  A shared store stays open.
-        """
-        for cache in (self.opt_cache, self.probe_cache):
-            if cache is not None:
-                cache.close()
 
     # --- coefficients -----------------------------------------------------------
 

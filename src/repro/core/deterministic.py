@@ -31,7 +31,7 @@ def solve_unconstrained(ctx: EvaluationContext, time_limit: float) -> MILPResult
     are absent, and a probability objective degenerates to feasibility
     (its conservative claim at α = 0 is zero).
     """
-    builder, _ = ctx.build_base_milp()
+    builder, _ = ctx.base_milp()
     # The empty package is the canonical anytime seed: when it is
     # feasible (pure upper-bound constraints), a deadline truncation is
     # guaranteed to return an incumbent with a certified gap instead of
@@ -54,11 +54,7 @@ def deterministic_evaluate(
             "deterministic evaluation requires a query without probabilistic"
             " constraints or objectives; use naive or summarysearch"
         )
-    ctx = EvaluationContext(problem, config, store=store)
-    try:
-        return _deterministic(ctx)
-    finally:
-        ctx.close()
+    return _deterministic(EvaluationContext(problem, config, store=store))
 
 
 def _deterministic(ctx: EvaluationContext) -> PackageResult:

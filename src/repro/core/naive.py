@@ -32,11 +32,7 @@ def naive_evaluate(
     ``store`` optionally routes scenario realization through a shared
     :class:`repro.service.ScenarioStore` (bit-identical results).
     """
-    ctx = EvaluationContext(problem, config, store=store)
-    try:
-        return _naive(ctx)
-    finally:
-        ctx.close()
+    return _naive(EvaluationContext(problem, config, store=store))
 
 
 def _naive(ctx: EvaluationContext) -> PackageResult:

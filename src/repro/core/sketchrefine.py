@@ -155,12 +155,9 @@ def sketch_refine_evaluate(
     ctx = EvaluationContext(problem, config)
     stats = RunStats(METHOD_SKETCH_REFINE)
     watch = Stopwatch()
-    try:
-        with watch:
-            x = _run(ctx, n_partitions, stats)
-        objective = None if x is None else ctx.mean_objective_value(x)
-    finally:
-        ctx.close()
+    with watch:
+        x = _run(ctx, n_partitions, stats)
+    objective = None if x is None else ctx.mean_objective_value(x)
     stats.total_time = watch.elapsed
     if x is None:
         return PackageResult(

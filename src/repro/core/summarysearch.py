@@ -54,11 +54,7 @@ def summary_search_evaluate(
     formulation's MIP start through ``core/warmstart.py``.  Ignored when
     its length does not match the problem.
     """
-    ctx = EvaluationContext(problem, config, store=store)
-    try:
-        return _summary_search(ctx, warm_x)
-    finally:
-        ctx.close()
+    return _summary_search(EvaluationContext(problem, config, store=store), warm_x)
 
 
 def _summary_search(ctx: EvaluationContext, warm_x) -> PackageResult:
@@ -101,8 +97,16 @@ def _summary_search(ctx: EvaluationContext, warm_x) -> PackageResult:
     bounds = (
         compute_objective_bounds(ctx) if problem.objective is not None else None
     )
-    relaxation_objective = ctx.mean_objective_value(x0)
-    if bounds is not None and isinstance(problem.objective, ExpectationObjectiveIR):
+    # Only an optimal Q₀ bounds ω̂: a time-limited Q₀ may hand back its
+    # warm-start hint, whose objective certifies nothing.
+    relaxation_objective = (
+        ctx.mean_objective_value(x0) if q0_result.is_optimal else None
+    )
+    if (
+        bounds is not None
+        and relaxation_objective is not None
+        and isinstance(problem.objective, ExpectationObjectiveIR)
+    ):
         if problem.objective.sense == SENSE_MAX:
             bounds = bounds.tightened(
                 upper=relaxation_objective, source="relaxation"

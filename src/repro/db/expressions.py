@@ -33,7 +33,7 @@ class Expr:
 
     # Frozen dataclasses with manual __slots__ don't pickle out of the
     # box (the default slot-state restore goes through the blocked
-    # __setattr__); parallel scenario generation ships expression trees
+    # __setattr__); the scale driver's refine pool ships expression trees
     # to worker processes, so spell the state protocol out.
     def __getstate__(self):
         state = {}

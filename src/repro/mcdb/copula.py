@@ -25,8 +25,8 @@ The correlation structure ``C`` comes from one of three sources:
 Blocks are defined by ``group_column`` (rows with equal values form one
 correlated block; ``None`` makes the whole relation a single block), so
 the existing block-keyed RNG substreams of :mod:`repro.mcdb.scenarios`
-and the parallel executor apply unchanged — parallel realization stays
-bit-identical to sequential for any worker count.
+apply unchanged — a realization stays bit-identical however its
+scenario range is sliced.
 """
 
 from __future__ import annotations

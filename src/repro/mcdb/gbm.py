@@ -20,7 +20,7 @@ partition that keeps only some of a stock's horizons.  At bind time,
 every block's grid is laid out as one padded matrix.
 :meth:`~GeometricBrownianMotionVG.sample_all` is then a fixed handful of
 array operations.  It returns exactly the stream of the per-block loop
-that tuple-wise generation and the parallel executor still use.
+that tuple-wise generation still uses.
 """
 
 from __future__ import annotations

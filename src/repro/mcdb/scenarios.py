@@ -207,10 +207,6 @@ class ScenarioCache:
     the cache only generates the *new* columns when asked for a larger
     matrix.  Keys are expression identities (one entry per constraint).
 
-    With ``n_workers > 1`` the new columns are realized in parallel
-    worker processes, chunked by scenario id — cache contents stay
-    bit-identical to sequential generation (see ``repro.parallel``).
-
     When a shared :class:`repro.service.ScenarioStore` is supplied, the
     matrices live in the store under content keys instead of this
     instance, so concurrent and repeated queries over the same data
@@ -219,20 +215,13 @@ class ScenarioCache:
     callback.  Without a store the private dict behaviour is unchanged.
     """
 
-    def __init__(
-        self,
-        generator: ScenarioGenerator,
-        n_workers: int = 1,
-        store=None,
-    ):
+    def __init__(self, generator: ScenarioGenerator, store=None):
         if generator.mode != MODE_SCENARIO_WISE:
             raise EvaluationError(
                 "ScenarioCache requires scenario-wise mode (prefix-stable sets)"
             )
         self.generator = generator
-        self.n_workers = max(1, int(n_workers))
-        #: This cache's ParallelScenarioExecutor, made on the first fill.
-        self._executor = None
+        self._executor = ParallelScenarioExecutor(generator)
         #: Shared ScenarioStore (owned by its creator, never closed here).
         self._store = store
         #: id(expr) -> (expr, content key).  The Expr is pinned so its
@@ -241,12 +230,6 @@ class ScenarioCache:
         self._cache: dict[int, tuple[Expr, np.ndarray]] = {}
 
     def _new_columns(self, expr: Expr, start: int, stop: int) -> np.ndarray:
-        if self._executor is None:
-            # At n_workers=1 the executor is a sequential pass-through,
-            # so this is the single code path for both configurations.
-            self._executor = ParallelScenarioExecutor(
-                self.generator, self.n_workers
-            )
         return self._executor.coefficient_columns(expr, range(start, stop))
 
     def _content_key(self, expr: Expr) -> tuple:
@@ -284,23 +267,12 @@ class ScenarioCache:
         self._cache[key] = (expr, matrix)
         return matrix
 
-    def close(self) -> None:
-        """Shut down the worker pool, if any.  Idempotent.
-
-        A shared scenario store stays attached.  A closed cache stays
-        sequential: it never silently resurrects a pool on the next fill.
-        """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        self.n_workers = 1
-
     def clear(self) -> None:
         """Drop all locally cached matrices and content keys.
 
-        The worker pool, if any, survives; a shared store's entries are
-        its owner's to manage (``ScenarioStore.clear`` releases memmap
-        handles and spill files).  Idempotent.
+        A shared store's entries are its owner's to manage
+        (``ScenarioStore.clear`` releases memmap handles and spill
+        files).  Idempotent.
         """
         self._cache.clear()
         self._store_keys.clear()

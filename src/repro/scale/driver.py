@@ -156,14 +156,10 @@ def _run(
     the previous solve of the same query (see ``docs/live_data.md``);
     the cold fallback after a failed repair passes ``reuse=False``.
     """
-    ctx = EvaluationContext(problem, config, store=store)
-    try:
-        return _pipeline(
-            ctx, store, stats, IterationRecord, PackageResult,
-            EvaluationContext, Validator, reuse,
-        )
-    finally:
-        ctx.close()
+    return _pipeline(
+        EvaluationContext(problem, config, store=store), store, stats,
+        IterationRecord, PackageResult, EvaluationContext, Validator, reuse,
+    )
 
 
 def _pipeline(
@@ -288,7 +284,6 @@ def _pipeline(
 
     # --- refine (fan-out) -----------------------------------------------------------
     refine_config = config.replace(
-        n_workers=1,
         deadline_ms=None,
         time_limit=max(deadline.remaining(), 0.01),
     )
@@ -598,11 +593,7 @@ def _solve_sketch(problem, ctx, config, pilot: PilotStats, groups):
         constraints=constraints,
         repeat=None,
     )
-    sketch_config = config.replace(n_workers=1)
-    return (
-        summary_search_evaluate(sketch_problem, sketch_config),
-        rep_relation,
-    )
+    return summary_search_evaluate(sketch_problem, config), rep_relation
 
 
 # --- allocation ----------------------------------------------------------------

@@ -153,16 +153,10 @@ def pilot_per_attr(
     per_attr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     if matrix_bytes <= _PILOT_MATRIX_BYTES_CAP:
         cache = ScenarioCache(generator, store=store)
-        try:
-            for attr in attrs:
-                matrix = cache.coefficient_matrix(Attr(attr), n_pilot)
-                restricted = matrix[active_rows, :]
-                per_attr[attr] = (
-                    restricted.mean(axis=1),
-                    restricted.std(axis=1),
-                )
-        finally:
-            cache.close()
+        for attr in attrs:
+            matrix = cache.coefficient_matrix(Attr(attr), n_pilot)
+            restricted = matrix[active_rows, :]
+            per_attr[attr] = (restricted.mean(axis=1), restricted.std(axis=1))
     else:
         # Out-of-core sizes: the full pilot matrix would dwarf any
         # resident budget, so accumulate per-scenario instead (one

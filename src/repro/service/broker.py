@@ -8,9 +8,7 @@ rather than a loop around the engine:
 * **Shared realizations** — scenario generation routes through a store
   (the broker's shared one, or each farm worker's private one fed by
   memmap handoffs), so queries over the same tables and stochastic
-  attributes reuse realized matrices (each engine's own evaluation may
-  further fan generation across the ``repro.parallel`` executor via
-  ``config.n_workers``).
+  attributes reuse realized matrices.
 * **Admission control** — at most ``pool_size`` queries run at once and
   at most ``max_pending`` are queued or running; beyond that,
   :class:`BrokerSaturatedError` is raised immediately (the HTTP layer

@@ -173,6 +173,34 @@ def test_summarysearch_reports_alphas_and_bounds(problem, fast_config):
     assert record.csa_iterations >= 1
 
 
+def test_a_time_limited_q0_adds_no_relaxation_bound(
+    items_catalog, fast_config, monkeypatch
+):
+    """A Q₀ stopped on its limit may return its all-zero warm-start hint:
+    the search starts from it, but ε is certified against the Appendix-B
+    bounds alone, which lie above the package (the hint's would be 0)."""
+    import repro.core.summarysearch as summarysearch
+    from repro.core.approx import compute_objective_bounds
+    from repro.solver.result import STATUS_FEASIBLE, MILPResult
+
+    problem = compile_query(
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+        " SUM(Value) <= 15 WITH PROBABILITY >= 0.8"
+        " MAXIMIZE EXPECTED SUM(Value)",
+        items_catalog,
+    )
+    hint = MILPResult(STATUS_FEASIBLE, x=np.zeros(problem.n_vars), objective=0.0)
+    monkeypatch.setattr(summarysearch, "solve_unconstrained", lambda *_: hint)
+    # ε = 1 certifies on the first round, keeping the test fast.
+    result = summary_search_evaluate(problem, fast_config.replace(epsilon=1.0))
+    bounds = result.meta["bounds"]
+    assert "relaxation" not in bounds.sources
+    assert result.meta["relaxation_objective"] is None
+    untightened = compute_objective_bounds(EvaluationContext(problem, fast_config))
+    assert (bounds.lower, bounds.upper) == (untightened.lower, untightened.upper)
+    assert 0 < result.objective <= bounds.upper
+
+
 def test_deterministic_baseline_matches_brute_force(items_catalog, fast_config):
     problem = compile_query(
         "SELECT PACKAGE(*) FROM items SUCH THAT SUM(price) <= 12"

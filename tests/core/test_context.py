@@ -1,13 +1,14 @@
 """Shared evaluation context."""
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
 
 from repro.core.context import EvaluationContext
 from repro.db.expressions import Attr, Const
-from repro.parallel.executor import ParallelScenarioExecutor
 from repro.silp.compile import compile_query
 
 
@@ -107,35 +108,52 @@ def test_mean_objective_value(chance_context):
     assert chance_context.mean_objective_value(x) == pytest.approx(13.0)
 
 
-
-def test_parallel_evaluations_leave_no_pool_behind(
-    items_catalog, fast_config, monkeypatch
+@pytest.mark.parametrize("method", ["summarysearch", "naive"])
+def test_an_in_memory_query_starts_no_process(
+    chance_problem, fast_config, monkeypatch, method
 ):
-    """Each query's worker pool is closed before its evaluation returns."""
-    from repro import SPQEngine
+    """``n_workers`` sizes only the scale driver's refine pool: an
+    in-memory query realizes its scenarios in its own process, and its
+    package is the ``n_workers=1`` one."""
+    from repro.core.naive import naive_evaluate
+    from repro.core.summarysearch import summary_search_evaluate
 
-    query = (
-        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
-        " SUM(Value) >= 6 WITH PROBABILITY >= 0.8 MINIMIZE EXPECTED SUM(Value)"
-    )
-    pools = []
-    real_ensure = ParallelScenarioExecutor._ensure_pool
+    evaluate = {"summarysearch": summary_search_evaluate, "naive": naive_evaluate}
+    expected = evaluate[method](chance_problem, fast_config)
+    started = []
 
-    def ensure(self):
-        if self._pool is None:
-            pools.append(self)
-        return real_ensure(self)
+    def refuse(self, *args, **kwargs):
+        started.append(type(self).__name__)
+        raise AssertionError("an in-memory query started a process")
 
-    monkeypatch.setattr(ParallelScenarioExecutor, "_ensure_pool", ensure)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
+    monkeypatch.setattr(BaseProcess, "start", refuse)
     before = set(multiprocessing.active_children())
-    sequential = SPQEngine(items_catalog, fast_config)
-    parallel = SPQEngine(items_catalog, fast_config.replace(n_workers=2))
-    for run in range(1, 4):
-        result = parallel.execute(query, method="summarysearch")
-        assert len(pools) == run  # this query forked a pool ...
-        assert set(multiprocessing.active_children()) <= before  # ... and closed it
-        expected = sequential.execute(query, method="summarysearch")
-        assert result.package.multiplicities.tolist() == (
-            expected.package.multiplicities.tolist()
-        )
-        assert result.objective == expected.objective
+    result = evaluate[method](chance_problem, fast_config.replace(n_workers=2))
+    assert started == []
+    assert set(multiprocessing.active_children()) == before
+    assert result.package.multiplicities.tolist() == (
+        expected.package.multiplicities.tolist()
+    )
+    assert result.objective == expected.objective
+
+
+def test_summarysearch_builds_the_base_block_once(
+    chance_problem, fast_config, monkeypatch
+):
+    """Q₀ and every CSA round clone one template; the cold builder runs
+    once per evaluation."""
+    from repro.core.summarysearch import summary_search_evaluate
+
+    calls = []
+    real = EvaluationContext.build_base_milp
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(EvaluationContext, "build_base_milp", spy)
+    for run in range(1, 3):
+        result = summary_search_evaluate(chance_problem, fast_config)
+        assert result.package is not None
+        assert len(calls) == run

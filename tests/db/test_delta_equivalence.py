@@ -186,28 +186,25 @@ _FIXED_DELTA = {
 }
 
 
-def _golden_config(n_workers: int) -> SPQConfig:
-    return SPQConfig(
-        seed=99,
-        n_validation_scenarios=400,
-        n_initial_scenarios=20,
-        scenario_increment=20,
-        max_scenarios=60,
-        n_expectation_scenarios=200,
-        epsilon=0.5,
-        solver_time_limit=10.0,
-        time_limit=60.0,
-        n_workers=n_workers,
-    )
+_GOLDEN_CONFIG = SPQConfig(
+    seed=99,
+    n_validation_scenarios=400,
+    n_initial_scenarios=20,
+    scenario_increment=20,
+    max_scenarios=60,
+    n_expectation_scenarios=200,
+    epsilon=0.5,
+    solver_time_limit=10.0,
+    time_limit=60.0,
+)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_golden_package_after_fixed_delta(n_workers):
+def test_golden_package_after_fixed_delta():
     relation, model = build_portfolio(PortfolioParams(n_stocks=60, seed=7))
     catalog = Catalog()
     catalog.register(relation, model)
     catalog.apply_delta("stock_investments", RelationDelta(**_FIXED_DELTA))
-    engine = SPQEngine(catalog, _golden_config(n_workers))
+    engine = SPQEngine(catalog, _GOLDEN_CONFIG)
     result = engine.execute(SPEC.spaql)
     assert result.feasible
     assert result.package.key_multiplicities() == GOLDEN_PACKAGE
@@ -228,7 +225,7 @@ def test_golden_package_matches_rebuild_from_scratch():
     )
     catalog = Catalog()
     catalog.register(post, rebuilt_model)
-    engine = SPQEngine(catalog, _golden_config(1))
+    engine = SPQEngine(catalog, _GOLDEN_CONFIG)
     result = engine.execute(SPEC.spaql)
     assert result.feasible
     assert result.package.key_multiplicities() == GOLDEN_PACKAGE

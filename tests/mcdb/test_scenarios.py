@@ -138,13 +138,15 @@ def test_constant_expression_broadcasts(generator):
 
 
 def test_cache_grows_incrementally(generator):
+    """The top-up when M grows (Algorithm 1, line 9) equals one fill of
+    a fresh cache at the final M, bit for bit."""
     cache = ScenarioCache(generator)
     expr = Attr("Value")
     small = cache.coefficient_matrix(expr, 3).copy()
     large = cache.coefficient_matrix(expr, 7)
     assert np.array_equal(large[:, :3], small)
-    direct = generator.coefficient_matrix(expr, 7)
-    assert np.allclose(large, direct)
+    assert np.array_equal(large, ScenarioCache(generator).coefficient_matrix(expr, 7))
+    assert np.array_equal(large, generator.coefficient_matrix(expr, 7))
     assert cache.cached_bytes > 0
     cache.clear()
     assert cache.cached_bytes == 0
