@@ -9,7 +9,9 @@ Covers the moving parts the end-to-end numbers are made of:
 * DILP solve — Naïve's SAA vs the reduced CSA at equal M (the paper's
   core size argument: Θ(N·M·K) vs Θ(N·Z·K));
 * incremental vs cold iteration — SummarySearch's q>1 re-solve with the
-  retained model skeleton and warm start vs a from-scratch rebuild.
+  retained model skeleton and warm start vs a from-scratch rebuild;
+* keyed realization — re-keying one Philox per key prefix vs building a
+  generator per key, byte-identical on every VG family.
 """
 
 import time
@@ -23,7 +25,10 @@ from repro.core.csa import formulate_csa
 from repro.core.saa import formulate_saa
 from repro.core.summaries import SummaryBuilder
 from repro.core.validator import Validator
+from repro.db.relation import Relation
+from repro.mcdb import make_vg, vg_names
 from repro.mcdb.scenarios import MODE_SCENARIO_WISE, MODE_TUPLE_WISE, ScenarioGenerator
+from repro.utils.rngkeys import KeyedGenerator, make_generator
 from repro.silp.compile import compile_query
 from repro.workloads import get_query
 
@@ -175,3 +180,99 @@ def test_expectation_precompute(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["n_expectation_scenarios"] = config.n_expectation_scenarios
+
+
+#: One instance per registered VG family, on :func:`_keyed_relation`.
+_KEYED_FAMILIES = {
+    "gaussian": dict(base_column="base", sigma=2.0),
+    "pareto": dict(base_column="base", scale=1.0, shape=1.0),
+    "uniform": dict(base_column="base", low=-1.0, high=1.0),
+    "exponential": dict(base_column="base", rate=0.5),
+    "student_t": dict(base_column="base", dof=3.0),
+    "discrete": dict(variants=np.arange(900.0).reshape(300, 3)),
+    "gbm": dict(group_column="stock"),
+    "gaussian_copula": dict(
+        base_column="base", scale=1.0, rho=0.5, group_column="stock"
+    ),
+    "mixture": dict(
+        components=[
+            make_vg("gaussian", base_column="base", sigma=1.0),
+            make_vg("pareto", base_column="base", scale=1.0, shape=1.0),
+        ],
+        shared=False,
+    ),
+    "bootstrap": dict(observations=np.arange(3000.0).reshape(300, 10) % 13.0),
+    "empirical_bootstrap": dict(
+        base_column="base", observation_columns=["h0", "h1", "h2"]
+    ),
+}
+
+
+def _keyed_relation(n_rows: int = 300) -> Relation:
+    rows = np.arange(n_rows, dtype=float)
+    return Relation(
+        "keyed",
+        {
+            "base": rows,
+            "price": 50.0 + rows % 17,
+            "drift": np.full(n_rows, 0.001),
+            "volatility": np.full(n_rows, 0.02),
+            "sell_in_days": np.tile([1.0, 5.0, 20.0], n_rows // 3),
+            "stock": (np.arange(n_rows) // 3).astype(str).astype(object),
+            **{f"h{d}": rows + np.sin(rows + d) for d in range(3)},
+        },
+    )
+
+
+def _per_key_us(draw, n_keys: int) -> float:
+    started = time.perf_counter()
+    for j in range(n_keys):
+        draw(j)
+    return (time.perf_counter() - started) / n_keys * 1e6
+
+
+def test_keyed_realization(benchmark):
+    """Re-keyed and fresh per-key generators draw the same bytes.
+
+    For every registered family: one scenario per key through
+    ``sample_all`` and one block per key through ``sample_block``, from
+    a :class:`KeyedGenerator` and from ``make_generator`` with the same
+    key.  The per-key costs are printed and recorded, never asserted.
+    """
+    assert set(_KEYED_FAMILIES) == set(vg_names())
+    relation = _keyed_relation()
+    n_keys = 200
+    costs = {}
+    for name in sorted(_KEYED_FAMILIES):
+        vg = make_vg(name, **_KEYED_FAMILIES[name]).bind(relation)
+        keyed = KeyedGenerator(17, STREAM_OPTIMIZATION, 0, 0)
+        for j in range(n_keys):
+            fresh = make_generator(17, STREAM_OPTIMIZATION, 0, 0, j)
+            assert np.array_equal(vg.sample_all(keyed.at(j)), vg.sample_all(fresh))
+            b = j % vg.n_blocks
+            fresh = make_generator(17, STREAM_OPTIMIZATION, 0, 0, j)
+            assert np.array_equal(
+                vg.sample_block(b, keyed.at(j), 8), vg.sample_block(b, fresh, 8)
+            )
+        costs[name] = {
+            "fresh_us": _per_key_us(
+                lambda j: vg.sample_all(
+                    make_generator(17, STREAM_OPTIMIZATION, 0, 0, j)
+                ),
+                n_keys,
+            ),
+            "rekeyed_us": _per_key_us(
+                lambda j: vg.sample_all(keyed.at(j)), n_keys
+            ),
+        }
+    keyed = KeyedGenerator(17, STREAM_OPTIMIZATION, 0, 0)
+    benchmark.pedantic(
+        lambda: [keyed.at(j) for j in range(n_keys)], rounds=3, iterations=1
+    )
+    print(f"\nper-key sample_all cost over {relation.n_rows} rows (us):")
+    for name, cost in costs.items():
+        print(
+            f"  {name:20s} fresh {cost['fresh_us']:8.1f}"
+            f"  re-keyed {cost['rekeyed_us']:8.1f}"
+        )
+    benchmark.extra_info["per_key_us"] = costs

@@ -129,6 +129,15 @@ class PackageResult:
     def succeeded(self) -> bool:
         return self.package is not None and self.feasible
 
+    @property
+    def uncertified(self) -> bool:
+        """A feasible answer accepted with no usable objective bounds.
+
+        SummarySearch sets ``meta["uncertified"]`` when no ε can be
+        certified for the package, so no (1+ε) claim holds for it.
+        """
+        return bool(self.meta.get("uncertified", False))
+
     def summary(self) -> str:
         """One-paragraph human-readable outcome."""
         if self.package is None:
@@ -142,6 +151,11 @@ class PackageResult:
             lines.append(f"objective estimate: {self.objective:.6g}")
         if self.feasible and self.epsilon_upper is not None:
             lines.append(f"approximation bound 1+eps <= {1 + self.epsilon_upper:.4g}")
+        if self.uncertified:
+            lines.append(
+                "uncertified: no approximation bound is certified"
+                " (the objective bounds admit no eps for this package)"
+            )
         if self.anytime is not None and not self.anytime.deadline_met:
             gap = (
                 "unknown"

@@ -27,6 +27,7 @@ from ..db.expressions import render
 from ..mcdb.scenarios import MODE_TUPLE_WISE, ScenarioGenerator
 from ..obs import stage
 from ..silp.model import OP_GE
+from ..utils.rngkeys import rekeyable_generator
 from .package import package_key
 
 #: Scenarios generated per chunk; fixed so that chunked generation is
@@ -88,6 +89,10 @@ class Validator:
             item["index"]: (render(item["expr"]), item["inner_op"], item["rhs"])
             for item in ctx.chance_items()
         }
+        #: One Philox re-keyed by every chunk's generator, and the chunk
+        #: generators themselves (chunk ``c`` is substream ``c``).
+        self._rng = rekeyable_generator()
+        self._chunks: list[ScenarioGenerator] = []
 
     def _stream_digest(self) -> bytes:
         """The validation stream's identity: seed, ``M̂`` and active rows."""
@@ -101,13 +106,18 @@ class Validator:
     # --- scenario scoring ---------------------------------------------------------
 
     def _chunk_generator(self, chunk: int) -> ScenarioGenerator:
-        return ScenarioGenerator(
-            self.ctx.model,
-            self.ctx.config.seed,
-            STREAM_VALIDATION,
-            mode=MODE_TUPLE_WISE,
-            substream=chunk,
-        )
+        while len(self._chunks) <= chunk:
+            self._chunks.append(
+                ScenarioGenerator(
+                    self.ctx.model,
+                    self.ctx.config.seed,
+                    STREAM_VALIDATION,
+                    mode=MODE_TUPLE_WISE,
+                    substream=len(self._chunks),
+                    rng=self._rng,
+                )
+            )
+        return self._chunks[chunk]
 
     def satisfied_count(self, x: np.ndarray, item: dict) -> int:
         """Number of validation scenarios whose inner constraint holds.

@@ -20,6 +20,11 @@ from ..errors import VGFunctionError
 from .vg import VGFunction, register_vg
 
 
+#: ``rows`` value for "every row": a slice views the parameter arrays
+#: where an index array would copy them on every scenario.
+_ALL_ROWS = slice(None)
+
+
 def _per_row(param, n: int, name: str) -> np.ndarray:
     """Broadcast a scalar or per-row parameter to shape ``(n,)``."""
     arr = np.asarray(param, dtype=float)
@@ -52,8 +57,15 @@ class _NoiseVG(VGFunction):
         assert self._base is not None
         return self._base
 
-    def _noise(self, rows: np.ndarray, rng, size: int) -> np.ndarray:
+    def _noise(self, rows, rng, size: int) -> np.ndarray:
+        """Noise of shape ``(n, size)`` for ``rows``: an index array of
+        ``n`` rows, or ``_ALL_ROWS`` (see :meth:`_size`)."""
         raise NotImplementedError
+
+    def _size(self, rows, size: int) -> tuple[int, int]:
+        """The ``(n, size)`` draw shape for :meth:`_noise`'s ``rows``."""
+        n = len(self.base) if rows is _ALL_ROWS else len(rows)
+        return n, size
 
     def _sample_block(self, block_index, rng, size):
         rows = self.blocks[block_index]
@@ -61,8 +73,7 @@ class _NoiseVG(VGFunction):
 
     def sample_all(self, rng):
         """One scenario: base values plus one vectorized noise draw."""
-        rows = np.arange(self.n_rows)
-        return self.base + self._noise(rows, rng, 1)[:, 0]
+        return self.base + self._noise(_ALL_ROWS, rng, 1)[:, 0]
 
 
 @register_vg("gaussian")
@@ -86,7 +97,7 @@ class GaussianNoiseVG(_NoiseVG):
 
     def _noise(self, rows, rng, size):
         assert self._sigma is not None
-        return rng.normal(0.0, 1.0, size=(len(rows), size)) * self._sigma[rows, None]
+        return rng.normal(0.0, 1.0, size=self._size(rows, size)) * self._sigma[rows, None]
 
     def mean(self):
         """``E[value_i] = base_i`` (the noise is centered)."""
@@ -117,10 +128,18 @@ class ParetoNoiseVG(_NoiseVG):
         self._shape = _per_row(self._shape_param, n, "shape")
         if np.any(self._scale <= 0) or np.any(self._shape <= 0):
             raise VGFunctionError("Pareto scale and shape must be positive")
+        # The shape when every row shares it (Galaxy Q5–Q8's a = 1):
+        # ``rng.pareto`` draws the same values from a scalar at half the
+        # cost of a per-row array.  Bound state, so it is set here only.
+        uniform = n > 0 and bool(np.all(self._shape == self._shape[0]))
+        self._common_shape = float(self._shape[0]) if uniform else None
 
     def _noise(self, rows, rng, size):
         assert self._scale is not None and self._shape is not None
-        raw = rng.pareto(self._shape[rows, None], size=(len(rows), size))
+        shape = self._common_shape
+        if shape is None:
+            shape = self._shape[rows, None]
+        raw = rng.pareto(shape, size=self._size(rows, size))
         return (raw + 1.0) * self._scale[rows, None]
 
     def mean(self):
@@ -156,7 +175,7 @@ class UniformNoiseVG(_NoiseVG):
 
     def _noise(self, rows, rng, size):
         assert self._low is not None and self._high is not None
-        u = rng.random(size=(len(rows), size))
+        u = rng.random(size=self._size(rows, size))
         lo = self._low[rows, None]
         hi = self._high[rows, None]
         return lo + u * (hi - lo)
@@ -190,7 +209,7 @@ class ExponentialNoiseVG(_NoiseVG):
     def _noise(self, rows, rng, size):
         assert self._rate is not None
         scale = 1.0 / self._rate[rows, None]
-        noise = rng.exponential(scale, size=(len(rows), size))
+        noise = rng.exponential(scale, size=self._size(rows, size))
         if self.centered:
             noise = noise - scale
         return noise
@@ -233,7 +252,7 @@ class StudentTNoiseVG(_NoiseVG):
 
     def _noise(self, rows, rng, size):
         assert self._dof is not None and self._scale is not None
-        raw = rng.standard_t(self._dof[rows, None], size=(len(rows), size))
+        raw = rng.standard_t(self._dof[rows, None], size=self._size(rows, size))
         return raw * self._scale[rows, None]
 
     def mean(self):

@@ -22,6 +22,11 @@ Two generation modes:
 
 The two modes produce different (but identically distributed) streams;
 each is internally reproducible.
+
+Each key's stream is ``make_generator(seed, stream, substream, attr, k)``;
+a generator draws it by re-keying one long-lived Philox
+(:class:`~repro.utils.rngkeys.KeyedGenerator`, one key prefix per
+attribute) instead of building a generator per scenario or per block.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from ..db.expressions import Expr, attributes_of, evaluate
 from ..errors import EvaluationError
 from ..parallel.executor import ParallelScenarioExecutor
-from ..utils.rngkeys import make_generator
+from ..utils.rngkeys import KeyedGenerator, rekeyable_generator
 from .stochastic import StochasticModel
 
 MODE_SCENARIO_WISE = "scenario"
@@ -41,7 +46,11 @@ _MODES = (MODE_SCENARIO_WISE, MODE_TUPLE_WISE)
 
 
 class ScenarioGenerator:
-    """Reproducible scenario access for one (relation, model, stream)."""
+    """Reproducible scenario access for one (relation, model, stream).
+
+    Every key re-keys one Philox-backed generator, so an instance (and
+    any generators sharing its ``rng``) serves one thread at a time.
+    """
 
     def __init__(
         self,
@@ -50,6 +59,7 @@ class ScenarioGenerator:
         stream: int,
         mode: str = MODE_SCENARIO_WISE,
         substream: int = 0,
+        rng: np.random.Generator | None = None,
     ):
         if mode not in _MODES:
             raise EvaluationError(f"unknown scenario mode {mode!r}; expected {_MODES}")
@@ -62,6 +72,20 @@ class ScenarioGenerator:
         #: validator uses one substream per scenario chunk so that chunked
         #: generation is reproducible at fixed chunk size).
         self.substream = substream
+        #: The one Philox-backed generator every key of this instance
+        #: re-keys; the validator passes one to all of its chunks.
+        self._rng = rekeyable_generator() if rng is None else rng
+        self._keyed: dict[str, KeyedGenerator] = {}
+
+    def _keyed_generator(self, attr: str) -> KeyedGenerator:
+        """The keyed generator of ``attr``'s ``(seed, stream, substream, attr)``."""
+        keyed = self._keyed.get(attr)
+        if keyed is None:
+            attr_id = self.model.attr_id(attr)
+            keyed = self._keyed[attr] = KeyedGenerator(
+                self.seed, self.stream, self.substream, attr_id, rng=self._rng
+            )
+        return keyed
 
     # --- raw attribute realizations -------------------------------------------
 
@@ -73,10 +97,8 @@ class ScenarioGenerator:
         full Θ(N·M) regeneration, mirroring the strategy's trade-off.
         """
         vg = self.model.vg(attr)
-        attr_id = self.model.attr_id(attr)
         if self.mode == MODE_SCENARIO_WISE:
-            rng = make_generator(self.seed, self.stream, self.substream, attr_id, scenario)
-            return vg.sample_all(rng)
+            return vg.sample_all(self._keyed_generator(attr).at(scenario))
         if n_scenarios is None:
             raise EvaluationError(
                 "tuple-wise realization of a single scenario requires n_scenarios"
@@ -100,15 +122,14 @@ class ScenarioGenerator:
         if n_scenarios < 1:
             raise EvaluationError("n_scenarios must be >= 1")
         vg = self.model.vg(attr)
-        attr_id = self.model.attr_id(attr)
+        keyed = self._keyed_generator(attr)
         n_rows = self.relation.n_rows
         if self.mode == MODE_SCENARIO_WISE:
             out = np.empty(
                 (n_rows if rows is None else len(rows), n_scenarios), dtype=float
             )
             for j in range(n_scenarios):
-                rng = make_generator(self.seed, self.stream, self.substream, attr_id, j)
-                full = vg.sample_all(rng)
+                full = vg.sample_all(keyed.at(j))
                 out[:, j] = full if rows is None else full[rows]
             return out
         # Tuple-wise: visit only blocks intersecting `rows`.
@@ -123,8 +144,7 @@ class ScenarioGenerator:
             position = np.full(n_rows, -1, dtype=np.int64)
             position[rows] = np.arange(len(rows))
         for b in block_ids:
-            rng = make_generator(self.seed, self.stream, self.substream, attr_id, b)
-            values = vg.sample_block(b, rng, n_scenarios)
+            values = vg.sample_block(b, keyed.at(b), n_scenarios)
             block_rows = vg.blocks[b]
             mask = position[block_rows] >= 0
             out[position[block_rows[mask]], :] = values[mask, :]

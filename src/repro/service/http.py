@@ -111,6 +111,8 @@ def result_payload(result, wall_time_s: float) -> dict:
         # verdict and optimality gap, deadline or not.
         "deadline_met": True,
         "gap": 0.0 if result.succeeded else None,
+        # A feasible answer with no certifiable (1+eps) bound.
+        "uncertified": bool(result.uncertified),
     }
     if result.anytime is not None:
         payload["deadline_met"] = bool(result.anytime.deadline_met)

@@ -201,6 +201,27 @@ def test_a_time_limited_q0_adds_no_relaxation_bound(
     assert 0 < result.objective <= bounds.upper
 
 
+def test_an_uncertified_answer_says_so_in_its_summary(items_catalog, fast_config):
+    """SummarySearch accepts a feasible package it cannot certify (here
+    the empty package, whose objective bounds start at 0) and flags it;
+    ``summary()`` must show the flag, and a certified answer must not."""
+    problem = compile_query(
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+        " SUM(Value) <= 15 WITH PROBABILITY >= 0.8"
+        " MINIMIZE EXPECTED SUM(Value)",
+        items_catalog,
+    )
+    result = summary_search_evaluate(problem, fast_config)
+    assert result.feasible and result.epsilon_upper is None
+    assert result.meta["uncertified"] is True and result.uncertified
+    assert "no approximation bound is certified" in result.summary()
+    certified = summary_search_evaluate(
+        compile_query(CHANCE_QUERY, items_catalog), fast_config
+    )
+    assert certified.epsilon_upper is not None and not certified.uncertified
+    assert "certified" not in certified.summary()
+
+
 def test_deterministic_baseline_matches_brute_force(items_catalog, fast_config):
     problem = compile_query(
         "SELECT PACKAGE(*) FROM items SUCH THAT SUM(price) <= 12"

@@ -85,6 +85,26 @@ def test_query_roundtrip_and_cache_hit_on_repeat(service):
     assert second["package"]["multiplicities"] == first["package"]["multiplicities"]
 
 
+def test_a_query_with_no_certifiable_bound_is_marked_uncertified(service):
+    """Minimising a nonnegative sum under an upper chance constraint:
+    the empty package is feasible and its objective bounds' lower end
+    is 0, so no (1+eps) certificate exists for it."""
+    status, body = _post(
+        service,
+        {
+            "query": "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3"
+            " AND SUM(Value) <= 15 WITH PROBABILITY >= 0.8"
+            " MINIMIZE EXPECTED SUM(Value)"
+        },
+    )
+    assert status == 200
+    assert body["feasible"] is True and body["uncertified"] is True
+    assert body["epsilon_upper"] is None
+    status, certified = _post(service, {"query": QUERY})
+    assert status == 200
+    assert certified["uncertified"] is False
+
+
 def test_status_endpoint(service):
     _post(service, {"query": QUERY})
     status, body = _get(service, "/status")
