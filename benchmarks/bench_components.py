@@ -11,9 +11,13 @@ Covers the moving parts the end-to-end numbers are made of:
 * incremental vs cold iteration — SummarySearch's q>1 re-solve with the
   retained model skeleton and warm start vs a from-scratch rebuild;
 * keyed realization — re-keying one Philox per key prefix vs building a
-  generator per key, byte-identical on every VG family.
+  generator per key, byte-identical on every VG family;
+* the ladder lane — SummarySearch's next (M, Z) rung solved on a helper
+  thread beside the current one, byte-identical to the lane off.
 """
 
+import dataclasses
+import pickle
 import time
 
 import numpy as np
@@ -276,3 +280,54 @@ def test_keyed_realization(benchmark):
             f"  re-keyed {cost['rekeyed_us']:8.1f}"
         )
     benchmark.extra_info["per_key_us"] = costs
+
+
+def test_ladder_lane(benchmark, monkeypatch):
+    """The lane on and off give byte-identical outcomes.
+
+    The case is ``scale_live``'s hot-partition shape: a 250-row
+    portfolio/Q1 partition climbing its quality ladder at M = 20.  The
+    rungs the lane started, consumed and discarded and both wall times
+    are printed and recorded, never asserted (a 1-CPU box runs the ladder
+    alone, and the answer must not change either way).
+    """
+    from repro import SPQEngine
+    from repro.core import lane
+    from repro.datasets.portfolio import PortfolioParams, build_portfolio
+
+    relation, model = build_portfolio(PortfolioParams(n_stocks=125, seed=42))
+    query = get_query("portfolio", "Q1").spaql
+    untimed = dict(solve_time=0.0, validate_time=0.0, summary_time=0.0)
+
+    def solve():
+        engine = SPQEngine(config=bench_config(max_scenarios=60))
+        engine.register(relation, model)
+        started = time.perf_counter()
+        result = engine.execute(query, method="summarysearch")
+        wall = time.perf_counter() - started
+        outcome = pickle.dumps((
+            result.feasible, result.objective, result.epsilon_upper,
+            result.package.multiplicities.tolist(),
+            [dataclasses.replace(r, **untimed) for r in result.stats.iterations],
+        ))
+        usage = result.anytime.resources
+        rungs = {
+            kind: usage[f"lane_rungs_{kind}"]
+            for kind in ("started", "consumed", "discarded")
+        }
+        return outcome, rungs, wall, len(result.stats.iterations)
+
+    runs = {}
+    monkeypatch.setattr(lane, "ENABLED", False)
+    runs["off"] = solve()
+    monkeypatch.setattr(lane, "ENABLED", True)
+    runs["on"] = benchmark.pedantic(solve, rounds=1, iterations=1)
+    assert runs["on"][0] == runs["off"][0]
+    print(f"\nladder lane on {relation.n_rows} rows, {runs['on'][3]} rungs,"
+          f" {lane.usable_cpus()} usable CPUs:")
+    for name, (_, rungs, wall, _) in runs.items():
+        print(f"  lane {name:3s} wall {wall:6.2f} s  rungs {rungs}")
+    benchmark.extra_info["lane"] = {
+        name: {"wall_s": wall, **rungs}
+        for name, (_, rungs, wall, _) in runs.items()
+    }

@@ -185,6 +185,20 @@ class EvaluationContext:
             self._incremental_base = (builder, x_idx, arrays)
         return self._incremental_base
 
+    def prepare_threads(self) -> None:
+        """Build what CSA rungs on two threads would both build lazily.
+
+        The base template, the round key head and the mean of an
+        expectation objective (validation reads it) are built once here,
+        before the ladder lane (``core/lane.py``) runs a rung beside the
+        caller.  The scenario caches serialize their own fills.
+        """
+        self._template()
+        self.round_head()
+        objective = self.problem.objective
+        if isinstance(objective, ExpectationObjectiveIR):
+            self.mean_coefficients(objective.expr)
+
     # --- memo keys --------------------------------------------------------------------
 
     def memo_head(self, kind: str, content) -> tuple:

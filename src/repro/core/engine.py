@@ -9,7 +9,9 @@ pull scenario realizations on demand.
 Engines are *warm sessions*: compiled problems are cached per query
 text, so the serving layer's long-lived sessions (thread-pool engines
 and solve-farm workers alike) pay parse + compile once per distinct
-query.  Registering new data invalidates the cache.
+query.  Registering new data invalidates the cache.  Sessions over one
+catalog may share one :class:`CompileCache` (the broker's thread slots
+do): evaluation never mutates a compiled problem.
 """
 
 from __future__ import annotations
@@ -52,11 +54,58 @@ _METHODS = (
     METHOD_SKETCH_REFINE,
 )
 
-#: Compiled problems cached per engine session (distinct query texts);
-#: least-recently-used entries are evicted beyond this, so a long-lived
-#: session keeps caching its *hot* queries no matter how many distinct
-#: texts it has seen.
+#: Compiled problems cached per :class:`CompileCache` (distinct query
+#: texts); least-recently-used entries are evicted beyond this, so a
+#: long-lived session keeps caching its *hot* queries no matter how many
+#: distinct texts it has seen.
 _COMPILE_CACHE_LIMIT = 256
+
+
+class CompileCache:
+    """Compiled problems by query text, for one catalog; thread-safe.
+
+    Compilation is a pure function of (text, catalog contents); the
+    cache is bound to the catalog's version counter, so a registration
+    or delta through ANY session sharing the catalog (or on the catalog
+    directly) invalidates it — a hit is always current.  Least-recently
+    used entries are evicted beyond ``_COMPILE_CACHE_LIMIT``.
+    """
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+        self._entries: "OrderedDict[str, StochasticPackageProblem]" = OrderedDict()
+        self._version = getattr(catalog, "version", 0)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, text: str) -> tuple[StochasticPackageProblem | None, int]:
+        """The cached problem for ``text`` (or None) and the version seen."""
+        version = getattr(self.catalog, "version", 0)
+        with self._lock:
+            if self._version != version:
+                self._entries.clear()
+                self._version = version
+            cached = self._entries.get(text)
+            if cached is not None:
+                self._entries.move_to_end(text)
+        return cached, version
+
+    def put(self, text: str, version: int, problem) -> None:
+        """Keep ``problem``, compiled at catalog ``version``, if still current."""
+        with self._lock:
+            if self._version != version:
+                return
+            self._entries[text] = problem
+            self._entries.move_to_end(text)
+            while len(self._entries) > _COMPILE_CACHE_LIMIT:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
 class SPQEngine:
@@ -67,6 +116,7 @@ class SPQEngine:
         catalog: Catalog | None = None,
         config: SPQConfig | None = None,
         store=None,
+        compile_cache: CompileCache | None = None,
     ):
         self.catalog = catalog if catalog is not None else Catalog()
         self.config = config if config is not None else DEFAULT_CONFIG
@@ -76,14 +126,12 @@ class SPQEngine:
         #: one realized matrix (results stay bit-identical).  The store
         #: is owned by its creator; the engine never closes it.
         self.store = store
-        # Compiled-problem cache keyed by query text.  Compilation is a
-        # pure function of (text, catalog contents); the cache is bound
-        # to the catalog's version counter, so a registration through
-        # ANY session sharing this catalog (or on the catalog directly)
-        # invalidates it — a hit is always current.
-        self._compiled: "OrderedDict[str, StochasticPackageProblem]" = OrderedDict()
-        self._compiled_version = getattr(self.catalog, "version", 0)
-        self._compiled_lock = threading.Lock()
+        #: Compiled problems by query text; shared when given (it must
+        #: be over this engine's catalog).
+        self._compiled = (
+            compile_cache if compile_cache is not None
+            else CompileCache(self.catalog)
+        )
         #: Span tree of the last *self-rooted* traced execution (CLI and
         #: library use; broker-rooted traces land in the trace ring
         #: instead).  None until the first traced ``execute()``.
@@ -97,8 +145,7 @@ class SPQEngine:
 
     def clear_compile_cache(self) -> None:
         """Drop cached compiled problems (catalog contents changed)."""
-        with self._compiled_lock:
-            self._compiled.clear()
+        self._compiled.clear()
 
     # --- pipeline stages ----------------------------------------------------------
 
@@ -118,14 +165,7 @@ class SPQEngine:
                 span.set("cache_hit", False)
                 return compile_query(query, self.catalog)
             text = query.strip()
-            version = getattr(self.catalog, "version", 0)
-            with self._compiled_lock:
-                if self._compiled_version != version:
-                    self._compiled.clear()
-                    self._compiled_version = version
-                cached = self._compiled.get(text)
-                if cached is not None:
-                    self._compiled.move_to_end(text)
+            cached, version = self._compiled.get(text)
             if cached is not None:
                 span.set("cache_hit", True)
                 return cached
@@ -133,12 +173,7 @@ class SPQEngine:
             with stage("parse"):
                 ast = parse_query(text)
             problem = compile_query(ast, self.catalog)
-            with self._compiled_lock:
-                if self._compiled_version == version:
-                    self._compiled[text] = problem
-                    self._compiled.move_to_end(text)
-                    while len(self._compiled) > _COMPILE_CACHE_LIMIT:
-                        self._compiled.popitem(last=False)
+            self._compiled.put(text, version, problem)
             return problem
 
     # --- evaluation ------------------------------------------------------------------
@@ -189,7 +224,11 @@ class SPQEngine:
         with stage("execute", method=method) as span:
             probe = QueryResourceProbe(store=self.store)
             started = time.perf_counter()
-            result = self._dispatch(query, method, effective)
+            try:
+                result = self._dispatch(query, method, effective)
+            except BaseException:
+                probe.release()
+                raise
             finalize_anytime(result, effective, time.perf_counter() - started)
             usage = probe.finish(session=current_session())
             if result.anytime is not None:

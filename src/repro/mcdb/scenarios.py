@@ -31,10 +31,13 @@ attribute) instead of building a generator per scenario or per block.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..db.expressions import Expr, attributes_of, evaluate
 from ..errors import EvaluationError
+from ..obs.resources import bill
 from ..parallel.executor import ParallelScenarioExecutor
 from ..utils.rngkeys import KeyedGenerator, rekeyable_generator
 from .stochastic import StochasticModel
@@ -232,7 +235,14 @@ class ScenarioCache:
     instance, so concurrent and repeated queries over the same data
     reuse one realization (the store enforces the byte budget and
     eviction policy); this cache then only contributes the generation
-    callback.  Without a store the private dict behaviour is unchanged.
+    callback.  Without a store the private dict behaviour is unchanged,
+    and each fill's bytes are billed to the query (``obs.resources``).
+
+    Fills are serialized per cache, hence per generator: the generator
+    re-keys one Philox, and two CSA rungs of one evaluation (the ladder
+    lane's and the caller's) may fill at once — a store runs fills of
+    different expressions outside its lock.  Reads of columns already
+    held take no lock.
     """
 
     def __init__(self, generator: ScenarioGenerator, store=None):
@@ -248,9 +258,11 @@ class ScenarioCache:
         #: id cannot be recycled for a different expression.
         self._store_keys: dict[int, tuple[Expr, tuple]] = {}
         self._cache: dict[int, tuple[Expr, np.ndarray]] = {}
+        self._fill_lock = threading.Lock()
 
     def _new_columns(self, expr: Expr, start: int, stop: int) -> np.ndarray:
-        return self._executor.coefficient_columns(expr, range(start, stop))
+        with self._fill_lock:
+            return self._executor.coefficient_columns(expr, range(start, stop))
 
     def _content_key(self, expr: Expr) -> tuple:
         cached = self._store_keys.get(id(expr))
@@ -279,12 +291,19 @@ class ScenarioCache:
         cached = self._cache.get(key)
         if cached is not None and cached[1].shape[1] >= n_scenarios:
             return cached[1][:, :n_scenarios]
-        start = 0 if cached is None else cached[1].shape[1]
-        new_cols = self._new_columns(expr, start, n_scenarios)
-        matrix = (
-            new_cols if cached is None else np.hstack([cached[1], new_cols])
-        )
-        self._cache[key] = (expr, matrix)
+        with self._fill_lock:
+            cached = self._cache.get(key)
+            if cached is not None and cached[1].shape[1] >= n_scenarios:
+                return cached[1][:, :n_scenarios]
+            start = 0 if cached is None else cached[1].shape[1]
+            new_cols = self._executor.coefficient_columns(
+                expr, range(start, n_scenarios)
+            )
+            bill("scenario_bytes_realized", new_cols.nbytes)
+            matrix = (
+                new_cols if cached is None else np.hstack([cached[1], new_cols])
+            )
+            self._cache[key] = (expr, matrix)
         return matrix
 
     def clear(self) -> None:

@@ -60,6 +60,7 @@ from .profile import (
 )
 from .resources import (
     QueryResourceProbe,
+    bill,
     charge,
     resource_counters,
 )
@@ -69,6 +70,7 @@ from .trace import (
     TraceSession,
     activate,
     current_session,
+    fork_session,
     new_span_id,
     new_trace_id,
     span_tree,
@@ -89,12 +91,14 @@ __all__ = [
     "TraceSession",
     "activate",
     "aggregate_self_times",
+    "bill",
     "charge",
     "collect",
     "current_session",
     "diff",
     "emit",
     "epsilon_events",
+    "fork_session",
     "events_enabled",
     "format_convergence",
     "format_top_table",

@@ -17,6 +17,11 @@ pieces:
   metrics at entry, and on :meth:`~QueryResourceProbe.finish` folds the
   deltas plus the session's charges into one dict attached to the root
   span and the ``AnytimeResult`` envelope.
+* :func:`bill` — charges the probe of the query evaluating on this
+  context, traced or not, from whichever thread works for it: the
+  ladder lane's CPU and rung counts (``core/lane.py``) and the bytes of
+  private scenario-cache fills, which no thread-CPU sample or store
+  delta of the calling thread sees.
 
 Store/scale deltas are process-wide registries, so under concurrent
 queries in one process (thread backend) attribution is approximate —
@@ -27,7 +32,9 @@ are exact.
 
 from __future__ import annotations
 
+import threading
 import time
+from contextvars import ContextVar
 
 from .metrics import LockedCounters, section_keys
 from .trace import current_session
@@ -53,6 +60,28 @@ def charge(name: str, amount: float = 1.0) -> None:
     session = current_session()
     if session is not None:
         session.charge(name, amount)
+
+
+#: The probe of the query evaluating on this context, or None.
+_PROBE: ContextVar = ContextVar("repro_query_probe", default=None)
+
+#: What :func:`bill` accepts, as the usage keys they are reported under.
+BILLED = (
+    "cpu_s", "scenario_bytes_realized",
+    "lane_rungs_started", "lane_rungs_consumed", "lane_rungs_discarded",
+)
+
+
+def bill(name: str, amount: float) -> None:
+    """Charge the query evaluating on this context (any thread).
+
+    A thread working for a query runs in a copy of its caller's context
+    (``contextvars.copy_context``), so it reaches the same probe.  No-op
+    outside an accounted evaluation.
+    """
+    probe = _PROBE.get()
+    if probe is not None:
+        probe.add(name, amount)
 
 
 def peak_rss_kb() -> int | None:
@@ -88,7 +117,10 @@ def _delta(after: dict | None, before: dict | None, key: str) -> int:
 class QueryResourceProbe:
     """Samples process counters around one evaluation (engine-owned)."""
 
-    __slots__ = ("_store", "_cpu0", "_rss0", "_store0", "_scale0")
+    __slots__ = (
+        "_store", "_cpu0", "_rss0", "_store0", "_scale0",
+        "_billed", "_lock", "_token",
+    )
 
     def __init__(self, store=None):
         self._store = store
@@ -96,6 +128,23 @@ class QueryResourceProbe:
         self._rss0 = peak_rss_kb()
         self._store0 = _store_snapshot(store)
         self._scale0 = _scale_snapshot()
+        self._billed = dict.fromkeys(BILLED, 0.0)
+        self._lock = threading.Lock()
+        self._token = _PROBE.set(self)
+
+    def add(self, name: str, amount: float) -> None:
+        """One :func:`bill` charge; ``name`` must be in :data:`BILLED`."""
+        with self._lock:
+            self._billed[name] += amount
+
+    def release(self) -> None:
+        """Stop receiving :func:`bill` charges on this context; idempotent."""
+        if self._token is not None:
+            try:
+                _PROBE.reset(self._token)
+            except ValueError:  # finished on another context than its own
+                pass
+            self._token = None
 
     def finish(self, session=None) -> dict:
         """The per-query resource document; also feeds process totals.
@@ -105,7 +154,11 @@ class QueryResourceProbe:
         store, non-POSIX RSS) are reported as 0/None rather than
         omitted, so consumers can rely on the shape.
         """
-        cpu_s = max(0.0, time.thread_time() - self._cpu0)
+        self.release()
+        with self._lock:
+            billed = dict(self._billed)
+        # Thread-CPU sees the calling thread only; the lane's is billed.
+        cpu_s = max(0.0, time.thread_time() - self._cpu0) + billed["cpu_s"]
         rss1 = peak_rss_kb()
         store1 = _store_snapshot(self._store)
         scale1 = _scale_snapshot()
@@ -122,7 +175,7 @@ class QueryResourceProbe:
             ),
             "scenario_bytes_realized": _delta(
                 store1, self._store0, "bytes_realized"
-            ),
+            ) + int(billed["scenario_bytes_realized"]),
             "scenario_bytes_reused": _delta(store1, self._store0, "bytes_reused"),
             "lp_solves": int(charges.get("lp_solves", 0)),
             "chunk_cache_hits": chunk_hits,
@@ -130,6 +183,9 @@ class QueryResourceProbe:
             "chunk_cache_hit_ratio": (
                 None if chunk_total == 0 else chunk_hits / chunk_total
             ),
+            "lane_rungs_started": int(billed["lane_rungs_started"]),
+            "lane_rungs_consumed": int(billed["lane_rungs_consumed"]),
+            "lane_rungs_discarded": int(billed["lane_rungs_discarded"]),
         }
         resource_counters.add_many(
             {"queries_accounted": 1, "query_cpu_seconds": cpu_s}

@@ -106,6 +106,21 @@ class TraceSession:
         # safe here where the process-wide registries need locks.
         self.resources[name] = self.resources.get(name, 0.0) + amount
 
+    def merge(self, child: "TraceSession") -> None:
+        """Fold a child session's spans, events and charges into this one.
+
+        The child recorded work done for this query on another thread
+        (``core/lane.py``); both caps still hold after the merge.
+        """
+        for span in child.spans:
+            self.add(span)
+        self.dropped += child.dropped
+        for event in child.events:
+            self.add_event(event)
+        self.events_dropped += child.events_dropped
+        for name, amount in child.resources.items():
+            self.charge(name, amount)
+
     def payload(self) -> tuple:
         """The trace tuple a finished request hands back to the broker.
 
@@ -122,6 +137,24 @@ def current_session() -> TraceSession | None:
     """The session active on this context, or None (tracing off)."""
     frame = _CURRENT.get()
     return frame[0] if frame is not None else None
+
+
+def fork_session() -> tuple[TraceSession, str | None] | None:
+    """A child session for this query's work on another thread.
+
+    It shares the active session's trace id and caps, and its spans nest
+    under the current span; the caller merges it back
+    (:meth:`TraceSession.merge`) or drops it.  None when tracing is off.
+    """
+    frame = _CURRENT.get()
+    if frame is None:
+        return None
+    session, parent_id = frame
+    child = TraceSession(
+        session.trace_id, max_spans=session.max_spans,
+        max_events=session.max_events,
+    )
+    return child, parent_id
 
 
 @contextmanager

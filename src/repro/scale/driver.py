@@ -774,8 +774,12 @@ _REFINE_STATE = None
 
 
 def _init_refine_worker(state) -> None:
+    from ..core import lane
+
     global _REFINE_STATE
     _REFINE_STATE = state
+    # The pool's workers are the parallelism here: no ladder lane.
+    lane.disable()
 
 
 def _refine_worker_task(g: int) -> tuple[int, dict]:

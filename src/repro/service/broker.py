@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..config import BACKEND_PROCESS, BACKEND_THREAD, DEFAULT_CONFIG, SPQConfig
-from ..core.engine import METHOD_SUMMARY_SEARCH, SPQEngine
+from ..core.engine import METHOD_SUMMARY_SEARCH, CompileCache, SPQEngine
 from ..db.catalog import Catalog
 from ..errors import EvaluationError, SPQError
 from ..obs import (
@@ -194,11 +194,16 @@ class QueryBroker:
             ]
         else:
             # One engine session per slot, so a session never serves two
-            # queries at once.
+            # queries at once; one compile cache for all of them, so a
+            # request's parse and compile do not depend on its slot.
+            compiled = CompileCache(catalog)
             runners = [
                 partial(
                     run_request,
-                    SPQEngine(catalog=catalog, config=self.config, store=self.store),
+                    SPQEngine(
+                        catalog=catalog, config=self.config, store=self.store,
+                        compile_cache=compiled,
+                    ),
                 )
                 for _ in range(self.pool_size)
             ]

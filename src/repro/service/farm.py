@@ -123,10 +123,13 @@ def _worker_main(worker_id: int, conn, catalog, config, spill_dir):
     matrix it realizes is exportable to siblings; the store never owns
     that directory (the farm removes it on shutdown).
     """
+    from ..core import lane
     from ..core.engine import SPQEngine
     from .broker import run_request
     from .store import ScenarioStore
 
+    # The farm's workers are the parallelism here: no ladder lane.
+    lane.disable()
     store = ScenarioStore(
         budget_bytes=config.scenario_store_budget,
         spill=config.scenario_store_spill,

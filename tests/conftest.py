@@ -112,3 +112,32 @@ def variants_model() -> tuple[Relation, StochasticModel]:
     )
     model = StochasticModel(relation, {"Quantity": DiscreteVariantsVG(variants)})
     return relation, model
+
+
+@pytest.fixture
+def no_lane(monkeypatch):
+    """SummarySearch without its ladder lane (``core/lane.py``).
+
+    For tests that count mechanisms — memo hits and flags, reduction
+    verdicts — from the calling thread: the lane leaves every answer as
+    it is, but a rung it solves is counted on its own thread, and a rung
+    it discards is counted too.
+    """
+    from repro.core import lane
+
+    monkeypatch.setattr(lane, "ENABLED", False)
+
+
+@pytest.fixture
+def forced_lane(monkeypatch):
+    """The ladder lane on for every rung after a ladder's first transition.
+
+    It engages whatever the box's CPU count and each rung's solver share,
+    so lane-on twins exercise it on any machine.
+    """
+    import repro.core.summarysearch as summarysearch
+    from repro.core import lane
+
+    monkeypatch.setattr(lane, "ENABLED", True)
+    monkeypatch.setattr(lane, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(summarysearch, "LANE_SOLVE_SHARE", 0.0)

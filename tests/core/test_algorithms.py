@@ -201,6 +201,55 @@ def test_a_time_limited_q0_adds_no_relaxation_bound(
     assert 0 < result.objective <= bounds.upper
 
 
+@pytest.mark.parametrize("dual_bound", [5.5, None])
+def test_a_time_limited_q0_contributes_its_dual_bound_or_nothing(
+    fast_config, monkeypatch, dual_bound
+):
+    """Q₀ times out (patched on Q₀ only) with its hint as the incumbent.
+    HiGHS's dual bound, when finite, is the relaxation bound — exactly
+    it, never the hint's objective; without one, nothing else certifies
+    this minimization (its Appendix-B lower bound is negative), so the
+    answer carries no ε and is marked uncertified."""
+    import repro.core.summarysearch as summarysearch
+    from repro.solver.result import STATUS_FEASIBLE, MILPResult
+
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 3.0)})
+    )
+    problem = compile_query(
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) >= 2 AND"
+        " COUNT(*) <= 3 AND SUM(Value) <= 20 WITH PROBABILITY >= 0.8"
+        " MINIMIZE EXPECTED SUM(Value)",
+        catalog,
+    )
+    real = summarysearch.solve_unconstrained
+    meta = {} if dual_bound is None else {"best_bound": dual_bound}
+
+    def timed_out(ctx, time_limit):
+        x = real(ctx, time_limit).x
+        return MILPResult(
+            STATUS_FEASIBLE, x=x, objective=ctx.mean_objective_value(x),
+            meta=dict(meta, stopped="limit"),
+        )
+
+    monkeypatch.setattr(summarysearch, "solve_unconstrained", timed_out)
+    result = summary_search_evaluate(problem, fast_config)
+    bounds = result.meta["bounds"]
+    assert result.feasible
+    assert result.meta["relaxation_objective"] == dual_bound
+    if dual_bound is None:
+        assert "relaxation" not in bounds.sources and bounds.lower < 0
+        assert result.epsilon_upper is None and result.uncertified
+    else:
+        assert "relaxation" in bounds.sources and bounds.lower == dual_bound
+        assert result.epsilon_upper == pytest.approx(
+            result.objective / dual_bound - 1.0
+        )
+        assert not result.uncertified
+
+
 def test_an_uncertified_answer_says_so_in_its_summary(items_catalog, fast_config):
     """SummarySearch accepts a feasible package it cannot certify (here
     the empty package, whose objective bounds start at 0) and flags it;

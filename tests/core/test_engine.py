@@ -152,3 +152,35 @@ def test_compile_cache_evicts_lru_not_newest(fast_config, monkeypatch):
     assert session.compile(q(1)) is first  # hot entry survived
     assert session.compile(q(2)) is not second  # evicted: recompiled
     assert len(session._compiled) == 2
+
+
+def test_sessions_sharing_a_compile_cache_compile_a_text_once(fast_config, monkeypatch):
+    """Two sessions over one catalog and one cache: the second is served
+    the first's compiled problem, and a catalog delta invalidates it for
+    both."""
+    from repro.core import engine as engine_module
+    from repro.core.engine import CompileCache
+    from repro.db.delta import RelationDelta
+
+    compiled = []
+    real = engine_module.compile_query
+
+    def counting(*args, **kwargs):
+        compiled.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_query", counting)
+    catalog = Catalog()
+    catalog.register(Relation("t", {"cost": [1.0, 2.0, 3.0]}))
+    cache = CompileCache(catalog)
+    first, second = (
+        SPQEngine(catalog=catalog, config=fast_config, compile_cache=cache)
+        for _ in range(2)
+    )
+    query = "SELECT PACKAGE(*) FROM t SUCH THAT SUM(cost) <= 4 MAXIMIZE SUM(cost)"
+    problem = first.compile(query)
+    assert second.compile(query) is problem and len(compiled) == 1
+    catalog.apply_delta("t", RelationDelta(updates={0: {"cost": 5.0}}))
+    renewed = second.compile(query)
+    assert renewed is not problem and len(compiled) == 2
+    assert first.compile(query) is renewed and len(compiled) == 2

@@ -249,6 +249,7 @@ CASES = [
 REPLAYS_ROUNDS = {"portfolio-q3", "correlated-q2-store"}
 
 
+@pytest.mark.usefixtures("no_lane")
 @pytest.mark.parametrize(
     "dataset, method, overrides, with_store, repeats",
     [pytest.param(*case[1:], id=case[0]) for case in CASES],
@@ -276,6 +277,54 @@ def test_memoised_evaluation_equals_recomputed_one(
         assert calls["replays"] > 0
 
 
+def answers(outcome: dict) -> dict:
+    """An outcome without its per-call CSA rounds: what the query answered."""
+    return {k: v for k, v in outcome.items() if k != "rounds"}
+
+
+def assert_rounds_contained(lane_on: dict, lane_off: dict) -> None:
+    """Every CSA-Solve of the lane-off run, identical, in the lane-on one.
+
+    The lane-on run also holds the rungs the lane solved and the ladder
+    discarded, so it is a superset (counted as a multiset).
+    """
+    remaining = list(lane_on["rounds"])
+    for call in lane_off["rounds"]:
+        remaining.remove(call)
+
+
+#: The cases whose memo counts a lane rung on another thread would move.
+LANE_TWINS = (
+    "portfolio-q3", "correlated-q2-store", "tpch-q3", "scale-driver-memory",
+    "scale-driver-disk-store",
+)
+
+
+@pytest.mark.parametrize(
+    "dataset, method, overrides, with_store",
+    [pytest.param(*case[1:5], id=case[0]) for case in CASES
+     if case[0] in LANE_TWINS],
+)
+def test_the_ladder_lane_answers_what_the_memoised_evaluation_does(
+    dataset, method, overrides, with_store, tmp_path, monkeypatch, forced_lane
+):
+    """Lane-on twin of the test above: same answers, same CSA rounds."""
+    from repro.core import lane
+
+    register, query = dataset
+    config = CONFIG.replace(**overrides)
+    monkeypatch.setattr(lane, "ENABLED", False)
+    alone, _, _ = evaluate(
+        register, query, method, config, with_store, False, tmp_path / "alone"
+    )
+    monkeypatch.setattr(lane, "ENABLED", True)
+    laned, _, _ = evaluate(
+        register, query, method, config, with_store, False, tmp_path / "laned"
+    )
+    assert answers(laned) == answers(alone)
+    assert_rounds_contained(laned, alone)
+
+
 # --- the store's memo: a repeated query replays its own search ---------------------
 
 
@@ -290,6 +339,7 @@ REPEATED = [
 ]
 
 
+@pytest.mark.usefixtures("no_lane")
 @pytest.mark.parametrize(
     "dataset, method, overrides, all_on_store",
     [pytest.param(*case[1:], id=case[0]) for case in REPEATED],
@@ -331,7 +381,38 @@ def test_a_repeated_query_replays_its_search_from_the_store(
         assert repeat["fit_hits"] == repeat["fits"]
 
 
-def test_after_a_delta_a_shared_store_answers_what_a_fresh_one_does():
+@pytest.mark.parametrize(
+    "dataset, method, overrides",
+    [pytest.param(*case[1:4], id=case[0]) for case in REPEATED],
+)
+def test_a_repeated_query_on_the_ladder_lane_answers_what_it_did_alone(
+    dataset, method, overrides, tmp_path, monkeypatch, forced_lane
+):
+    """Lane-on twin of the test above: the first run and its repeat on a
+    store answer what a lane-off run does."""
+    from repro.core import lane
+
+    register, query = dataset
+    config = CONFIG.replace(**overrides)
+    store = ScenarioStore()
+    first, _, _ = evaluate(
+        register, query, method, config, True, False, tmp_path / "first",
+        store=store,
+    )
+    second, _, _ = evaluate(
+        register, query, method, config, True, False, tmp_path / "second",
+        store=store,
+    )
+    monkeypatch.setattr(lane, "ENABLED", False)
+    alone, _, _ = evaluate(
+        register, query, method, config, True, False, tmp_path / "alone"
+    )
+    assert answers(first) == answers(second) == answers(alone)
+    assert_rounds_contained(first, alone)
+
+
+def delta_case():
+    """(before, after, query, config): portfolio/Q1 across one delta."""
     from repro.db.delta import RelationDelta
 
     params = PortfolioParams(n_stocks=40, seed=7)
@@ -353,11 +434,35 @@ def test_after_a_delta_a_shared_store_answers_what_a_fresh_one_does():
             ),
         )
 
+    return before, after, query, config
+
+
+@pytest.mark.usefixtures("no_lane")
+def test_after_a_delta_a_shared_store_answers_what_a_fresh_one_does():
+    before, after, query, config = delta_case()
     store = ScenarioStore()
     evaluate(before, query, "summarysearch", config, True, False, store=store)
     shared = evaluate(after, query, "summarysearch", config, True, False, store=store)
     fresh = evaluate(after, query, "summarysearch", config, True, False)
     assert shared[0] == fresh[0]
+    assert shared[0]["multiplicities"] is not None
+
+
+def test_after_a_delta_the_ladder_lane_answers_what_a_fresh_store_does(
+    forced_lane, monkeypatch
+):
+    """Lane-on twin of the test above: the same answers, and every CSA
+    round of the lane-off run in the lane-on one."""
+    from repro.core import lane
+
+    before, after, query, config = delta_case()
+    store = ScenarioStore()
+    evaluate(before, query, "summarysearch", config, True, False, store=store)
+    shared = evaluate(after, query, "summarysearch", config, True, False, store=store)
+    monkeypatch.setattr(lane, "ENABLED", False)
+    fresh = evaluate(after, query, "summarysearch", config, True, False)
+    assert answers(shared[0]) == answers(fresh[0])
+    assert_rounds_contained(shared[0], fresh[0])
     assert shared[0]["multiplicities"] is not None
 
 

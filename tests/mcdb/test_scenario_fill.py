@@ -127,3 +127,69 @@ def test_correlated_vg_fill_is_grow_only(factory):
     inside each scenario)."""
     model = StochasticModel(_correlated_relation(), {"X": factory()})
     _assert_grow_only(model, 23, Attr("X"), 9)
+
+
+# --- two threads, one cache ------------------------------------------------------
+
+
+@pytest.mark.parametrize("with_store", [False, True], ids=["private", "store"])
+def test_two_threads_filling_one_cache_equal_a_sequential_fill(with_store):
+    """The ladder lane's rung and its caller's may fill one evaluation's
+    cache at once — different expressions, different ``M`` — and the
+    generator re-keys one Philox, so fills are serialized per cache.  A
+    short switch interval makes an unserialized interleaving near-certain.
+    """
+    import sys
+    import threading
+
+    from repro.db.expressions import BinOp
+    from repro.mcdb.scenarios import ScenarioCache
+    from repro.service import ScenarioStore
+
+    relation = Relation(
+        "items",
+        {
+            "price": [float(v) for v in range(3, 203)],
+            "cost": [float(v % 17) for v in range(200)],
+        },
+    )
+    model = StochasticModel(
+        relation,
+        {
+            "Value": GaussianNoiseVG("price", 2.0),
+            "Noise": GaussianNoiseVG("cost", 1.0),
+        },
+    )
+    exprs = (Attr("Value"), BinOp("+", Attr("Noise"), Attr("cost")))
+    sizes = ((60, 150, 240), (40, 120, 200))
+
+    def cache():
+        return ScenarioCache(
+            _generator(model, 7), store=ScenarioStore() if with_store else None
+        )
+
+    expected = [cache().coefficient_matrix(expr, steps[-1]).copy()
+                for expr, steps in zip(exprs, sizes)]
+    shared = cache()
+    barrier = threading.Barrier(2)
+    got: dict[int, list] = {0: [], 1: []}
+
+    def fill(which):
+        barrier.wait()
+        for n in sizes[which]:
+            got[which].append(shared.coefficient_matrix(exprs[which], n).copy())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    for which in (0, 1):
+        assert len(got[which]) == len(sizes[which])
+        for n, matrix in zip(sizes[which], got[which]):
+            assert np.array_equal(matrix, expected[which][:, :n])

@@ -178,9 +178,9 @@ def test_memo_hit_bills_nothing_and_emits_no_reduce_event(monkeypatch):
         assert len(reduce_events(billed.events)) == ("reduction" in first.meta)
 
 
-def test_csa_rounds_and_validate_spans_say_what_the_memos_served():
+def traced_portfolio_q3():
+    """portfolio/Q3 at 40 stocks, traced: (trace document, result)."""
     from repro import SPQConfig, SPQEngine
-    from repro.obs.profile import iter_tree
     from repro.workloads import get_query
 
     spec = get_query("portfolio", "Q3")
@@ -193,8 +193,14 @@ def test_csa_rounds_and_validate_spans_say_what_the_memos_served():
         )
     )
     engine.register(*spec.build_dataset(40, seed=42))
-    engine.execute(spec.spaql, method="summarysearch")
-    document = engine.last_trace
+    result = engine.execute(spec.spaql, method="summarysearch")
+    return engine.last_trace, result
+
+
+def test_csa_rounds_and_validate_spans_say_what_the_memos_served(no_lane):
+    from repro.obs.profile import iter_tree
+
+    document, _ = traced_portfolio_q3()
     rounds = [e for e in epsilon_events(document["events"]) if "q" in e]
     closers = [e for e in epsilon_events(document["events"]) if "q" not in e]
     assert rounds and closers
@@ -226,6 +232,30 @@ def test_csa_rounds_and_validate_spans_say_what_the_memos_served():
     ) in rendered
     marked = [l for l in rendered.splitlines() if l.rstrip().endswith("=")]
     assert len(marked) == served
+
+
+def test_the_ladder_lane_leaves_the_csa_round_stream_as_it_was(
+    forced_lane, monkeypatch
+):
+    """Lane-on twin of the test above: the same rounds, in the same order,
+    with the same verdicts; only which thread asked a memo first moves."""
+    from repro.core import lane
+
+    def stream(document):
+        return [
+            {k: v for k, v in e.items()
+             if k not in ("ts", "solve_memo", "validate_memo")}
+            for e in epsilon_events(document["events"])
+        ]
+
+    laned, laned_result = traced_portfolio_q3()
+    monkeypatch.setattr(lane, "ENABLED", False)
+    alone, alone_result = traced_portfolio_q3()
+    assert stream(laned) == stream(alone)
+    assert laned_result.package.multiplicities.tolist() == (
+        alone_result.package.multiplicities.tolist()
+    )
+    assert laned_result.epsilon_upper == alone_result.epsilon_upper
 
 
 def test_format_convergence_marks_memo_rounds_and_tallies_the_span_tree():

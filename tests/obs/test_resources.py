@@ -19,6 +19,7 @@ USAGE_KEYS = {
     "scenario_bytes_realized", "scenario_bytes_reused",
     "lp_solves",
     "chunk_cache_hits", "chunk_cache_misses", "chunk_cache_hit_ratio",
+    "lane_rungs_started", "lane_rungs_consumed", "lane_rungs_discarded",
 }
 
 
@@ -70,3 +71,75 @@ def test_probe_reads_session_charges_into_the_usage_doc():
     usage = probe.finish(session=session)
     assert usage["lp_solves"] == 5
 
+
+def test_a_bill_from_another_thread_reaches_the_query():
+    """Work done for a query on a helper thread (a copy of the query's
+    context) is billed to it: CPU and counts add to the usage doc."""
+    import contextvars
+    import threading
+
+    from repro.obs import bill
+
+    probe = QueryResourceProbe()
+    context = contextvars.copy_context()
+    thread = threading.Thread(
+        target=context.run,
+        args=(lambda: (bill("cpu_s", 2.5), bill("lane_rungs_started", 1)),),
+    )
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    usage = probe.finish()
+    assert usage["cpu_s"] >= 2.5
+    assert usage["lane_rungs_started"] == 1
+    # A finished probe is no longer billed.
+    bill("lane_rungs_started", 1)
+    assert probe.finish()["lane_rungs_started"] == 1
+
+
+QUERY = (
+    "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+    " SUM(Value) >= 6 WITH PROBABILITY >= 0.8 MINIMIZE EXPECTED SUM(Value)"
+)
+
+
+def _caches(monkeypatch) -> list:
+    from repro.mcdb.scenarios import ScenarioCache
+
+    made = []
+    real_init = ScenarioCache.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ScenarioCache, "__init__", init)
+    return made
+
+
+def test_an_adhoc_query_bills_the_bytes_of_the_columns_it_filled(
+    items_catalog, fast_config, monkeypatch
+):
+    from repro import SPQEngine
+
+    caches = _caches(monkeypatch)
+    result = SPQEngine(catalog=items_catalog, config=fast_config).execute(QUERY)
+    filled = sum(cache.cached_bytes for cache in caches)
+    assert filled > 0
+    assert result.anytime.resources["scenario_bytes_realized"] == filled
+
+
+def test_a_store_backed_query_still_bills_the_stores_bytes(
+    items_catalog, fast_config, monkeypatch
+):
+    from repro import SPQEngine
+    from repro.service import ScenarioStore
+
+    caches = _caches(monkeypatch)
+    store = ScenarioStore()
+    result = SPQEngine(
+        catalog=items_catalog, config=fast_config, store=store
+    ).execute(QUERY)
+    realized = store.stats().bytes_realized
+    assert realized > 0 and all(cache.cached_bytes == 0 for cache in caches)
+    assert result.anytime.resources["scenario_bytes_realized"] == realized

@@ -100,6 +100,42 @@ def test_inflight_dedup_returns_same_future(catalog, config, monkeypatch):
     assert broker.status()["pending"] == 0
 
 
+def test_thread_slots_share_one_compile_cache(catalog, config, monkeypatch):
+    """Whichever slot takes a request, a text compiled once is not
+    compiled again: two requests held on two slots, released one after
+    the other, compile the text once."""
+    from repro.core import engine as engine_module
+
+    compiled = []
+    real = engine_module.compile_query
+
+    def counting(*args, **kwargs):
+        compiled.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_query", counting)
+    gates = {1: threading.Event(), 2: threading.Event()}
+    held = threading.Semaphore(0)
+    original = SPQEngine.execute
+
+    def gated(self, query, *args, **kwargs):
+        held.release()
+        gates[kwargs["seed"]].wait(30)
+        return original(self, query, *args, **kwargs)
+
+    monkeypatch.setattr(SPQEngine, "execute", gated)
+    with QueryBroker(catalog, config=config, pool_size=2) as broker:
+        first = broker.submit(QUERY, seed=1)
+        second = broker.submit(QUERY, seed=2)
+        # Both requests are on a slot each before either compiles.
+        assert held.acquire(timeout=30) and held.acquire(timeout=30)
+        gates[1].set()
+        first.result(timeout=120)
+        gates[2].set()
+        second.result(timeout=120)
+    assert len(compiled) == 1
+
+
 def test_admission_control_rejects_beyond_max_pending(
     catalog, config, monkeypatch
 ):

@@ -10,6 +10,8 @@ are counted the same way: calls, and calls the validation memo served.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.solver.highs as highs_module
@@ -108,7 +110,7 @@ def test_indicator_objective_models_take_the_unreduced_path(solves, validations)
     assert validations == [False, False, False]
 
 
-def test_small_models_take_the_unreduced_path(solves, validations):
+def test_small_models_take_the_unreduced_path(solves, validations, no_lane):
     # portfolio/Q3 at 90 stocks: 54 decision columns after predicates,
     # and the query CSA repeats itself on — every CSA-Solve restarts at
     # x(0) with alpha = 0, and neighbouring alphas keep the same scenarios.
@@ -126,3 +128,22 @@ def test_small_models_take_the_unreduced_path(solves, validations):
     repeats = sum(record["memo"] for record in solves)
     assert (len(solves), len(solves) - repeats) == (61, 54)
     assert (len(validations), len(validations) - sum(validations)) == (68, 22)
+
+
+def test_small_models_answer_the_same_on_the_ladder_lane(forced_lane, monkeypatch):
+    """Lane-on twin of the test above: the answer the pins were taken on."""
+    from repro.core import lane
+
+    laned = run("portfolio", "Q3", 90)
+    monkeypatch.setattr(lane, "ENABLED", False)
+    alone = run("portfolio", "Q3", 90)
+    assert laned.package.multiplicities.tolist() == (
+        alone.package.multiplicities.tolist()
+    )
+    assert (laned.objective, laned.epsilon_upper, laned.feasible) == (
+        alone.objective, alone.epsilon_upper, alone.feasible
+    )
+    untimed = dict(solve_time=0.0, validate_time=0.0, summary_time=0.0)
+    assert [
+        dataclasses.replace(r, **untimed) for r in laned.stats.iterations
+    ] == [dataclasses.replace(r, **untimed) for r in alone.stats.iterations]
