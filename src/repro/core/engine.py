@@ -31,6 +31,7 @@ from ..obs import (
     new_trace_id,
     span_tree,
     stage,
+    stage_histograms,
 )
 from ..silp.compile import compile_query
 from ..silp.model import StochasticPackageProblem
@@ -143,10 +144,6 @@ class SPQEngine:
         """Register a relation (and optional stochastic model)."""
         self.catalog.register(relation, model=model, name=name)
 
-    def clear_compile_cache(self) -> None:
-        """Drop cached compiled problems (catalog contents changed)."""
-        self._compiled.clear()
-
     # --- pipeline stages ----------------------------------------------------------
 
     def parse(self, text: str) -> PackageQuery:
@@ -209,6 +206,7 @@ class SPQEngine:
             with activate(own):
                 return self._execute_traced(query, method, effective)
         finally:
+            stage_histograms.observe_spans(own.spans)
             self.last_trace = span_tree(own.spans, own.trace_id, dropped=own.dropped)
             self.last_trace["events"] = list(own.events)
             self.last_trace["events_dropped"] = own.events_dropped

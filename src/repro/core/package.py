@@ -64,10 +64,6 @@ class Package:
         """Positions (within active rows) with positive multiplicity."""
         return np.nonzero(self.multiplicities)[0]
 
-    def nonzero_base_rows(self) -> np.ndarray:
-        """Base-relation row positions with positive multiplicity."""
-        return self.problem.active_rows[self.nonzero_positions()]
-
     def key_multiplicities(self) -> dict:
         """Map tuple key value -> multiplicity (nonzero entries only)."""
         keys = self.problem.relation.key_values()

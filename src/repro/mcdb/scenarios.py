@@ -320,18 +320,3 @@ class ScenarioCache:
     def cached_bytes(self) -> int:
         """Total bytes of locally (non-store) cached matrices."""
         return sum(m.nbytes for _, m in self._cache.values())
-
-
-def probe_value_bounds(
-    generator: ScenarioGenerator,
-    expr: Expr,
-    n_probe: int,
-    rows: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Empirical (min, max) of per-tuple coefficients over probe scenarios.
-
-    Used as the fallback for Appendix B's assumption (A1) when the VG
-    support gives no finite analytic bound (see ``core.approx``).
-    """
-    matrix = generator.coefficient_matrix(expr, n_probe, rows=rows)
-    return float(matrix.min()), float(matrix.max())

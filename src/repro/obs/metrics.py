@@ -95,6 +95,11 @@ class StageHistograms:
             entry["sum"] += seconds
             entry["count"] += 1
 
+    def observe_spans(self, spans) -> None:
+        """Record every span's wall under its stage name (a finished trace)."""
+        for span in spans:
+            self.observe(span["name"], span["wall_s"])
+
     def snapshot(self) -> dict:
         """Deep-copied ``{stage: {"counts", "sum", "count"}}``."""
         with self._lock:

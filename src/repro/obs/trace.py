@@ -36,12 +36,29 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .metrics import stage_histograms
 
 #: The active (session, parent_span_id) frame, or None.
 _CURRENT: ContextVar = ContextVar("repro_obs_frame", default=None)
 
 _span_counter = itertools.count(1)
+_perf_counter, _thread_time = time.perf_counter, time.thread_time
+
+#: ``"<pid>-"`` for span ids, and the epoch of ``perf_counter() == 0``
+#: (a span's start is one clock read).  Forkserver workers all fork from
+#: one preloaded server process, so a forked child reads both again.
+_pid_prefix = ""
+_epoch = 0.0
+
+
+def _read_process() -> None:
+    global _pid_prefix, _epoch
+    _pid_prefix = f"{os.getpid():x}-"
+    _epoch = time.time() - time.perf_counter()
+
+
+_read_process()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_read_process)
 
 
 def new_trace_id() -> str:
@@ -50,13 +67,8 @@ def new_trace_id() -> str:
 
 
 def new_span_id() -> str:
-    """A fresh span id, unique across farm worker processes.
-
-    The pid is read per call, not at import: forkserver workers all
-    fork from one preloaded server process, so an import-time pid would
-    collide across every worker.
-    """
-    return f"{os.getpid():x}-{next(_span_counter):x}"
+    """A fresh span id, unique across farm worker processes."""
+    return f"{_pid_prefix}{next(_span_counter):x}"
 
 
 class TraceSession:
@@ -195,7 +207,7 @@ class _Stage:
 
     __slots__ = (
         "_frame", "name", "attrs", "span_id", "_token",
-        "_start_epoch", "_start_wall", "_start_cpu",
+        "_start_wall", "_start_cpu",
     )
 
     def __init__(self, frame, name: str, attrs: dict):
@@ -208,18 +220,20 @@ class _Stage:
         self.attrs[key] = value
         return self
 
+    # The enabled path is gated at under 2% of a warm query
+    # (benchmarks/bench_service.py): new_span_id() is inlined, the clocks
+    # are module-level names, and the stage histograms are fed from the
+    # finished trace (``StageHistograms.observe_spans``), not per span.
     def __enter__(self) -> "_Stage":
-        self.span_id = new_span_id()
-        session = self._frame[0]
-        self._token = _CURRENT.set((session, self.span_id))
-        self._start_epoch = time.time()
-        self._start_cpu = time.thread_time()
-        self._start_wall = time.perf_counter()
+        self.span_id = span_id = f"{_pid_prefix}{next(_span_counter):x}"
+        self._token = _CURRENT.set((self._frame[0], span_id))
+        self._start_cpu = _thread_time()
+        self._start_wall = _perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        wall = time.perf_counter() - self._start_wall
-        cpu = time.thread_time() - self._start_cpu
+        wall = _perf_counter() - self._start_wall
+        cpu = _thread_time() - self._start_cpu
         _CURRENT.reset(self._token)
         session, parent_id = self._frame
         if exc_type is not None:
@@ -230,13 +244,12 @@ class _Stage:
                 "span_id": self.span_id,
                 "parent_id": parent_id,
                 "name": self.name,
-                "start": self._start_epoch,
+                "start": _epoch + self._start_wall,
                 "wall_s": wall,
                 "cpu_s": cpu,
                 "attrs": self.attrs,
             }
         )
-        stage_histograms.observe(self.name, wall)
         return False
 
 

@@ -100,7 +100,10 @@ def run_request(engine, query, method: str, overrides: dict, trace, **span):
     meta = getattr(value, "meta", None)
     if ok and isinstance(meta, dict):
         meta.setdefault("catalog_version", version)
-    return ok, value, None if session is None else session.payload()
+    if session is None:
+        return ok, value, None
+    stage_histograms.observe_spans(session.spans)
+    return ok, value, session.payload()
 
 
 @dataclass(eq=False)

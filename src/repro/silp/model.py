@@ -130,18 +130,6 @@ class StochasticPackageProblem:
     def has_probability_objective(self) -> bool:
         return isinstance(self.objective, ProbabilityObjectiveIR)
 
-    def without_chance_constraints(self) -> "StochasticPackageProblem":
-        """The probabilistically-unconstrained problem ``Q₀`` (Algorithm 2)."""
-        return StochasticPackageProblem(
-            relation=self.relation,
-            model=self.model,
-            active_rows=self.active_rows,
-            objective=self.objective,
-            constraints=list(self.mean_constraints),
-            repeat=self.repeat,
-            source_query=self.source_query,
-        )
-
     def validate(self) -> None:
         """Consistency checks run after compilation."""
         if self.n_vars == 0:

@@ -98,22 +98,3 @@ class PackageQuery:
     constraints: tuple = field(default_factory=tuple)
     objective: Optional[Objective] = None
 
-    @property
-    def probabilistic_constraints(self) -> list[ProbabilisticConstraint]:
-        return [
-            c for c in self.constraints if isinstance(c, ProbabilisticConstraint)
-        ]
-
-    def without_probabilistic_constraints(self) -> "PackageQuery":
-        """The query ``Q₀`` of Algorithm 2: all chance constraints removed."""
-        kept = tuple(
-            c for c in self.constraints if not isinstance(c, ProbabilisticConstraint)
-        )
-        return PackageQuery(
-            table=self.table,
-            alias=self.alias,
-            repeat=self.repeat,
-            where=self.where,
-            constraints=kept,
-            objective=self.objective,
-        )

@@ -135,9 +135,6 @@ def forced_lane(monkeypatch):
     It engages whatever the box's CPU count and each rung's solver share,
     so lane-on twins exercise it on any machine.
     """
-    import repro.core.summarysearch as summarysearch
-    from repro.core import lane
+    from exact.harness import force_lane
 
-    monkeypatch.setattr(lane, "ENABLED", True)
-    monkeypatch.setattr(lane, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(summarysearch, "LANE_SOLVE_SHARE", 0.0)
+    force_lane(monkeypatch)

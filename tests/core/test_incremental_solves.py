@@ -3,20 +3,18 @@ be pure optimizations — formulations and results identical to cold mode.
 
 Cold mode is made here, on the test side: a cold context builds its base
 model from scratch on every call (``base_milp = build_base_milp``) and
-the formulations install no warm start.
+the formulations install no warm start (``cold_models``, the incremental
+row of ``tests/exact/harness.py``).
 """
 
 import numpy as np
 import pytest
 
-import repro.core.csa as csa_module
-import repro.core.saa as saa_module
+from exact.harness import assert_same_arrays, check
 from repro.core.context import EvaluationContext
 from repro.core.csa import formulate_csa
-from repro.core.naive import naive_evaluate
 from repro.core.saa import formulate_saa
 from repro.core.summaries import SummaryBuilder
-from repro.core.summarysearch import summary_search_evaluate
 from repro.core.warmstart import apply_warm_start, indicator_values
 
 
@@ -25,14 +23,6 @@ def cold_context(problem, config):
     ctx = EvaluationContext(problem, config)
     ctx.base_milp = ctx.build_base_milp
     return ctx
-
-
-def assert_same_arrays(a, b):
-    for got, want in zip(a, b):
-        if hasattr(got, "toarray"):
-            np.testing.assert_array_equal(got.toarray(), want.toarray())
-        else:
-            np.testing.assert_array_equal(got, want)
 
 
 def test_incremental_saa_formulation_equals_cold(chance_problem, fast_config):
@@ -120,27 +110,9 @@ def test_warm_started_csa_solve_installs_hint(chance_context):
     )
 
 
-@pytest.mark.parametrize("method", ["summarysearch", "naive"])
-def test_methods_return_same_package_incremental_on_and_off(
-    chance_problem, fast_config, method, monkeypatch
-):
-    evaluate = summary_search_evaluate if method == "summarysearch" else naive_evaluate
-    on = evaluate(chance_problem, fast_config)
-    with monkeypatch.context() as cold:
-        cold.setattr(
-            EvaluationContext, "base_milp", EvaluationContext.build_base_milp
-        )
-        for module in (csa_module, saa_module):
-            cold.setattr(module, "apply_warm_start", lambda *args: False)
-        off = evaluate(chance_problem, fast_config)
-    assert on.feasible == off.feasible
-    if on.package is None:
-        assert off.package is None
-    else:
-        np.testing.assert_array_equal(
-            on.package.multiplicities, off.package.multiplicities
-        )
-    if on.objective is None:
-        assert off.objective is None
-    else:
-        assert on.objective == pytest.approx(off.objective)
+@pytest.mark.parametrize(
+    "case", ["items-chance", "items-chance-naive"], ids=["summarysearch", "naive"]
+)
+def test_methods_return_same_package_incremental_on_and_off(case):
+    """The incremental row of the exactness harness: every record."""
+    check("incremental", case)

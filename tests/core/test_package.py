@@ -61,7 +61,6 @@ def test_active_row_indirection(items_catalog, fast_config):
     # Active rows are positions [0, 1, 3].
     package = Package(problem, np.array([0, 1, 1]))
     assert package.key_multiplicities() == {1: 1, 3: 1}
-    assert package.nonzero_base_rows().tolist() == [1, 3]
 
 
 def test_result_summary_text(chance_problem):

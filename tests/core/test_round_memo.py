@@ -2,8 +2,9 @@
 
 A round (α-summaries, ``CSA_{Q,M,Z}``, solve) is replayed from
 ``EvaluationContext.memo`` when every input it is built from recurs, so
-the key must change with each of them — and only terminal solver
-outcomes may be kept, so a truncated round is never replayed.
+the key must change with each of them (the round table of the exactness
+harness, ``tests/exact/harness.py``) — and only terminal solver outcomes
+may be kept, so a truncated round is never replayed.
 """
 
 from __future__ import annotations
@@ -12,95 +13,22 @@ import numpy as np
 import pytest
 
 import repro.core.csa as csa_module
-from repro import Catalog, Relation, SPQConfig
+from exact.harness import KEY_TABLES, assert_one_miss, keyed_context, round_key
 from repro.core.approx import compute_objective_bounds
-from repro.core.context import EvaluationContext
 from repro.core.deterministic import solve_unconstrained
 from repro.core.validator import Validator
-from repro.mcdb import GaussianNoiseVG, StochasticModel
-from repro.service import ScenarioStore
-from repro.silp.compile import compile_query
 from repro.solver import STATUS_FEASIBLE, STATUS_TIME_LIMIT
 from repro.solver.model import MILPBuilder
 from repro.solver.result import MILPResult
 
-CONFIG = SPQConfig(
-    n_validation_scenarios=500,
-    n_initial_scenarios=20,
-    scenario_increment=20,
-    max_scenarios=60,
-    n_expectation_scenarios=200,
-    n_probe_scenarios=16,
-    epsilon=0.5,
-    seed=3,
-)
 
-# Rows 0 and 1 are alike in every deterministic column, so the two WHERE
-# clauses give identical base models over different optimization rows.
-QUERY = (
-    "SELECT PACKAGE(*) FROM items WHERE {where} SUCH THAT COUNT(*) <= 3 AND"
-    " SUM(weight) <= {cap} AND SUM(Value) >= 9 WITH PROBABILITY >= 0.8"
-    " MINIMIZE EXPECTED SUM(Value)"
-)
-
-
-def catalog() -> Catalog:
-    relation = Relation(
-        "items",
-        {
-            "price": [5.0, 5.0, 3.0, 6.0, 4.0, 7.0],
-            "weight": [2.0, 2.0, 4.0, 3.0, 2.5, 1.0],
-            "a": [1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
-            "b": [0.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        },
-    )
-    out = Catalog()
-    out.register(
-        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 2.0)})
-    )
-    return out
-
-
-def context(store=None, where="a >= 1", cap=9, **config) -> EvaluationContext:
-    problem = compile_query(QUERY.format(where=where, cap=cap), catalog())
-    return EvaluationContext(problem, CONFIG.replace(**config), store=store)
-
-
-def round_key(ctx, M=20, Z=2, alphas=(0.5,), accelerate=(False,), x=(1, 0, 1, 0, 0)):
-    return csa_module._round_key(
-        ctx, M, Z, list(alphas), list(accelerate), np.asarray(x, dtype=np.int64)
-    )
-
-
-CHANGES = {
-    "M": (dict(), dict(M=40)),
-    "Z": (dict(), dict(Z=4)),
-    "seed": (dict(seed=4), dict()),
-    "mip_gap": (dict(mip_gap=1e-3), dict()),
-    "rhs": (dict(cap=10), dict()),
-    "active_rows": (dict(where="b >= 1"), dict()),
-    "x": (dict(), dict(x=(1, 0, 0, 1, 0))),
-    "alpha": (dict(), dict(alphas=(0.6,))),
-    "accelerate": (dict(), dict(accelerate=(True,))),
-}
-
-
-@pytest.mark.parametrize("change", list(CHANGES))
+@pytest.mark.parametrize("change", list(KEY_TABLES["round"][1]))
 def test_a_round_with_one_input_changed_is_a_miss(change):
-    store = ScenarioStore()
-    base = round_key(context(store))
-    # The same inputs from a fresh context on the same store: a hit.
-    assert round_key(context(store)) == base
-    context_change, round_change = CHANGES[change]
-    changed = round_key(context(store, **context_change), **round_change)
-    assert changed != base
-    # One model: both answers sit under its fingerprint, and a delta
-    # that supersedes it takes both along.
-    assert changed[:2] == base[:2] == (base[0], "round")
+    assert_one_miss("round", change)
 
 
 def test_a_private_memo_keys_rounds_without_hashing_the_relation():
-    ctx = context()
+    ctx = keyed_context()
     assert ctx.round_head() == ("round",)
     assert round_key(ctx)[0] == "round"
 
@@ -134,7 +62,7 @@ def round_answers(ctx) -> list:
 
 
 def test_a_repeated_search_replays_every_round(formulated):
-    ctx = context()
+    ctx = keyed_context()
     args = chance_search(ctx)
     first = csa_module.csa_solve(ctx, *args)
     built = len(formulated)
@@ -149,7 +77,7 @@ def test_a_repeated_search_replays_every_round(formulated):
 
 @pytest.mark.parametrize("status", [STATUS_FEASIBLE, STATUS_TIME_LIMIT])
 def test_a_truncated_round_is_never_kept(status, formulated, monkeypatch):
-    ctx = context()
+    ctx = keyed_context()
     args = chance_search(ctx)
     real_solve = MILPBuilder.solve
 

@@ -11,7 +11,6 @@ from repro.mcdb.scenarios import (
     MODE_TUPLE_WISE,
     ScenarioCache,
     ScenarioGenerator,
-    probe_value_bounds,
 )
 
 
@@ -163,11 +162,3 @@ def test_cache_serves_prefix_without_regeneration(generator):
 def test_cache_requires_scenario_mode(tuple_generator):
     with pytest.raises(EvaluationError):
         ScenarioCache(tuple_generator)
-
-
-def test_probe_value_bounds_cover_samples(generator):
-    expr = Attr("Value")
-    lo, hi = probe_value_bounds(generator, expr, 32)
-    matrix = generator.coefficient_matrix(expr, 32)
-    assert lo == pytest.approx(matrix.min())
-    assert hi == pytest.approx(matrix.max())

@@ -71,13 +71,6 @@ def test_repeat_carried_through(items_catalog):
     assert problem.repeat == 3
 
 
-def test_without_chance_constraints(chance_problem):
-    q0 = chance_problem.without_chance_constraints()
-    assert q0.chance_constraints == []
-    assert len(q0.mean_constraints) == len(chance_problem.mean_constraints)
-    assert q0.objective is chance_problem.objective
-
-
 def test_accepts_preparsed_ast(items_catalog):
     from repro.spaql.parser import parse_query
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from branch_bound_oracle import solve_with_branch_bound
+from exact.harness import assert_same_arrays
 from repro.errors import SolverError
 from repro.solver import STATUS_FEASIBLE, STATUS_OPTIMAL, solve_with_highs
 from repro.solver.model import MILPBuilder
@@ -30,14 +31,6 @@ def append_indicators(builder, idx):
     builder.add_indicator(int(y[1]), idx, [1.0, -1.0, 1.0, -1.0], "<=", 1.0)
     builder.add_constraint(y, [1.0, 1.0], lb=1.0)
     return y
-
-
-def assert_same_arrays(a, b):
-    for got, want in zip(a, b):
-        if hasattr(got, "toarray"):
-            np.testing.assert_array_equal(got.toarray(), want.toarray())
-        else:
-            np.testing.assert_array_equal(got, want)
 
 
 def test_clone_is_independent_and_equal():

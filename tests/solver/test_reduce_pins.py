@@ -10,12 +10,11 @@ are counted the same way: calls, and calls the validation memo served.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import repro.solver.highs as highs_module
 import repro.solver.reduce as reduce_module
+from exact.harness import check
 from repro import SPQEngine
 from repro.core.validator import Validator
 from repro.solver.model import MILPBuilder
@@ -130,20 +129,7 @@ def test_small_models_take_the_unreduced_path(solves, validations, no_lane):
     assert (len(validations), len(validations) - sum(validations)) == (68, 22)
 
 
-def test_small_models_answer_the_same_on_the_ladder_lane(forced_lane, monkeypatch):
-    """Lane-on twin of the test above: the answer the pins were taken on."""
-    from repro.core import lane
-
-    laned = run("portfolio", "Q3", 90)
-    monkeypatch.setattr(lane, "ENABLED", False)
-    alone = run("portfolio", "Q3", 90)
-    assert laned.package.multiplicities.tolist() == (
-        alone.package.multiplicities.tolist()
-    )
-    assert (laned.objective, laned.epsilon_upper, laned.feasible) == (
-        alone.objective, alone.epsilon_upper, alone.feasible
-    )
-    untimed = dict(solve_time=0.0, validate_time=0.0, summary_time=0.0)
-    assert [
-        dataclasses.replace(r, **untimed) for r in laned.stats.iterations
-    ] == [dataclasses.replace(r, **untimed) for r in alone.stats.iterations]
+def test_small_models_answer_the_same_on_the_ladder_lane():
+    """The answer the pins were taken on, on the ladder lane: the lane row
+    of the exactness harness on portfolio/Q3 at 90 stocks."""
+    check("lane", "portfolio-q3-90")

@@ -44,6 +44,7 @@ def config():
     )
 
 
+@pytest.mark.smoke
 def test_galaxy_hard_pareto_query_headline(config):
     """Galaxy Q5 (Pareto, counteracted): SummarySearch is feasible and
     strictly dominates Naïve — either Naïve stays infeasible within the
