@@ -43,6 +43,7 @@ from repro.obs import (  # noqa: E402
     format_waterfall,
     new_trace_id,
     stage,
+    stage_histograms,
 )
 from repro.obs.trace import _NULL_STAGE, current_session  # noqa: E402
 from repro.workloads import get_query  # noqa: E402
@@ -69,11 +70,15 @@ def main() -> int:
         f"disabled stage() costs {disabled_cost * 1e9:.0f}ns per call"
     )
 
-    # 2. Enabled: per-span record cost (ids, clocks, the span dict).
+    # 2. Enabled: per-span record cost (ids, clocks, the span dict, and
+    #    the span's share of feeding the stage histograms at trace end).
     session = TraceSession(new_trace_id(), max_spans=3 * ITERS + 16)
     with activate(session):
         enabled_cost = min(per_span_cost() for _ in range(3))
     assert session.dropped == 0
+    started = time.perf_counter()
+    stage_histograms.observe_spans(session.spans)
+    enabled_cost += (time.perf_counter() - started) / len(session.spans)
 
     # 3. A real query, traced then untraced.
     spec = get_query("portfolio", "Q1")

@@ -78,17 +78,22 @@ class StageHistograms:
         self._lock = threading.Lock()
         self._stages: dict[str, dict] = {}
 
+    def _entry(self, stage: str) -> dict:
+        """``stage``'s histogram, made empty on first use (lock held)."""
+        entry = self._stages.get(stage)
+        if entry is None:
+            entry = self._stages[stage] = {
+                "counts": [0] * (len(self.buckets) + 1),
+                "sum": 0.0,
+                "count": 0,
+            }
+        return entry
+
     def observe(self, stage: str, seconds: float) -> None:
         """Record one duration for ``stage``."""
         seconds = float(seconds)
         with self._lock:
-            entry = self._stages.get(stage)
-            if entry is None:
-                entry = self._stages[stage] = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                }
+            entry = self._entry(stage)
             # bisect_left: the first bucket whose bound >= seconds, so an
             # observation exactly on a bound counts toward it (``le``).
             entry["counts"][bisect_left(self.buckets, seconds)] += 1
@@ -96,9 +101,24 @@ class StageHistograms:
             entry["count"] += 1
 
     def observe_spans(self, spans) -> None:
-        """Record every span's wall under its stage name (a finished trace)."""
+        """Record every span's wall under its stage name (a finished trace).
+
+        The trace's walls are grouped by stage first, so the lock is
+        taken once per trace and each stage's entry looked up once.
+        """
+        walls: dict[str, list] = {}
         for span in spans:
-            self.observe(span["name"], span["wall_s"])
+            walls.setdefault(span["name"], []).append(span["wall_s"])
+        buckets = self.buckets
+        with self._lock:
+            for stage, seconds in walls.items():
+                entry = self._entry(stage)
+                counts, total = entry["counts"], entry["sum"]
+                for wall in seconds:
+                    counts[bisect_left(buckets, wall)] += 1
+                    total += wall
+                entry["sum"] = total
+                entry["count"] += len(seconds)
 
     def snapshot(self) -> dict:
         """Deep-copied ``{stage: {"counts", "sum", "count"}}``."""

@@ -43,22 +43,19 @@ _CURRENT: ContextVar = ContextVar("repro_obs_frame", default=None)
 _span_counter = itertools.count(1)
 _perf_counter, _thread_time = time.perf_counter, time.thread_time
 
-#: ``"<pid>-"`` for span ids, and the epoch of ``perf_counter() == 0``
-#: (a span's start is one clock read).  Forkserver workers all fork from
-#: one preloaded server process, so a forked child reads both again.
+#: ``"<pid>-"`` for span ids.  Forkserver workers all fork from one
+#: preloaded server process, so a forked child reads its pid again.
 _pid_prefix = ""
-_epoch = 0.0
 
 
-def _read_process() -> None:
-    global _pid_prefix, _epoch
+def _read_pid() -> None:
+    global _pid_prefix
     _pid_prefix = f"{os.getpid():x}-"
-    _epoch = time.time() - time.perf_counter()
 
 
-_read_process()
+_read_pid()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_read_process)
+    os.register_at_fork(after_in_child=_read_pid)
 
 
 def new_trace_id() -> str:
@@ -76,7 +73,7 @@ class TraceSession:
 
     __slots__ = (
         "trace_id", "spans", "max_spans", "dropped",
-        "events", "max_events", "events_dropped", "resources",
+        "events", "max_events", "events_dropped", "resources", "epoch",
     )
 
     def __init__(
@@ -99,6 +96,11 @@ class TraceSession:
         self.events_dropped = 0
         #: Trace-scoped resource charges (:func:`repro.obs.resources.charge`).
         self.resources: dict[str, float] = {}
+        #: Wall-clock time at ``perf_counter() == 0``, read once per
+        #: session: a span's epoch start is this plus its one
+        #: ``perf_counter`` read, so a wall-clock step during the
+        #: session does not move its span starts.
+        self.epoch = time.time() - _perf_counter()
 
     def add(self, span: dict) -> None:
         if len(self.spans) >= self.max_spans:
@@ -220,10 +222,11 @@ class _Stage:
         self.attrs[key] = value
         return self
 
-    # The enabled path is gated at under 2% of a warm query
-    # (benchmarks/bench_service.py): new_span_id() is inlined, the clocks
-    # are module-level names, and the stage histograms are fed from the
-    # finished trace (``StageHistograms.observe_spans``), not per span.
+    # The enabled path is gated at under 2% of a warm query, the stage
+    # histograms' share included (benchmarks/bench_service.py):
+    # new_span_id() is inlined, the clocks are module-level names, and
+    # the histograms are fed once from the finished trace
+    # (``StageHistograms.observe_spans``).
     def __enter__(self) -> "_Stage":
         self.span_id = span_id = f"{_pid_prefix}{next(_span_counter):x}"
         self._token = _CURRENT.set((self._frame[0], span_id))
@@ -244,7 +247,7 @@ class _Stage:
                 "span_id": self.span_id,
                 "parent_id": parent_id,
                 "name": self.name,
-                "start": _epoch + self._start_wall,
+                "start": session.epoch + self._start_wall,
                 "wall_s": wall,
                 "cpu_s": cpu,
                 "attrs": self.attrs,

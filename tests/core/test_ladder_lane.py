@@ -23,6 +23,7 @@ from exact.harness import (
     CASES,
     CONFIG,
     DATASET_SEED,
+    LADDER_CASES,
     Case,
     check,
     evaluate,
@@ -39,14 +40,6 @@ from repro.workloads import get_query
 #: ``lane.usable_cpus`` as shipped.
 USABLE_CPUS = lane.usable_cpus
 
-#: Old case names -> the harness's private case and its store twin.
-LANE_CASES = {
-    "portfolio-q3-quality-ladder": ("portfolio-q3", "portfolio-q3-store"),
-    "tpch-q8-infeasible-ladder": ("tpch-q8-infeasible", "tpch-q8-infeasible-store"),
-    "scale-driver-memory": ("scale-driver-memory", "scale-driver-memory-store"),
-    "scale-driver-column-store": ("scale-driver-disk", "scale-driver-disk-store"),
-}
-
 
 def shipped_lane(patch) -> None:
     """The lane as shipped on a box with a second CPU."""
@@ -59,7 +52,7 @@ def lane_counts(out) -> tuple:
 
 
 @pytest.mark.parametrize("with_store", [False, True], ids=["private", "store"])
-@pytest.mark.parametrize("cases", list(LANE_CASES.values()), ids=list(LANE_CASES))
+@pytest.mark.parametrize("cases", list(LADDER_CASES.values()), ids=list(LADDER_CASES))
 def test_lane_on_and_off_give_identical_records(cases, with_store):
     check("lane", cases[with_store])
 

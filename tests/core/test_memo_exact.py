@@ -5,7 +5,8 @@ names (mechanism, case) pairs of its tables, and the harness evaluates
 the case as shipped and with the memo forgetting one key kind, on a
 fresh store, and compares every record.  With a store the memo outlives
 the evaluation, so a repeated query and a query after a delta are
-checked the same way.
+checked the same way; the lane twins force the ladder lane on for both
+runs on one store.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact.harness import CONFIG, KEY_TABLES, MEMO_KINDS, PAIRS, assert_one_miss, check
+from exact.harness import (
+    CONFIG,
+    DELTA_CASE,
+    KEY_TABLES,
+    MEMO_CASES,
+    MEMO_LANE_CASES,
+    MEMO_ROWS,
+    REPEAT_CASES,
+    assert_one_miss,
+    check,
+    check_rows,
+)
 from repro import Catalog, Relation
 from repro.core.context import EvaluationContext
 from repro.core.validator import Validator
@@ -25,51 +37,43 @@ from repro.service import ScenarioStore
 from repro.silp.compile import compile_query
 
 
-def check_memo(case: str) -> None:
-    for kind in MEMO_KINDS:
-        if (f"{kind}-memo", case) in PAIRS:
-            check(f"{kind}-memo", case)
+def without_repeat(case: str) -> str:
+    return case.removesuffix("-repeat")
 
 
-@pytest.mark.parametrize("case", [
-    "portfolio-q3", "correlated-q2-store", "tpch-q3",
-    "tpch-q1-probability-objective", "tpch-q8-infeasible-store", "galaxy-q1",
-    "naive-correlated-q2", "naive-tpch-q3", "scale-driver-memory",
-    "scale-driver-disk-store",
-])
+@pytest.mark.parametrize("case", MEMO_CASES)
 def test_memoised_evaluation_equals_recomputed_one(case):
-    check_memo(case)
+    check_rows(MEMO_ROWS, case)
 
 
-@pytest.mark.parametrize("case", [
-    "portfolio-q3", "correlated-q2-store", "tpch-q3", "scale-driver-memory",
-    "scale-driver-disk-store",
-])
+@pytest.mark.parametrize("case", MEMO_LANE_CASES)
 def test_the_ladder_lane_answers_what_the_memoised_evaluation_does(case):
     check("lane", case)
 
 
-@pytest.mark.parametrize("case", ["correlated-q2", "scale-driver-disk"])
+@pytest.mark.parametrize("case", REPEAT_CASES, ids=without_repeat)
 def test_a_repeated_query_replays_its_search_from_the_store(case):
-    check_memo(f"{case}-repeat")
+    check_rows(MEMO_ROWS, case)
 
 
-@pytest.mark.parametrize("case", ["correlated-q2", "scale-driver-disk"])
+@pytest.mark.parametrize("case", REPEAT_CASES, ids=without_repeat)
 def test_a_repeated_query_on_the_ladder_lane_answers_what_it_did_alone(case):
-    check("lane", f"{case}-repeat")
+    """The lane forced on for the first run and its repeat, on one store."""
+    check("lane", case)
 
 
 def test_after_a_delta_a_shared_store_answers_what_a_fresh_one_does():
-    check_memo("portfolio-q1-after-delta")
+    check_rows(MEMO_ROWS, DELTA_CASE)
 
 
 def test_after_a_delta_the_ladder_lane_answers_what_a_fresh_store_does():
-    check("lane", "portfolio-q1-after-delta")
+    """The lane forced on before and after the delta, on one store."""
+    check("lane", DELTA_CASE)
 
 
 def test_in_memory_sketchrefine_of_a_deterministic_query_is_untouched():
     """``core/sketchrefine.py`` builds standalone models: no memo, no hits."""
-    check_memo("inventory-sketchrefine")
+    check_rows(MEMO_ROWS, "inventory-sketchrefine")
 
 
 @pytest.mark.parametrize("change", list(KEY_TABLES["solve"][1]))

@@ -183,9 +183,10 @@ class Case:
     rows: tuple | None = None
     #: Run first on the same store: the relation before a delta, or the
     #: case's own dataset (a repeat).  A flipped run starts from a fresh
-    #: store, so it is the recomputed answer the store's must equal.
+    #: store, so it is the recomputed answer the store's must equal; a
+    #: row that shares the store (the lane) runs both on one store.
     before: Callable | None = None
-    #: For a repeat: the case it repeats, whose flipped runs it shares.
+    #: For a repeat: the case it repeats, whose fresh-store runs it shares.
     repeats: str | None = None
     #: For a repeat: every solve, validation and fit is served from the store.
     all_served: bool | None = None
@@ -280,6 +281,7 @@ CASES: dict[str, Case] = {
         ),
         config=CONFIG.replace(seed=5), store=True, before=portfolio_q1(40)[0],
         feasible=True, rows=("solve-memo", "lane"),
+        expect={"solve-memo": True, **TAKES},
     ),
 }
 
@@ -460,19 +462,21 @@ _RUNS: dict = {}
 
 def run(case_id: str, mechanism: str | None = None) -> Run:
     """``case_id`` as shipped (``mechanism`` None), or with one mechanism
-    flipped on a fresh store; each computed once per session."""
+    flipped; each computed once per session.  The shipped run, and a
+    flipped run of a row that shares the store, run the case's before run
+    first on the same store; any other flipped run starts afresh."""
     case = CASES[case_id]
-    if mechanism is not None and case.repeats is not None:
+    row = mechanism and MECHANISMS[mechanism]
+    shared = row is None or row.shares_store
+    if not shared and case.repeats is not None:
         return run(case.repeats, mechanism)
     key = (case_id, mechanism)
     if key not in _RUNS:
-        if mechanism is not None:
-            _RUNS[key] = evaluate(case, MECHANISMS[mechanism].flip)
-        else:
-            store = ScenarioStore() if case.store else None
-            before = case.before and evaluate(case, store=store, register=case.before)
-            _RUNS[key] = evaluate(case, store=store)
-            _RUNS[key].before = before
+        flip = row and row.flip
+        store = ScenarioStore() if case.store and shared else None
+        before = shared and case.before and evaluate(case, flip, store, case.before)
+        _RUNS[key] = evaluate(case, flip, store)
+        _RUNS[key].before = before or None
     return _RUNS[key]
 
 
@@ -511,6 +515,9 @@ class Mechanism:
     engaged: Callable[[dict], int]
     #: What a flipped run's counts must say.
     flipped: Callable[[dict], bool]
+    #: The flipped run of a case with a before run replays that run on
+    #: its own store too (else it starts from a fresh store).
+    shares_store: bool = False
 
 
 def _memo_row(kind: str) -> Mechanism:
@@ -530,11 +537,14 @@ MECHANISMS: dict[str, Mechanism] = {
     ),
     # The one row whose fixture switches its mechanism on: a lane rung
     # starts after a ladder's first transition, and every started rung
-    # is consumed or discarded.
+    # is consumed or discarded.  Its thread reads and writes a store's
+    # memo while the caller replays from it, so a repeat or a delta runs
+    # the lane on the shared store.
     "lane": Mechanism(
         force_lane,
         lambda c: c["transitions"],
         lambda c: c["lane_started"] == c["lane_consumed"] + c["lane_discarded"],
+        shares_store=True,
     ),
 }
 
@@ -545,6 +555,42 @@ PAIRS = [
     for mechanism in MECHANISMS
     if case.rows is None or mechanism in case.rows
 ]
+
+# Older test names check some pairs (tests/core/test_memo_exact.py,
+# test_ladder_lane.py, test_incremental_solves.py, and
+# tests/solver/test_reduce_pins.py); the matrix (test_exact.py) checks
+# the others, so each pair has one entry point.
+MEMO_ROWS = tuple(f"{kind}-memo" for kind in MEMO_KINDS)
+MEMO_CASES = (
+    "portfolio-q3", "correlated-q2-store", "tpch-q3",
+    "tpch-q1-probability-objective", "tpch-q8-infeasible-store", "galaxy-q1",
+    "naive-correlated-q2", "naive-tpch-q3", "scale-driver-memory",
+    "scale-driver-disk-store",
+)
+MEMO_LANE_CASES = (
+    "portfolio-q3", "correlated-q2-store", "tpch-q3", "scale-driver-memory",
+    "scale-driver-disk-store",
+)
+REPEAT_CASES = ("correlated-q2-repeat", "scale-driver-disk-repeat")
+DELTA_CASE = "portfolio-q1-after-delta"
+#: The ladder lane's old case names -> the private case and its store twin.
+LADDER_CASES = {
+    "portfolio-q3-quality-ladder": ("portfolio-q3", "portfolio-q3-store"),
+    "tpch-q8-infeasible-ladder": ("tpch-q8-infeasible", "tpch-q8-infeasible-store"),
+    "scale-driver-memory": ("scale-driver-memory", "scale-driver-memory-store"),
+    "scale-driver-column-store": ("scale-driver-disk", "scale-driver-disk-store"),
+}
+NAMED = {
+    *((row, case_id) for row in MEMO_ROWS for case_id in (
+        *MEMO_CASES, *REPEAT_CASES, DELTA_CASE, "inventory-sketchrefine"
+    )),
+    *(("lane", case_id) for case_id in (
+        *MEMO_LANE_CASES, *REPEAT_CASES, DELTA_CASE, "portfolio-q3-90",
+        *sum(LADDER_CASES.values(), ()),
+    )),
+    ("incremental", "items-chance"), ("incremental", "items-chance-naive"),
+}
+MATRIX = [pair for pair in PAIRS if pair not in NAMED]
 
 
 def shipped(case_id: str) -> Run:
@@ -577,12 +623,21 @@ def _questions(counts) -> list:
     ]
 
 
+def check_rows(rows, case_id: str) -> None:
+    """:func:`check` for each of ``rows`` the case is checked under."""
+    for mechanism in rows:
+        if (mechanism, case_id) in PAIRS:
+            check(mechanism, case_id)
+
+
 def check(mechanism: str, case_id: str) -> None:
     """On equals off for one (mechanism, case) pair.
 
     A pair whose shipped run never used the mechanism is equal by
-    construction (its flip changes nothing the run reaches); the case's
-    expectation says whether it must have.
+    construction (its flip changes nothing the run reaches), unless the
+    case has a before run: its flipped run differs in the store too, so
+    it is always compared.  The case's expectation says whether the
+    shipped run must have used the mechanism.
     """
     case, row = CASES[case_id], MECHANISMS[mechanism]
     on = shipped(case_id)
@@ -590,11 +645,14 @@ def check(mechanism: str, case_id: str) -> None:
     expected = case.expect.get(mechanism)
     if expected is not None:
         assert bool(engaged) is expected, (mechanism, engaged)
-    if not engaged:
+    if not engaged and case.before is None:
         return
     flipped = run(case_id, mechanism)
     assert flipped.records == on.records
     assert row.flipped(flipped.counts)
+    if flipped.before is not None:
+        assert flipped.before.records == on.before.records
+        assert row.flipped(flipped.before.counts)
     if mechanism == "lane" and expected:
         assert flipped.counts["lane_consumed"] >= 1
 
@@ -712,7 +770,9 @@ def alpha_miss(change: dict) -> None:
     assert _memoised_arctan_root(*history.values(), memo) == root and len(memo) == 2
 
 
-#: kind -> (the check, change id -> the one changed input).
+#: kind -> (the check, change id -> the one changed input).  The solve
+#: and round tables are checked under their older test names
+#: (test_memo_exact.py, test_round_memo.py).
 KEY_TABLES = {
     "solve": (solve_miss, {
         "c": dict(c=(3.0, 2.5, 4.0)),
