@@ -23,6 +23,10 @@ Value bounds come from VG support intervals propagated through the
 objective expression by interval arithmetic when finite, and otherwise
 from an explicit Monte Carlo probe over a dedicated stream (documented
 substitution for the paper's "analyzing the validation scenarios").
+
+The same support intervals feed :func:`prove_no_package`, the member
+bound that lets SummarySearch and Naïve declare a query infeasible at
+its first infeasible rung instead of climbing to ``M_max``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaincinv
 
+from ..db.expressions import render
 from ..db.intervals import IntervalError, evaluate_interval
 from ..silp.model import (
     ChanceConstraint,
@@ -41,6 +47,8 @@ from ..silp.model import (
     SENSE_MAX,
     SENSE_MIN,
 )
+from .package import PackageResult
+from .validator import inner_holds
 
 INTERACTION_SUPPORTING = "supporting"
 INTERACTION_COUNTERACTING = "counteracting"
@@ -142,17 +150,14 @@ def _component_bounds_specific(inner_op: str, v: float, p: float) -> dict:
 # --- value bounds -----------------------------------------------------------------
 
 
-def objective_value_bounds(ctx) -> tuple[float, float, bool]:
-    """Per-tuple value bounds ``(s̲, s̄)`` for the objective expression.
+def expression_support(ctx, expr) -> tuple[np.ndarray, np.ndarray]:
+    """Per-active-row interval ``[lo, hi]`` enclosing every value of ``expr``.
 
-    Returns ``(lo, hi, sound)``: sound bounds come from VG supports via
-    interval arithmetic; the Monte-Carlo probe fallback is marked
-    unsound.
+    Stochastic attributes contribute their VG ``support()``, deterministic
+    ones their column; raises :class:`IntervalError` when interval
+    arithmetic cannot bound the expression.  Bounds may be infinite.
     """
-    objective = ctx.problem.objective
-    expr = objective.expr
-    relation = ctx.relation
-    model = ctx.model
+    relation, model = ctx.relation, ctx.model
 
     def support(name: str):
         if model is not None and model.is_stochastic(name):
@@ -160,12 +165,26 @@ def objective_value_bounds(ctx) -> tuple[float, float, bool]:
         column = np.asarray(relation.column(name), dtype=float)
         return column, column
 
+    lo_vec, hi_vec = evaluate_interval(expr, support)
+    rows = ctx.problem.active_rows
+    return (
+        np.broadcast_to(lo_vec, (relation.n_rows,))[rows],
+        np.broadcast_to(hi_vec, (relation.n_rows,))[rows],
+    )
+
+
+def objective_value_bounds(ctx) -> tuple[float, float, bool]:
+    """Per-tuple value bounds ``(s̲, s̄)`` for the objective expression.
+
+    Returns ``(lo, hi, sound)``: sound bounds come from VG supports via
+    interval arithmetic; the Monte-Carlo probe fallback is marked
+    unsound.
+    """
+    expr = ctx.problem.objective.expr
     try:
-        lo_vec, hi_vec = evaluate_interval(expr, support)
-        lo_vec = np.broadcast_to(lo_vec, (relation.n_rows,))
-        hi_vec = np.broadcast_to(hi_vec, (relation.n_rows,))
-        lo = float(np.min(lo_vec[ctx.problem.active_rows]))
-        hi = float(np.max(hi_vec[ctx.problem.active_rows]))
+        lo_vec, hi_vec = expression_support(ctx, expr)
+        lo = float(np.min(lo_vec))
+        hi = float(np.max(hi_vec))
         if np.isfinite(lo) and np.isfinite(hi):
             return lo, hi, True
     except IntervalError:
@@ -268,3 +287,83 @@ def epsilon_min(sense: str, bounds: ObjectiveBounds | None) -> float | None:
         return None
     edge = bounds.upper if sense != SENSE_MAX else bounds.lower
     return epsilon_certificate(sense, edge, bounds)
+
+
+# --- "no package exists" (the member bound) -------------------------------------------
+
+#: Chance of a false "no package exists", split evenly (a union bound)
+#: over the tuples, the chance constraints and the looks.
+PROOF_DELTA = 1e-6
+#: Probe-stream scenario counts at which the member bound looks.
+PROOF_LOOKS = (64, 128, 256, 512, 1024)
+
+
+def prove_no_package(ctx) -> dict | None:
+    """Proof that no package meets some chance constraint, or None.
+
+    If every package holds at least one tuple (``COUNT(*) >= 1`` is
+    forced) and no tuple's value can help a constraint ``SUM(f) ⊙ v``
+    (per-row support ``f >= 0`` under ``<=``, ``f <= 0`` under ``>=``),
+    then a package meets it only in scenarios where each of its tuples
+    alone does, so no package meets it more often than its best single
+    tuple.  That tuple's rate is bounded on the probe stream, which
+    neither the optimisation nor the validation stream shares, at scenario
+    counts :data:`PROOF_LOOKS`: the look stops as unprovable once some
+    tuple meets the constraint in ``p·S`` of ``S`` scenarios, and proves
+    once the one-sided Clopper–Pearson upper bound on the best tuple's
+    rate, at level ``PROOF_DELTA / (N·K·L)``, falls below ``p``.
+
+    Returns ``{"item", "bound", "delta", "scenarios"}``: the constraint,
+    the bound, ``PROOF_DELTA`` and the scenarios it was proved on.
+    """
+    constraints = ctx.problem.chance_constraints
+    if ctx.size_bounds[0] < 1 or ctx.model is None or not constraints:
+        return None
+    level = PROOF_DELTA / (
+        ctx.problem.n_vars * len(constraints) * len(PROOF_LOOKS)
+    )
+    for constraint in constraints:
+        op, rhs, p = constraint.inner_op, constraint.rhs, constraint.probability
+        try:
+            lo, hi = expression_support(ctx, constraint.expr)
+        except IntervalError:
+            continue
+        if not np.all(lo >= 0 if op == OP_LE else hi <= 0):
+            continue
+        for n in PROOF_LOOKS:
+            alone = inner_holds(ctx.probe_matrix(constraint.expr, n), op, rhs)
+            k = int(alone.sum(axis=1).max())
+            if k >= p * n:
+                break
+            # The 1 - level quantile of Beta(k + 1, n - k), from its mirror.
+            bound = 1.0 - float(betaincinv(n - k, k + 1, level))
+            if bound < p:
+                return {
+                    "item": (
+                        f"SUM({render(constraint.expr)}) {op} {rhs:g}"
+                        f" WITH PROBABILITY >= {p:g}"
+                    ),
+                    "bound": bound,
+                    "delta": PROOF_DELTA,
+                    "scenarios": n,
+                }
+    return None
+
+
+def no_package_result(method: str, stats, proof: dict) -> PackageResult:
+    """The answer of an evaluation that :func:`prove_no_package` ended."""
+    stats.declared_infeasible = True
+    return PackageResult(
+        package=None,
+        feasible=False,
+        objective=None,
+        method=method,
+        stats=stats,
+        message=(
+            f"no package can reach {proof['item']}: none meets it more"
+            " often than its best single tuple, at most"
+            f" {proof['bound']:.4g} of the time (delta={proof['delta']:g},"
+            f" {proof['scenarios']} probe scenarios)"
+        ),
+        meta={"infeasibility": proof},
+    )

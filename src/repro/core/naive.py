@@ -14,7 +14,12 @@ import numpy as np
 from ..config import SPQConfig
 from ..silp.model import StochasticPackageProblem
 from ..utils.timing import Deadline, Stopwatch
-from .approx import compute_objective_bounds, epsilon_certificate
+from .approx import (
+    compute_objective_bounds,
+    epsilon_certificate,
+    no_package_result,
+    prove_no_package,
+)
 from .context import EvaluationContext
 from .package import Package, PackageResult
 from .saa import formulate_saa
@@ -98,6 +103,13 @@ def _naive(ctx: EvaluationContext) -> PackageResult:
                 stats.total_time = deadline.elapsed
                 return candidate
 
+        # An infeasible first iteration (so no feasible package yet) asks
+        # the member bound once whether any package can be feasible.
+        if iteration == 1:
+            proof = prove_no_package(ctx)
+            if proof is not None:
+                stats.total_time = deadline.elapsed
+                return no_package_result(METHOD_NAIVE, stats, proof)
         if deadline.expired():
             stats.timed_out = True
             break

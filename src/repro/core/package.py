@@ -134,8 +134,27 @@ class PackageResult:
         """
         return bool(self.meta.get("uncertified", False))
 
+    @property
+    def verdict(self) -> str:
+        """What the answer claims, one of four kinds.
+
+        ``certified``: feasible within a certified (1+ε); ``uncertified``:
+        feasible with no ε; ``proved_infeasible``: no package can meet
+        some chance constraint (``meta["infeasibility"]`` says which, and
+        at what δ); ``not_found``: none was found, which proves nothing.
+        """
+        if self.feasible:
+            if self.epsilon_upper is None or self.uncertified:
+                return "uncertified"
+            return "certified"
+        if "infeasibility" in self.meta:
+            return "proved_infeasible"
+        return "not_found"
+
     def summary(self) -> str:
         """One-paragraph human-readable outcome."""
+        if self.verdict == "proved_infeasible":
+            return f"[{self.method}] no package exists: {self.message}"
         if self.package is None:
             return f"[{self.method}] no solution: {self.message or 'failure'}"
         lines = [

@@ -38,7 +38,12 @@ from ..silp.model import (
 )
 from ..utils.timing import Deadline, Stopwatch
 from . import lane
-from .approx import compute_objective_bounds, epsilon_min
+from .approx import (
+    compute_objective_bounds,
+    epsilon_min,
+    no_package_result,
+    prove_no_package,
+)
 from .context import EvaluationContext
 from .csa import csa_solve
 from .deterministic import solve_unconstrained
@@ -232,6 +237,13 @@ def _summary_search(ctx: EvaluationContext, warm_x) -> PackageResult:
                     candidate.meta["uncertified"] = True
                     return candidate
 
+            # An infeasible first rung (so no feasible package yet) asks
+            # the member bound once whether any package can be feasible.
+            if iteration == 1 and not result.feasible:
+                proof = prove_no_package(ctx)
+                if proof is not None:
+                    stats.total_time = deadline.elapsed
+                    return no_package_result(METHOD_SUMMARY_SEARCH, stats, proof)
             if deadline.expired():
                 stats.timed_out = True
                 break

@@ -141,7 +141,7 @@ class Validator:
         positions = np.nonzero(x)[0]
         if len(positions) == 0:
             # Empty package: score is identically zero.
-            zero_ok = _inner_holds(np.zeros(1), item["inner_op"], item["rhs"])[0]
+            zero_ok = inner_holds(np.zeros(1), item["inner_op"], item["rhs"])[0]
             return self.n_scenarios if zero_ok else 0
         base_rows = self.ctx.problem.active_rows[positions]
         weights = np.asarray(x, dtype=float)[positions]
@@ -153,7 +153,7 @@ class Validator:
             generator = self._chunk_generator(chunk_index)
             matrix = generator.coefficient_matrix(item["expr"], count, rows=base_rows)
             scores = weights @ matrix
-            satisfied += int(_inner_holds(scores, item["inner_op"], item["rhs"]).sum())
+            satisfied += int(inner_holds(scores, item["inner_op"], item["rhs"]).sum())
             done += count
             chunk_index += 1
         return satisfied
@@ -192,7 +192,7 @@ class Validator:
             )
 
 
-def _inner_holds(scores: np.ndarray, inner_op: str, rhs: float) -> np.ndarray:
+def inner_holds(scores: np.ndarray, inner_op: str, rhs: float) -> np.ndarray:
     slack = _TOL * max(1.0, abs(rhs))
     if inner_op == OP_GE:
         return scores >= rhs - slack

@@ -8,8 +8,12 @@ optimize/validate iterations, and the final scenario count ``M``.
 
 Paper shapes to expect: SummarySearch reaches 100% feasibility on every
 feasible query; Naïve only on a minority, and where both succeed
-SummarySearch is typically faster by orders of magnitude; TPC-H Q8 is
-declared infeasible by both (with SummarySearch faster at declaring it).
+SummarySearch is typically faster by orders of magnitude.  TPC-H Q8 is
+declared infeasible by both: at the first rung, with verdict
+``proved_infeasible``, when the member bound
+(``core/approx.py::prove_no_package``) proves that no package can reach
+its probability, and otherwise once M reaches ``M_max``, as the paper's
+algorithms always do.
 """
 
 from __future__ import annotations

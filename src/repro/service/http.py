@@ -113,6 +113,8 @@ def result_payload(result, wall_time_s: float) -> dict:
         "gap": 0.0 if result.succeeded else None,
         # A feasible answer with no certifiable (1+eps) bound.
         "uncertified": bool(result.uncertified),
+        # certified / uncertified / proved_infeasible / not_found.
+        "verdict": result.verdict,
     }
     if result.anytime is not None:
         payload["deadline_met"] = bool(result.anytime.deadline_met)

@@ -16,7 +16,7 @@ from repro.core.engine import SPQEngine
 from repro.core.naive import naive_evaluate
 from repro.core.summarysearch import summary_search_evaluate
 from repro.errors import EvaluationError
-from repro.mcdb import GaussianNoiseVG, StochasticModel
+from repro.mcdb import GaussianNoiseVG, StochasticModel, UniformNoiseVG
 from repro.silp.compile import compile_query
 
 CHANCE_QUERY = """
@@ -148,6 +148,61 @@ def test_an_infeasible_untruncated_answer_has_no_anytime_gap(
     assert result.package is not None and result.feasible is (gap is not None)
     assert result.anytime.deadline_met
     assert result.anytime.gap == gap
+
+
+#: No tuple's Value is negative and every package holds one, so none
+#: stays under the cap more often than its cheapest tuple (price 2,
+#: Value in [1, 3]) does, 3/4 of the time.
+MEMBER_QUERY = (
+    "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) BETWEEN 1 AND 3 AND"
+    " SUM(Value) <= 2.5 WITH PROBABILITY >= 0.9 MAXIMIZE EXPECTED SUM(Value)"
+)
+
+
+def uniform_catalog():
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation,
+        StochasticModel(relation, {"Value": UniformNoiseVG("price", -1.0, 1.0)}),
+    )
+    return catalog
+
+
+@pytest.mark.parametrize("evaluate", [naive_evaluate, summary_search_evaluate])
+def test_a_proof_ends_the_ladder_at_its_first_rung(fast_config, evaluate):
+    """The member bound proves MEMBER_QUERY infeasible at the first rung:
+    no package, a ``proved_infeasible`` verdict that names its constraint
+    and δ, and a summary that says no package exists."""
+    result = evaluate(compile_query(MEMBER_QUERY, uniform_catalog()), fast_config)
+    assert result.package is None and not result.feasible
+    assert result.verdict == "proved_infeasible"
+    assert result.stats.declared_infeasible and result.stats.n_iterations == 1
+    assert result.stats.final_n_scenarios == fast_config.n_initial_scenarios
+    proof = result.meta["infeasibility"]
+    assert proof["item"] == "SUM(Value) <= 2.5 WITH PROBABILITY >= 0.9"
+    assert proof["bound"] < 0.9 and proof["delta"] == 1e-6
+    assert proof["scenarios"] in (64, 128, 256, 512, 1024)
+    assert result.summary().startswith(f"[{result.method}] no package exists: ")
+
+
+def test_the_verdict_kinds(items_catalog, fast_config):
+    """``certified`` (an ε), ``uncertified`` (feasible, no ε), and
+    ``not_found``: a Gaussian Value has no finite support, so the member
+    bound proves nothing and the ladder climbs to its cap."""
+    def verdict(query, config=fast_config):
+        result = summary_search_evaluate(compile_query(query, items_catalog), config)
+        assert "no package exists" not in result.summary()
+        return result.verdict
+
+    assert verdict(CHANCE_QUERY) == "certified"
+    assert verdict(
+        "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 3 AND"
+        " SUM(Value) <= 15 WITH PROBABILITY >= 0.8 MINIMIZE EXPECTED SUM(Value)"
+    ) == "uncertified"
+    assert verdict(INFEASIBLE_CHANCE, fast_config.replace(max_scenarios=40)) == (
+        "not_found"
+    )
 
 
 def test_naive_accumulates_scenarios_on_failure(items_catalog, fast_config):

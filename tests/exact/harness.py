@@ -12,7 +12,9 @@ answer must answer what the code without it does.  Here that is:
 * :func:`records` — what an evaluation answered: the package, objective,
   ε, gap, message, validation report, every ``IterationRecord`` and every
   consumed rung's ``CSAIteration`` (timings zeroed);
-* :func:`check` — on equals off for one (mechanism, case) pair;
+* :func:`check` — on equals off for one (mechanism, case) pair (the
+  ``proof`` row, which ends a ladder early, compares the rungs both
+  runs solved);
 * :data:`KEY_TABLES` — per memo kind, one changed input gives one miss.
 
 Every run is cached by (case, mechanism), so a case's shipped run is
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 
 import repro.core.csa as csa_module
+import repro.core.naive as naive_module
 import repro.core.saa as saa_module
 import repro.core.summarysearch as summarysearch
 import repro.solver.reduce as reduce_module
@@ -48,7 +51,7 @@ from repro.datasets.portfolio import (
     build_portfolio_store,
 )
 from repro.db.delta import RelationDelta
-from repro.mcdb import GaussianNoiseVG, StochasticModel
+from repro.mcdb import GaussianNoiseVG, StochasticModel, UniformNoiseVG
 from repro.obs import epsilon_events
 from repro.scale import refine_cache
 from repro.scale.partition import PartitionIndex
@@ -139,12 +142,13 @@ def portfolio_q1(n_stocks, on_disk=False, seed=7, delta=None):
     return register, get_query("portfolio", "Q1").spaql
 
 
-def table(name, columns, query, sigma=None):
-    """A small relation, with Value ~ N(price, sigma) when ``sigma`` is given."""
+def table(name, columns, query, sigma=None, value=None):
+    """A small relation, with Value ~ N(price, sigma) when ``sigma`` is
+    given, or the VG ``value()`` builds."""
     relation = Relation(name, columns)
-    model = sigma and StochasticModel(
-        relation, {"Value": GaussianNoiseVG("price", sigma)}
-    )
+    if sigma:
+        value = lambda: GaussianNoiseVG("price", sigma)  # noqa: E731
+    model = value and StochasticModel(relation, {"Value": value()})
 
     def register(engine, directory):
         engine.register(relation, model)
@@ -192,6 +196,9 @@ class Case:
     all_served: bool | None = None
     #: The answer must be feasible (None: no claim).
     feasible: bool | None = None
+    #: Mechanisms flipped in every run of the case, shipped run included,
+    #: so it covers what they would cut short.
+    off: tuple = ()
 
 
 #: A case whose CSA repeats itself serves solves and validations ...
@@ -223,9 +230,17 @@ CASES: dict[str, Case] = {
     "tpch-q1-probability-objective": Case(
         workload("tpch", "Q1", 120), config=SEED2, expect=NO_REPEATS
     ),
-    "tpch-q8-infeasible": Case(TPCH_Q8, config=SEED2, expect=TAKES, feasible=False),
+    # The member bound ends Q8 at its first rung; with it off, the ladder
+    # climbs to M_max, which the lane and the memos are checked on.
+    "tpch-q8-infeasible": Case(
+        TPCH_Q8, config=SEED2, expect=TAKES, feasible=False, off=("proof",)
+    ),
     "tpch-q8-infeasible-store": Case(
-        TPCH_Q8, config=SEED2, store=True, expect=TAKES, feasible=False
+        TPCH_Q8, config=SEED2, store=True, expect=TAKES, feasible=False,
+        off=("proof",),
+    ),
+    "tpch-q8-proof": Case(
+        TPCH_Q8, config=SEED2, expect={"proof": True, "lane": False}, feasible=False
     ),
     "galaxy-q1": Case(workload("galaxy", "Q1", 120), config=SEED1, expect=NO_REPEATS),
     "naive-correlated-q2": Case(CORRELATED_Q2, "naive", SEED2, expect={"lane": False}),
@@ -285,25 +300,36 @@ CASES: dict[str, Case] = {
     ),
 }
 
-# The oracle's instances (``tests/exact/oracle.py``): eight tuples and
-# ``COUNT(*) <= 3``, so every package can be listed.  They are checked by
+# The oracle's instances (``tests/exact/oracle.py``): eight tuples and at
+# most three of them, so every package can be listed.  They are checked by
 # the oracle column only; the five items' cases have both columns.
 STOCK = dict(
     price=[5.0, 8.0, 3.0, 6.0, 4.0, 7.0, 2.0, 9.0],
     weight=[2.0, 1.0, 4.0, 3.0, 2.5, 1.5, 3.5, 2.0],
 )
+GAUSSIAN = lambda: GaussianNoiseVG("price", 1.5)  # noqa: E731
+#: Value within 1 of price: a finite, nonnegative support.
+UNIFORM = lambda: UniformNoiseVG("price", -1.0, 1.0)  # noqa: E731
 ORACLE_SHAPES = {
-    "floor": "SUM(Value) >= 9 WITH PROBABILITY >= 0.8 MINIMIZE EXPECTED SUM(Value)",
-    "cap": "SUM(weight) <= 5 AND SUM(Value) <= 14 WITH PROBABILITY >= 0.9"
-    " MAXIMIZE EXPECTED SUM(Value)",
-    "unreachable": "SUM(Value) >= 40 WITH PROBABILITY >= 0.9"
-    " MINIMIZE EXPECTED SUM(Value)",
+    "floor": (GAUSSIAN, "COUNT(*) <= 3 AND SUM(Value) >= 9 WITH PROBABILITY"
+              " >= 0.8 MINIMIZE EXPECTED SUM(Value)"),
+    "cap": (GAUSSIAN, "COUNT(*) <= 3 AND SUM(weight) <= 5 AND SUM(Value) <= 14"
+            " WITH PROBABILITY >= 0.9 MAXIMIZE EXPECTED SUM(Value)"),
+    "unreachable": (GAUSSIAN, "COUNT(*) <= 3 AND SUM(Value) >= 40 WITH"
+                    " PROBABILITY >= 0.9 MINIMIZE EXPECTED SUM(Value)"),
+    # Every package holds a tuple and a tuple only adds Value, so none
+    # meets the cap more often than the cheapest tuple, 3/4 of the time:
+    # the member bound proves it (``core/approx.py::prove_no_package``).
+    "member": (UNIFORM, "COUNT(*) BETWEEN 1 AND 3 AND SUM(Value) <= 2.5 WITH"
+               " PROBABILITY >= 0.9 MAXIMIZE EXPECTED SUM(Value)"),
+    # Its twin under a floor, which pairs meet: a tuple's sign helps.
+    "member-floor": (UNIFORM, "COUNT(*) BETWEEN 1 AND 3 AND SUM(Value) >= 9"
+                     " WITH PROBABILITY >= 0.9 MINIMIZE EXPECTED SUM(Value)"),
 }
-for _shape, _such_that in ORACLE_SHAPES.items():
+for _shape, (_value, _such_that) in ORACLE_SHAPES.items():
     _stock = table(
-        "stock", STOCK,
-        f"SELECT PACKAGE(*) FROM stock SUCH THAT COUNT(*) <= 3 AND {_such_that}",
-        sigma=1.5,
+        "stock", STOCK, f"SELECT PACKAGE(*) FROM stock SUCH THAT {_such_that}",
+        value=_value,
     )
     for _method in ("summarysearch", "naive"):
         CASES[f"oracle-{_shape}-{_method}"] = Case(_stock, _method, FAST_CONFIG, rows=())
@@ -361,6 +387,7 @@ def records(result, consumed, trace=None) -> dict:
         "gap": None if result.anytime is None else result.anytime.gap,
         "message": result.message,
         "declared_infeasible": result.stats.declared_infeasible,
+        "verdict": result.verdict,
         "validation": asdict(result.validation),
         "records": [
             dataclasses.replace(r, **UNTIMED) for r in result.stats.iterations
@@ -384,17 +411,20 @@ def records(result, consumed, trace=None) -> dict:
 
 
 def evaluate(case: Case, flip=None, store=None, register=None) -> Run:
-    """One evaluation of ``case`` with the lane off, then ``flip`` applied.
+    """One evaluation of ``case`` with the lane and the case's ``off``
+    mechanisms off, then ``flip`` applied.
 
     ``store`` evaluates on that ScenarioStore (else on a fresh one if the
     case has a store); ``register`` replaces the case's dataset.  The
     counts say what each mechanism did: memo asks and hits per key kind,
     solves the reduction took, template clones, warm starts installed,
-    ladders that reached a second rung, and the query's lane rungs.
+    ladders that reached a second rung, infeasibility proofs, and the
+    query's lane rungs.
     """
     counts = {
         "asks": collections.Counter(), "hits": collections.Counter(),
         "reductions": 0, "clones": 0, "warm_starts": 0, "transitions": 0,
+        "proofs": 0,
     }
     consumed = []
 
@@ -426,6 +456,8 @@ def evaluate(case: Case, flip=None, store=None, register=None) -> Run:
     refine_cache.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lane, "ENABLED", False)
+        for mechanism in case.off:
+            MECHANISMS[mechanism].flip(patch)
         if flip is not None:
             flip(patch)
         for owner, name, after in [
@@ -436,6 +468,8 @@ def evaluate(case: Case, flip=None, store=None, register=None) -> Run:
             (saa_module, "apply_warm_start", tally("warm_starts")),
             (summarysearch, "_solve_rung", on_rung),
             (summarysearch._Ahead, "take", on_take),
+            (summarysearch, "prove_no_package", tally("proofs")),
+            (naive_module, "prove_no_package", tally("proofs")),
         ]:
             patch.setattr(owner, name, wrap(getattr(owner, name), after))
         if store is None and case.store:
@@ -499,6 +533,25 @@ def cold_models(patch) -> None:
         patch.setattr(module, "apply_warm_start", lambda *args: False)
 
 
+def unprovable(patch) -> None:
+    """The member bound never proves a query infeasible."""
+    for module in (summarysearch, naive_module):
+        patch.setattr(module, "prove_no_package", lambda ctx: None)
+
+
+def same_records(on: Run, flipped: Run) -> bool:
+    return flipped.records == on.records
+
+
+def same_first_rungs(on: Run, flipped: Run) -> bool:
+    """A proof ends the ladder at the rung that asked for it: the run
+    without it climbs on from the same rungs to the same feasibility."""
+    n = len(on.records["records"])
+    return on.records["feasible"] == flipped.records["feasible"] and all(
+        flipped.records[key][:n] == on.records[key] for key in ("records", "rungs")
+    )
+
+
 def force_lane(patch) -> None:
     """The ladder lane on for every rung after a ladder's first transition,
     whatever the box's CPU count and each rung's solver share."""
@@ -518,6 +571,8 @@ class Mechanism:
     #: The flipped run of a case with a before run replays that run on
     #: its own store too (else it starts from a fresh store).
     shares_store: bool = False
+    #: What the flipped run must answer of the shipped one's answer.
+    agrees: Callable[[Run, Run], bool] = same_records
 
 
 def _memo_row(kind: str) -> Mechanism:
@@ -546,6 +601,14 @@ MECHANISMS: dict[str, Mechanism] = {
         lambda c: c["lane_started"] == c["lane_consumed"] + c["lane_discarded"],
         shares_store=True,
     ),
+    # Not exact in its counts: a proof ends the ladder early, so the
+    # flipped run answers the same from more rungs.
+    "proof": Mechanism(
+        unprovable,
+        lambda c: c["proofs"],
+        lambda c: c["proofs"] == 0,
+        agrees=same_first_rungs,
+    ),
 }
 
 #: Every checked (mechanism, case) pair.
@@ -553,7 +616,7 @@ PAIRS = [
     (mechanism, case_id)
     for case_id, case in CASES.items()
     for mechanism in MECHANISMS
-    if case.rows is None or mechanism in case.rows
+    if (case.rows is None or mechanism in case.rows) and mechanism not in case.off
 ]
 
 # Older test names check some pairs (tests/core/test_memo_exact.py,
@@ -648,10 +711,10 @@ def check(mechanism: str, case_id: str) -> None:
     if not engaged and case.before is None:
         return
     flipped = run(case_id, mechanism)
-    assert flipped.records == on.records
+    assert row.agrees(on, flipped)
     assert row.flipped(flipped.counts)
     if flipped.before is not None:
-        assert flipped.before.records == on.before.records
+        assert row.agrees(on.before, flipped.before)
         assert row.flipped(flipped.before.counts)
     if mechanism == "lane" and expected:
         assert flipped.counts["lane_consumed"] >= 1

@@ -16,7 +16,9 @@ compare, at ``DELTA`` per bound:
 * "infeasible" is reported only when the oracle agrees: no package is
   feasible by a margin that the scenarios the verdict was reached on
   could not miss (an answer that merely found no feasible package makes
-  no claim, and carries no ε).
+  no claim, and carries no ε);
+* "no package exists" (verdict ``proved_infeasible``) is reported only
+  when no package's lower bound reaches its chance constraint's p.
 """
 
 from __future__ import annotations
@@ -131,6 +133,9 @@ class Oracle:
             self.check_certificate(i, answer["epsilon_upper"])
         else:
             assert answer["epsilon_upper"] is None
+        if answer["verdict"] == "proved_infeasible":
+            sure = self.feasible_by(lambda p: p)
+            assert not sure.any(), self.x[sure][:3]
         if answer["declared_infeasible"]:
             # No package is feasible by a margin that the M scenarios the
             # verdict was reached on could miss.

@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro import Catalog, Relation, SPQConfig, SPQEngine
-from repro.mcdb import GaussianNoiseVG, StochasticModel
+from repro.mcdb import GaussianNoiseVG, StochasticModel, UniformNoiseVG
 from repro.service import QueryBroker, SPQService, WorkerCrashError
 
 QUERY = """
@@ -26,6 +26,11 @@ def service():
     model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
     catalog = Catalog()
     catalog.register(relation, model)
+    # Value within 1 of price: no tuple can lower a package's sum.
+    parts = Relation("parts", {"price": [5.0, 8.0, 3.0, 6.0, 2.0]})
+    catalog.register(
+        parts, StochasticModel(parts, {"Value": UniformNoiseVG("price", -1.0, 1.0)})
+    )
     config = SPQConfig(
         n_validation_scenarios=500,
         n_initial_scenarios=20,
@@ -99,10 +104,37 @@ def test_a_query_with_no_certifiable_bound_is_marked_uncertified(service):
     )
     assert status == 200
     assert body["feasible"] is True and body["uncertified"] is True
-    assert body["epsilon_upper"] is None
+    assert body["epsilon_upper"] is None and body["verdict"] == "uncertified"
     status, certified = _post(service, {"query": QUERY})
     assert status == 200
     assert certified["uncertified"] is False
+    assert certified["verdict"] == "certified"
+
+
+def test_the_payload_says_whether_no_package_exists(service):
+    """Every package of ``parts`` holds a tuple, none of which can lower
+    its Value sum: no package stays under 2.5 more often than the price-2
+    tuple does (3/4), so none exists.  ``items``'s Gaussian Value proves
+    nothing, and its ladder runs out instead."""
+    such_that = (
+        " SUCH THAT COUNT(*) BETWEEN 1 AND 2 AND SUM(Value) <= 2.5"
+        " WITH PROBABILITY >= 0.9 MAXIMIZE EXPECTED SUM(Value)"
+    )
+    status, proved = _post(service, {"query": "SELECT PACKAGE(*) FROM parts" + such_that})
+    assert status == 200
+    assert proved["feasible"] is False and proved["package"] is None
+    assert proved["verdict"] == "proved_infeasible"
+    assert proved["message"].startswith("no package can reach SUM(Value) <= 2.5")
+    assert proved["stats"]["n_iterations"] == 1
+    status, exhausted = _post(
+        service,
+        {"query": "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) BETWEEN 1 AND 2"
+         " AND SUM(Value) >= 100 WITH PROBABILITY >= 0.9"
+         " MINIMIZE EXPECTED SUM(Value)"},
+    )
+    assert status == 200
+    assert exhausted["verdict"] == "not_found"
+    assert exhausted["stats"]["final_n_scenarios"] == 60
 
 
 def test_status_endpoint(service):

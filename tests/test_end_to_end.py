@@ -10,9 +10,14 @@ check the *shapes* the paper reports (Section 6.2), not absolute times:
 * results are deterministic given the configuration.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import SPQConfig
 from repro.core.engine import SPQEngine
 from repro.core.validator import Validator
@@ -78,6 +83,46 @@ def test_tpch_q8_declared_infeasible_by_both(config):
         result = engine.execute(spec.spaql, method=method)
         assert not result.feasible
         assert result.stats.final_n_scenarios == config.max_scenarios
+
+
+def test_tpch_q8_proved_infeasible_at_the_first_rung_by_both(config):
+    """On the latency ledger's Q8 instance (600 rows, dataset seed 42) the
+    member bound proves no package exists at the first rung.  At the 500
+    rows above its best tuple meets the cap in about 0.9 of the probe
+    scenarios, too close to 0.95 for 1024 of them, so both climb."""
+    spec = get_query("tpch", "Q8")
+    relation, model = spec.build_dataset(600, seed=42)
+    engine = SPQEngine(config=config)
+    engine.register(relation, model)
+    for method in ("summarysearch", "naive"):
+        result = engine.execute(spec.spaql, method=method)
+        assert result.verdict == "proved_infeasible"
+        assert result.stats.final_n_scenarios == config.n_initial_scenarios
+
+
+def test_proving_tpch_q8_imports_no_scipy_stats():
+    """The bound's Clopper–Pearson quantile comes from ``scipy.special``;
+    ``scipy.stats`` would add a third of a second to a process's first
+    query."""
+    code = (
+        "import sys\n"
+        "from repro import SPQEngine\n"
+        "from repro.workloads import get_query\n"
+        "spec = get_query('tpch', 'Q8')\n"
+        "engine = SPQEngine()\n"
+        "engine.register(*spec.build_dataset(600, seed=42))\n"
+        "print(engine.execute(spec.spaql, seed=11).verdict)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["proved_infeasible", "False"]
 
 
 def test_feasible_result_is_independently_verifiable(config):
