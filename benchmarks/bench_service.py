@@ -1,19 +1,14 @@
-"""Serving-layer benchmarks: warm store hits, and backend throughput.
+"""Serving-layer benchmarks: warm store hits, and tracing overhead.
 
-Two acceptance properties of the ``repro.service`` subsystem:
-
-* a second identical query through the broker performs **zero scenario
-  regeneration** — the store's hit counter moves, its generation counter
-  does not — and completes measurably faster than the first, because the
-  solver/validation work is unchanged while realization (optimization
-  matrices, probe bounds, and the Pareto Monte-Carlo expectation pass,
-  which Galaxy Q5 cannot compute analytically) drops out;
-* under **concurrent clients** with evaluation-bound work, the process
-  backend (solve farm) outperforms the thread backend, whose Python-side
-  evaluation serializes on the GIL — by ≥1.5× on a 4-core machine — while
-  returning bit-identical packages.  Results are recorded in
-  ``BENCH_service.json`` at the repo root (the serving-layer perf
-  trajectory).
+The acceptance property of the ``repro.service`` subsystem: a second
+identical query through the broker performs **zero scenario
+regeneration** — the store's hit counter moves, its generation counter
+does not — and completes measurably faster than the first, because the
+solver/validation work is unchanged while realization (optimization
+matrices, probe bounds, and the Pareto Monte-Carlo expectation pass,
+which Galaxy Q5 cannot compute analytically) drops out.  Results are
+recorded in ``BENCH_service.json`` at the repo root (the serving-layer
+perf trajectory).
 
 Methodology: each round builds a fresh broker + store over the cached
 galaxy catalog, pays the cold query once, then repeats the identical
@@ -187,111 +182,6 @@ def test_store_budget_pressure_is_result_invariant(benchmark):
     assert result.objective == reference.objective
     benchmark.extra_info["spills"] = stats.spills
     benchmark.extra_info["budget_bytes"] = 4096
-
-
-# --- concurrent clients: thread vs process backend ---------------------------
-
-N_CLIENTS = 8
-CLIENT_SEEDS = tuple(range(101, 101 + N_CLIENTS))
-FARM_POOL = 4
-
-
-def _throughput_config():
-    # Evaluation-bound on purpose: model building, summaries and
-    # validation are Python, so the thread backend's concurrent queries
-    # serialize on the GIL — exactly the contention the solve farm
-    # removes.  The point is the *ratio* under concurrency.
-    return bench_config(
-        n_validation_scenarios=1_000,
-        n_initial_scenarios=16,
-        scenario_increment=16,
-        max_scenarios=48,
-        epsilon=0.6,
-    )
-
-
-def _drive_backend(backend: str, catalog, config):
-    """Serve the client mix on one backend.
-
-    Returns ``(wall_s, results, stage_seconds)`` where the last is one
-    sampled client's per-stage self-time breakdown (None if untraced).
-    """
-    with QueryBroker(
-        catalog, config=config, pool_size=FARM_POOL, backend=backend
-    ) as broker:
-        spec = get_query("portfolio", "Q1")
-        # Warm-up (excluded from timing): pays fork/session start-up and
-        # the first realization for both backends alike.
-        broker.execute(spec.spaql, seed=7)
-        started = time.perf_counter()
-        futures = {
-            seed: broker.submit(spec.spaql, seed=seed) for seed in CLIENT_SEEDS
-        }
-        results = {seed: f.result(timeout=600) for seed, f in futures.items()}
-        wall = time.perf_counter() - started
-        stages = _stage_breakdown(broker, futures[CLIENT_SEEDS[0]])
-    return wall, results, stages
-
-
-def test_concurrent_clients_process_backend_beats_threads(benchmark):
-    """Throughput under 8 concurrent evaluation-bound clients, both backends.
-
-    Asserts bit-identical packages across backends always; asserts the
-    ≥1.5× process-over-thread throughput floor on machines with ≥4
-    cores (below that the farm cannot physically parallelize — results
-    are still recorded so the perf trajectory shows the hardware).
-    """
-    catalog = cached_catalog("portfolio", "Q1", scale=60)
-    config = _throughput_config()
-
-    thread_wall, thread_results, _ = _drive_backend("thread", catalog, config)
-
-    def process_round():
-        return _drive_backend("process", catalog, config)
-
-    process_wall, process_results, process_stages = benchmark.pedantic(
-        process_round, rounds=1, iterations=1
-    )
-
-    # Identical query results across backends: bit-identical packages,
-    # same objectives, per seed.
-    for seed in CLIENT_SEEDS:
-        first, second = thread_results[seed], process_results[seed]
-        assert first.feasible == second.feasible
-        assert first.objective == second.objective
-        if first.package is not None:
-            assert np.array_equal(
-                first.package.multiplicities, second.package.multiplicities
-            )
-
-    speedup = thread_wall / max(process_wall, 1e-12)
-    record = {
-        "workload": "portfolio/Q1",
-        "scale": 60,
-        "solver": "highs",
-        "n_clients": N_CLIENTS,
-        "pool_size": FARM_POOL,
-        "cpu_count": os.cpu_count(),
-        "thread_wall_s": round(thread_wall, 4),
-        "process_wall_s": round(process_wall, 4),
-        "thread_qps": round(N_CLIENTS / thread_wall, 4),
-        "process_qps": round(N_CLIENTS / process_wall, 4),
-        "speedup": round(speedup, 4),
-        "identical_packages": True,
-        # One sampled process-backend client's per-stage self seconds —
-        # attributes the speedup (or its absence) to solve vs overhead.
-        "stage_seconds": process_stages,
-    }
-    _update_bench_record("concurrent_clients_thread_vs_process", record)
-    benchmark.extra_info.update(
-        {k: v for k, v in record.items() if k != "stage_seconds"}
-    )
-
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 1.5, (
-            f"process backend must beat threads by >= 1.5x on >= 4 cores"
-            f" (got {speedup:.2f}x)"
-        )
 
 
 # --- tracing overhead --------------------------------------------------------

@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Soak smoke: boot ``repro serve``, fire 32 mixed clients.
 
-Boots the HTTP serving layer on the process backend (solve farm; the
-default) or the thread backend (``--backend thread``) over the
-portfolio workload, then drives **32 concurrent clients** with a
-mixed load — repeated identical queries (store/dedup path), distinct
-seeds (parallel solves), a parse error (400 path), status/metrics
-polls, and a mixed-deadline cohort (tight 5ms / loose 60s budgets,
-exercising the QoS admission + EDF + anytime path of docs/qos.md) —
+Boots the HTTP serving layer over the portfolio workload, then drives
+**32 concurrent clients** with a mixed load — repeated identical
+queries (store/dedup path), distinct seeds (parallel solves), a parse
+error (400 path), status/metrics polls, and a mixed-deadline cohort
+(tight 5ms / loose 60s budgets, exercising the QoS admission + EDF +
+anytime path of docs/qos.md) —
 and asserts:
 
 * every response lands in its expected status class
@@ -16,12 +15,9 @@ and asserts:
   ``gap`` (the anytime contract), and loose-deadline responses always
   met their budget;
 * at least one solve succeeded per distinct-seed client group;
-* process backend only: ``/metrics`` exposes the farm's per-worker
-  gauges, no worker crashed, and ``/status`` has a live ``farm``
-  section;
 * a ``"trace": true`` query returns its span tree inline and via
-  ``GET /trace/<id>``, with the evaluation's stages (on the process
-  backend, worker-side ones) re-parented under the broker's root span;
+  ``GET /trace/<id>``, with the evaluation's stages parented under the
+  broker's root span;
 * the ``repro_stage_seconds`` histogram's ``stage="query"`` count
   equals the number of completed queries;
 * a **mutator cohort** POSTs ``/update`` deltas concurrently with the
@@ -34,7 +30,7 @@ and asserts:
 Budgeted well under the CI job's 2-minute window.  Also runnable
 locally::
 
-    PYTHONPATH=src python scripts/service_soak.py [--backend thread]
+    PYTHONPATH=src python scripts/service_soak.py
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ SERVE_ARGS = [
     "--scale", "40",
     "--port", "0",
     "--pool-size", "2",
-    "--recycle-after", "8",
     "--max-pending", "64",
     "--validation-scenarios", "800",
     "--initial-scenarios", "16",
@@ -226,12 +221,7 @@ def client(base: str, client_id: int, outcomes: list, lock: threading.Lock):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend", choices=("process", "thread"), default="process"
-    )
-    backend = parser.parse_args().backend
-    farm = backend == "process"
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     started = time.time()
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
@@ -239,7 +229,7 @@ def main() -> int:
     )
     env["PYTHONUNBUFFERED"] = "1"
     process = subprocess.Popen(
-        SERVE_ARGS + ["--backend", backend],
+        SERVE_ARGS,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -248,9 +238,9 @@ def main() -> int:
     )
     try:
         base = wait_for_listen_line(process)
-        # Warm the pool (workers forked, first realization done) so the
-        # 32-way burst measures serving, not startup.  Traced, so the
-        # warm-up doubles as the cross-process span-tree check.
+        # Warm the pool (first realization done) so the 32-way burst
+        # measures serving, not startup.  Traced, so the warm-up doubles
+        # as the span-tree check.
         code, first = post_query(base, {"query": QUERY, "trace": True})
         assert code == 200 and first["feasible"], (code, first)
         trace_id = first.get("trace_id")
@@ -258,8 +248,7 @@ def main() -> int:
         root = (first.get("trace") or {}).get("root")
         assert root and root["name"] == "query", first.get("trace")
         stages = {s["name"] for s in iter_spans(root)}
-        expected = {"query", "execute", "solve"} | ({"worker"} if farm else set())
-        assert expected <= stages, stages
+        assert {"query", "execute", "solve"} <= stages, stages
         code, body = get(base, f"/trace/{trace_id}")
         assert code == 200 and json.loads(body)["trace_id"] == trace_id
 
@@ -289,13 +278,6 @@ def main() -> int:
         assert loose_ok, "no loose-deadline query was served"
 
         _, metrics = get(base, "/metrics")
-        if farm:
-            worker_gauges = re.findall(
-                r'^repro_farm_worker_busy\{worker="\d+"\} \d$', metrics, re.M
-            )
-            assert worker_gauges, "metrics missing per-worker farm gauges"
-            crashed = re.search(r"^repro_farm_crashed_total (\d+)$", metrics, re.M)
-            assert crashed and int(crashed.group(1)) == 0, "a farm worker crashed"
         completed = re.search(r"^repro_broker_completed_total (\d+)$", metrics, re.M)
         dedup = re.search(r"^repro_broker_deduplicated_total (\d+)$", metrics, re.M)
         # Identical in-flight requests share one evaluation, so solves
@@ -328,10 +310,6 @@ def main() -> int:
             time.sleep(0.1)
             _, metrics = get(base, "/metrics")
         assert hist_queries == retired, (hist_queries, retired)
-        assert not farm or re.search(
-            r'^repro_stage_seconds_bucket\{stage="worker",le="\+Inf"\} \d+$',
-            metrics, re.M,
-        ), "metrics missing the farm worker stage histogram"
 
         # The QoS metric families are exposed and consistent with the
         # deadline cohort: every finished deadline carry got a verdict.
@@ -350,7 +328,7 @@ def main() -> int:
         assert met >= len(loose_ok), (met, len(loose_ok))
 
         # Every applied delta is accounted for, and the pool survived
-        # concurrent mutation (no farm crashes asserted above).
+        # concurrent mutation.
         applied = [o for o in outcomes if o[1] == "mutator" and o[2] == 200]
         assert applied, "no mutator update was applied"
         delta_total = re.search(r"^repro_delta_applied_total (\d+)$",
@@ -361,16 +339,11 @@ def main() -> int:
 
         _, status_text = get(base, "/status")
         status = json.loads(status_text)
-        assert status["backend"] == backend
-        if farm:
-            assert status["farm"]["idle"] + status["farm"]["busy"] >= 1
-        else:
-            assert "farm" not in status
         assert status["deadline"]["met"] >= len(loose_ok)
         assert status["deltas_applied"] == len(applied)
         assert status["catalog_version"] >= len(applied)
 
-        print(f"service soak ({backend}): OK — {len(solved)} solves, "
+        print(f"service soak: OK — {len(solved)} solves, "
               f"{len(outcomes)} clients, "
               f"{time.time() - started:.1f}s total")
         return 0

@@ -324,17 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 = ephemeral, printed on start)")
     serve.add_argument("--pool-size", type=int, default=None,
                        help="concurrent engine sessions (default: config)")
-    serve.add_argument("--backend", choices=["thread", "process"],
-                       default=None,
-                       help="what each pool slot runs a query on:"
-                            " 'thread' (an in-process engine session;"
-                            " solves contend on the GIL) or 'process' (a"
-                            " worker process: true parallel solves, memmap"
-                            " scenario handoff, crash recovery)")
-    serve.add_argument("--recycle-after", type=int, default=None,
-                       metavar="N",
-                       help="process backend: gracefully restart a worker"
-                            " after N completed queries (default: never)")
     serve.add_argument("--max-pending", type=int, default=None,
                        help="admission-control ceiling on queued+running"
                             " queries (default: 4x pool size)")
@@ -601,16 +590,6 @@ def cmd_serve(args) -> int:
         **(
             {"service_max_pending": args.max_pending}
             if args.max_pending is not None
-            else {}
-        ),
-        **(
-            {"service_backend": args.backend}
-            if args.backend is not None
-            else {}
-        ),
-        **(
-            {"worker_recycle_after": args.recycle_after}
-            if args.recycle_after is not None
             else {}
         ),
         **({"trace_enabled": False} if args.no_trace else {}),

@@ -29,12 +29,6 @@ STREAM_DATASET = 3
 STREAM_PROBE = 4
 STREAM_PARTITION = 5
 
-#: Serving-layer dispatch backends (``repro.service.broker``).
-BACKEND_THREAD = "thread"
-BACKEND_PROCESS = "process"
-
-_SERVICE_BACKENDS = (BACKEND_THREAD, BACKEND_PROCESS)
-
 
 @dataclass
 class SPQConfig:
@@ -110,15 +104,6 @@ class SPQConfig:
     #: Admission-control ceiling on queued+running broker queries;
     #: ``None`` defaults to ``4 * service_pool_size``.
     service_max_pending: int | None = None
-    #: What each broker pool slot runs a query on: ``"thread"`` (an
-    #: in-process engine session — solves contend on the GIL) or
-    #: ``"process"`` (a persistent SolveFarm worker process, with memmap
-    #: scenario handoff, worker recycling, and crash recovery).
-    service_backend: str = BACKEND_THREAD
-    #: Gracefully restart a farm worker after this many completed
-    #: queries (bounds per-process memory growth); ``None`` never
-    #: recycles.  Process backend only.
-    worker_recycle_after: int | None = None
 
     # --- out-of-core scale tier (repro.scale) --------------------------------
     #: Partition count for the stochastic SketchRefine driver (method
@@ -236,13 +221,6 @@ class SPQConfig:
             raise EvaluationError("service_pool_size must be >= 1")
         if self.service_max_pending is not None and self.service_max_pending < 1:
             raise EvaluationError("service_max_pending must be positive or None")
-        if self.service_backend not in _SERVICE_BACKENDS:
-            raise EvaluationError(
-                f"unknown service_backend {self.service_backend!r};"
-                f" expected one of {_SERVICE_BACKENDS}"
-            )
-        if self.worker_recycle_after is not None and self.worker_recycle_after < 1:
-            raise EvaluationError("worker_recycle_after must be >= 1 or None")
         if self.scale_n_partitions < 1:
             raise EvaluationError("scale_n_partitions must be >= 1")
         if self.scale_pilot_scenarios < 2:

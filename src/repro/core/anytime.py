@@ -8,9 +8,8 @@ timeout — together with a **relative optimality gap** bounding how far
 that incumbent can be from the (unknown) optimum.
 
 :class:`AnytimeResult` is the envelope attached to every
-:class:`~repro.core.package.PackageResult` by the engine (the farm's
-worker replies, the broker, the HTTP JSON payload, and ``repro run``
-all read it from there).  The gap contract:
+:class:`~repro.core.package.PackageResult` by the engine (the broker,
+the HTTP JSON payload, and ``repro run`` all read it from there).  The gap contract:
 
 * ``gap == 0.0`` whenever the evaluation terminated on its own success
   criterion (the exact path finished; the deadline, if any, was met);

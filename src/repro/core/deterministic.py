@@ -13,7 +13,12 @@ import numpy as np
 from ..config import SPQConfig
 from ..errors import EvaluationError
 from ..silp.model import StochasticPackageProblem
-from ..solver.result import MILPResult, STATUS_FEASIBLE, STATUS_TIME_LIMIT
+from ..solver.result import (
+    STATUS_FEASIBLE,
+    STATUS_INFEASIBLE,
+    STATUS_TIME_LIMIT,
+    MILPResult,
+)
 from ..utils.timing import Stopwatch
 from .context import EvaluationContext
 from .package import Package, PackageResult
@@ -21,6 +26,29 @@ from .stats import IterationRecord, RunStats
 from .validator import ValidationReport
 
 METHOD_DETERMINISTIC = "deterministic"
+
+
+def infeasibility_meta(ctx: EvaluationContext, result: MILPResult) -> dict:
+    """``meta`` of an answer whose solve of ``Q₀`` found no package.
+
+    HiGHS's ``infeasible`` (never a time limit) proves that no package
+    exists when every constraint it saw is exact: no mean constraint
+    holds a μ̂ estimate.  The proof is exact, so it carries no δ and no
+    scenarios.  Anything else proves nothing and gives ``{}``.
+    """
+    problem = ctx.problem
+    if result.status != STATUS_INFEASIBLE or any(
+        problem.is_stochastic_expr(c.expr) for c in problem.mean_constraints
+    ):
+        return {}
+    return {
+        "infeasibility": {
+            "item": "the deterministic constraints",
+            "bound": 0.0,
+            "delta": 0.0,
+            "scenarios": 0,
+        }
+    }
 
 
 def solve_unconstrained(ctx: EvaluationContext, time_limit: float) -> MILPResult:
@@ -92,6 +120,7 @@ def _deterministic(ctx: EvaluationContext) -> PackageResult:
             method=METHOD_DETERMINISTIC,
             stats=stats,
             message=f"solver reported {result.status}",
+            meta=infeasibility_meta(ctx, result),
         )
     x = np.round(result.x[: problem.n_vars]).astype(np.int64)
     objective = ctx.mean_objective_value(x)

@@ -7,10 +7,10 @@ data stays "in the database" (the catalog) and the optimization layers
 pull scenario realizations on demand.
 
 Engines are *warm sessions*: compiled problems are cached per query
-text, so the serving layer's long-lived sessions (thread-pool engines
-and solve-farm workers alike) pay parse + compile once per distinct
-query.  Registering new data invalidates the cache.  Sessions over one
-catalog may share one :class:`CompileCache` (the broker's thread slots
+text, so the serving layer's long-lived sessions (the broker's
+thread-pool engines) pay parse + compile once per distinct query.
+Registering new data invalidates the cache.  Sessions over one catalog
+may share one :class:`CompileCache` (the broker's thread slots
 do): evaluation never mutates a compiled problem.
 """
 
@@ -195,8 +195,8 @@ class SPQEngine:
         if overrides:
             effective = effective.replace(**overrides)
         if current_session() is not None:
-            # Already under an active trace (broker thread or farm
-            # worker activated it); just nest.
+            # Already under an active trace (a broker slot activated
+            # it); just nest.
             return self._execute_traced(query, method, effective)
         if not effective.trace_enabled:
             return self._execute_traced(query, method, effective)

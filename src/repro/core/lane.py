@@ -12,8 +12,8 @@ releases the GIL while it runs.
 
 There is one lane per process, started lazily, shared by every query; a
 ladder that finds it busy simply runs alone.  It never starts on a
-single CPU, nor in the solve farm's and the refine pool's workers, which
-are already the parallelism there (:func:`disable`).
+single CPU, nor in the scale driver's refine workers, which are already
+the parallelism there (:func:`disable`).
 
 A rung runs in a copy of its submitter's ``contextvars`` context, so its
 trace spans (in a child session, ``obs.trace.fork_session``) and its
@@ -44,7 +44,7 @@ _start_lock = threading.Lock()
 
 
 def disable() -> None:
-    """Never use the lane in this process (farm and refine workers)."""
+    """Never use the lane in this process (refine workers)."""
     global ENABLED
     ENABLED = False
 

@@ -46,7 +46,7 @@ from .approx import (
 )
 from .context import EvaluationContext
 from .csa import csa_solve
-from .deterministic import solve_unconstrained
+from .deterministic import infeasibility_meta, solve_unconstrained
 from .package import Package, PackageResult
 from .stats import IterationRecord, RunStats
 from .validator import Validator
@@ -109,6 +109,7 @@ def _summary_search(ctx: EvaluationContext, warm_x) -> PackageResult:
                 "the probabilistically-unconstrained problem is"
                 f" {q0_result.status}; the query has no solution"
             ),
+            meta=infeasibility_meta(ctx, q0_result),
         )
     x0 = np.round(q0_result.x[: problem.n_vars]).astype(np.int64)
     start_x = x0

@@ -35,9 +35,8 @@ class Catalog:
         self._mutate_lock = threading.Lock()
 
     def __getstate__(self) -> dict:
-        # Catalogs cross process boundaries (solve-farm workers receive
-        # one pickled at spawn); locks don't pickle and each process
-        # needs its own anyway.
+        # A pickled catalog gets a fresh lock: locks don't pickle, and
+        # each process needs its own anyway.
         state = dict(self.__dict__)
         del state["_mutate_lock"]
         return state

@@ -333,8 +333,7 @@ class FingerprintLineage:
             self._records.clear()
 
 
-#: Process-wide registry.  Farm workers rebuild their own as they adopt
-#: delta broadcasts; tests reset it via ``lineage.clear()``.
+#: Process-wide registry; tests reset it via ``lineage.clear()``.
 lineage = FingerprintLineage()
 
 

@@ -10,8 +10,7 @@ Five cooperating pieces, all dependency-free and cheap when unused:
 * :mod:`repro.obs.metrics` — the shared :class:`LockedCounters`
   atomic-increment helper, per-stage latency histograms exported on
   ``/metrics`` as ``repro_stage_seconds_bucket{stage=...}``, and the one
-  mergeable snapshot (``collect`` / ``merge`` / ``diff``) behind
-  ``/status`` and ``/metrics``.
+  snapshot (``collect``) behind ``/status`` and ``/metrics``.
 * :mod:`repro.obs.profile` — per-stage self-time aggregation over one
   span tree plus the waterfall / top-N renderers behind the
   ``repro trace`` CLI.
@@ -23,10 +22,10 @@ Five cooperating pieces, all dependency-free and cheap when unused:
   attached to root spans and ``AnytimeResult`` envelopes and exported
   as ``repro_resource_*`` metric families.
 
-Trace context propagates across the solve farm's forkserver boundary
-the same way the stats blob does: the broker ships
-``(trace_id, parent_span_id)`` with the request, the worker records
-spans under that parent, and ships them back with its reply.
+Trace context crosses the broker's pool boundary as
+``(trace_id, parent_span_id)``: the slot thread records the
+evaluation's spans under that parent and hands them back with the
+result.
 """
 
 from .events import (
@@ -46,9 +45,7 @@ from .metrics import (
     LockedCounters,
     StageHistograms,
     collect,
-    diff,
     histogram_exposition,
-    merge,
     stage_histograms,
     status_sections,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "charge",
     "collect",
     "current_session",
-    "diff",
     "emit",
     "epsilon_events",
     "fork_session",
@@ -104,7 +100,6 @@ __all__ = [
     "format_top_table",
     "format_waterfall",
     "histogram_exposition",
-    "merge",
     "new_span_id",
     "new_trace_id",
     "reduce_events",

@@ -4,9 +4,8 @@ Spans answer *where time went*; events answer *how the answer got
 better while it went*.  An *event* is a plain dict — ``kind``, an epoch
 ``ts``, an optional solve-relative ``t``, and free-form fields — recorded
 into the active :class:`~repro.obs.trace.TraceSession` alongside its
-spans, so events ride the exact same payloads across the solve farm's
-forkserver boundary and surface on ``GET /trace/<id>`` and
-``repro trace --convergence``.
+spans, so events ride the exact same payloads and surface on
+``GET /trace/<id>`` and ``repro trace --convergence``.
 
 Three producers feed the channel:
 

@@ -16,11 +16,8 @@ text format as::
 
 :func:`collect` reads every registry of one process (plus a scenario
 store) into one plain-dict snapshot ``{"counters", "gauges",
-"histograms"}``; :func:`merge` adds snapshots and :func:`diff` takes the
-increment between two.  A farm worker ships ``diff(now, last_sent)``
-with each reply and the farm adds it to a running total, so no
-count is lost when a worker goes away.  :data:`FAMILIES` declares every
-``/metrics`` family and where its value sits on ``/status``.
+"histograms"}``.  :data:`FAMILIES` declares every ``/metrics`` family
+and where its value sits on ``/status``.
 """
 
 from __future__ import annotations
@@ -158,8 +155,7 @@ def histogram_exposition(
     return lines
 
 
-#: The process-wide histogram registry every finished span reports into;
-#: farm workers ship its increments back with each reply.
+#: The process-wide histogram registry every finished span reports into.
 stage_histograms = StageHistograms()
 
 
@@ -184,9 +180,6 @@ FAMILIES = (
     ("repro_store_spills_total", "counter",
      "Store entries spilled to memmap files under the byte budget.",
      "store", "spills"),
-    ("repro_store_adopted_total", "counter",
-     "Matrices adopted from sibling workers via memmap handoff.",
-     "store", "adopted"),
     ("repro_store_bytes_realized_total", "counter",
      "Scenario-matrix bytes newly realized (generated) by the store.",
      "store", "bytes_realized"),
@@ -292,23 +285,6 @@ FAMILIES = (
      "Configured evaluation concurrency.", None, "pool_size"),
     ("repro_service_uptime_seconds", "gauge",
      "Seconds since the broker started.", None, "uptime_s"),
-    ("repro_farm_workers_busy", "gauge",
-     "Farm workers currently evaluating a task.", "farm", "busy"),
-    ("repro_farm_workers_idle", "gauge",
-     "Farm workers ready for a task.", "farm", "idle"),
-    ("repro_farm_queued", "gauge",
-     "Tasks waiting for an idle farm worker.", "farm", "queued"),
-    ("repro_farm_handoff_entries", "gauge",
-     "Distinct scenario matrices in the farm handoff registry.",
-     "farm", "handoff_entries"),
-    ("repro_farm_recycled_total", "counter",
-     "Workers retired and replaced after recycle_after tasks.",
-     "farm", "recycled_total"),
-    ("repro_farm_crashed_total", "counter",
-     "Worker processes that died unexpectedly.", "farm", "crashed_total"),
-    ("repro_farm_retried_total", "counter",
-     "In-flight tasks requeued after a worker crash.",
-     "farm", "retried_total"),
 )
 
 _KIND = {(section, key): kind for _, kind, _, section, key in FAMILIES}
@@ -353,60 +329,10 @@ def collect(store=None) -> dict:
     return snapshot
 
 
-def merge(*snapshots) -> dict:
-    """Key-wise sum of snapshots; ``{}`` is the identity."""
-    out = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snapshot in snapshots:
-        for kind, acc in out.items():
-            for key, value in snapshot.get(kind, {}).items():
-                acc[key] = _add(acc[key], value) if key in acc else _copy(value)
-    return out
-
-
-def diff(now: dict, last: dict) -> dict:
-    """The increment from ``last`` to ``now``.
-
-    Counters and histograms subtract, so ``merge(last, diff(now, last))``
-    equals ``now`` on both; gauges are levels, not increments, and carry
-    ``now``'s values unchanged.
-    """
-
-    def minus(kind: str) -> dict:
-        prev = last.get(kind, {})
-        return {
-            key: _add(value, prev[key], -1) if key in prev else _copy(value)
-            for key, value in now[kind].items()
-        }
-
-    return {
-        "counters": minus("counters"),
-        "gauges": dict(now["gauges"]),
-        "histograms": minus("histograms"),
-    }
-
-
-def _add(a, b, sign: int = 1):
-    """``a + sign * b`` for one number or one histogram entry."""
-    if not isinstance(a, dict):
-        return a + sign * b
-    return {
-        "counts": [x + sign * y for x, y in zip(a["counts"], b["counts"])],
-        "sum": a["sum"] + sign * b["sum"],
-        "count": a["count"] + sign * b["count"],
-    }
-
-
-def _copy(value):
-    if not isinstance(value, dict):
-        return value
-    return {**value, "counts": list(value["counts"])}
-
-
 def status_sections(snapshot: dict) -> dict:
     """The ``/status`` ``store`` / ``scale`` / ``resources`` sections.
 
-    Every declared key is present; one no process has reported yet
-    (a farm before its first reply) reads 0.
+    Every declared key is present; one not reported yet reads 0.
     """
     values = {**snapshot["counters"], **snapshot["gauges"]}
     return {

@@ -7,11 +7,9 @@ pieces:
 
 * :func:`charge` — a trace-scoped counter increment (``lp_solves`` from
   the solver backends); charges land on the active
-  :class:`~repro.obs.trace.TraceSession` (riding its payload across the
-  forkserver boundary) *and* on the process-lifetime
+  :class:`~repro.obs.trace.TraceSession` *and* on the process-lifetime
   :data:`resource_counters` exported as ``repro_resource_*`` families on
-  ``/metrics`` (farm workers ship them in the one stats blob of every
-  reply, see :func:`repro.obs.metrics.collect`).
+  ``/metrics`` (see :func:`repro.obs.metrics.collect`).
 * :class:`QueryResourceProbe` — created by the engine around one
   evaluation; samples thread-CPU, ``ru_maxrss``, store stats, and scale
   metrics at entry, and on :meth:`~QueryResourceProbe.finish` folds the
@@ -24,10 +22,9 @@ pieces:
   delta of the calling thread sees.
 
 Store/scale deltas are process-wide registries, so under concurrent
-queries in one process (thread backend) attribution is approximate —
-one query's probe window can absorb a neighbour's bytes.  On the
-process farm each worker runs one query at a time, so there the deltas
-are exact.
+queries in one process attribution is approximate — one query's probe
+window can absorb a neighbour's bytes.  A query running alone gets
+exact deltas.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 A *span* is a plain dict — ``trace_id`` / ``span_id`` / ``parent_id``,
 stage name, epoch start, wall and CPU-thread seconds, and free-form
 ``attrs`` (cache hit/miss, scenario count, solver status, partition
-id).  Plain dicts because spans must cross the solve farm's forkserver
-boundary inside worker replies and land in JSON responses unchanged.
+id).  Plain dicts because spans land in JSON responses unchanged.
 
 Instrumented code calls :func:`stage`, which is a **no-op returning a
 shared null object** unless a :class:`TraceSession` has been activated
@@ -12,11 +11,10 @@ on the current context (``contextvars``), so the disabled path costs
 one ContextVar read per call site.  Sessions are activated explicitly:
 
 * by the engine, when it roots its own trace (CLI / library use);
-* by the broker, on the pool thread (thread backend) — thread-pool
-  threads do **not** inherit the submitter's contextvars;
-* by the farm worker, parented to the broker's root span id carried in
-  the task payload, so worker-side spans re-parent correctly when the
-  broker ingests them into the :class:`TraceRing`.
+* by the broker, on the pool thread — thread-pool threads do **not**
+  inherit the submitter's contextvars — parented to the broker's root
+  span id, so the evaluation's spans hang under it when the broker
+  ingests them into the :class:`TraceRing`.
 
 The ring is the bounded in-memory store behind ``GET /trace/<id>``:
 oldest trace evicted beyond capacity, with a condition variable so the
@@ -43,8 +41,7 @@ _CURRENT: ContextVar = ContextVar("repro_obs_frame", default=None)
 _span_counter = itertools.count(1)
 _perf_counter, _thread_time = time.perf_counter, time.thread_time
 
-#: ``"<pid>-"`` for span ids.  Forkserver workers all fork from one
-#: preloaded server process, so a forked child reads its pid again.
+#: ``"<pid>-"`` for span ids; a forked child reads its pid again.
 _pid_prefix = ""
 
 
@@ -64,7 +61,7 @@ def new_trace_id() -> str:
 
 
 def new_span_id() -> str:
-    """A fresh span id, unique across farm worker processes."""
+    """A fresh span id, unique across processes."""
     return f"{_pid_prefix}{next(_span_counter):x}"
 
 
@@ -139,7 +136,7 @@ class TraceSession:
         """The trace tuple a finished request hands back to the broker.
 
         Mirrored by :meth:`TraceRing.add`'s signature, so the broker
-        ingests it with ``trace_ring.add(*payload)`` on both backends.
+        ingests it with ``trace_ring.add(*payload)``.
         """
         return (
             self.trace_id, self.spans, self.dropped,

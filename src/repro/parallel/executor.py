@@ -8,8 +8,8 @@ equals filling ``[0, M)`` bit for bit.  The loop runs in the caller's
 process: at the few hundred optimisation scenarios a query realizes,
 forking a worker pool never paid for itself.
 
-:func:`farm_context` is the multiprocessing context of this library's
-long-lived workers: the solve farm's and the scale driver's refine pool.
+:func:`refine_context` is the multiprocessing context of the scale
+driver's refine pool, the library's one worker-process pool.
 """
 
 from __future__ import annotations
@@ -19,26 +19,24 @@ import multiprocessing
 import numpy as np
 
 
-def farm_context():
-    """The multiprocessing context for solve-farm and refine workers.
+def refine_context():
+    """The multiprocessing context for the scale driver's refine workers.
 
-    The farm starts replacement workers at arbitrary points in the
-    parent's lifetime — from broker slot threads and ``/status`` reads,
-    while HTTP handler threads and broker callers are live.  Forking a multithreaded parent
-    can deadlock the child on a lock some other thread held at fork time
-    (and is deprecated on CPython 3.12+), so farm workers come from a
+    The driver runs inside multithreaded processes (broker slot threads,
+    HTTP handlers).  Forking a multithreaded parent can deadlock the
+    child on a lock some other thread held at fork time (and is
+    deprecated on CPython 3.12+), so refine workers come from a
     ``forkserver``: a clean, single-threaded server process that
     preloads this library once and forks each worker from that quiet
-    state.  Worker arguments (catalog, config, pipe) are pickled —
-    every payload the farm ships is.  Platforms without forkserver fall
-    back to the default context, where process arguments must be
+    state.  Worker arguments are pickled.  Platforms without forkserver
+    fall back to the default context, where process arguments must be
     picklable too.
     """
     try:
         ctx = multiprocessing.get_context("forkserver")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context()
-    ctx.set_forkserver_preload(["repro.core.engine", "repro.service.farm"])
+    ctx.set_forkserver_preload(["repro.core.engine", "repro.scale.driver"])
     return ctx
 
 

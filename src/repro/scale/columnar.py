@@ -280,8 +280,8 @@ class ColumnStore:
     snapshot) and reports the dirty rows for delta-scoped cache
     invalidation.  Instances are
     picklable (only the path and budget cross process boundaries; caches
-    and memmaps are per-process), so catalogs holding stores work across
-    the solve farm's forkserver boundary.
+    and memmaps are per-process), so a store reaches the scale driver's
+    refine workers through their forkserver.
     """
 
     def __init__(self, path: str, resident_budget: int | None = None):
@@ -751,10 +751,10 @@ class ColumnStore:
     def refresh(self) -> "ColumnStore":
         """Re-read the manifest after an external in-place mutation.
 
-        Farm workers call this when a delta broadcast names a store they
-        hold open: cached chunks and memmaps are dropped and the new
-        row count/vocabularies are adopted without re-constructing the
-        object (the catalog keeps its reference).
+        A handle opened before another handle applied a delta to the
+        same directory calls this: cached chunks and memmaps are dropped
+        and the new row count/vocabularies are read without
+        re-constructing the object (the catalog keeps its reference).
         """
         name = self.name
         budget = self.resident_budget

@@ -818,14 +818,14 @@ def _run_refines(
     warm = warm or {}
     pending = [g for g in refined if g not in reused]
     if config.n_workers > 1 and len(pending) > 1:
-        # Refine workers come from the forkserver context, like the
-        # solve farm's: the driver runs inside multithreaded serving
-        # processes (broker thread pools, HTTP handlers), where forking
-        # can deadlock the child on a lock some other thread held at
-        # fork time.  The worker state (relation, model, allocations)
-        # is pickled through the forkserver — everything the driver
-        # ships is picklable, ColumnStores by path.
-        from ..parallel.executor import farm_context
+        # Refine workers come from the forkserver context: the driver
+        # runs inside multithreaded serving processes (broker thread
+        # pools, HTTP handlers), where forking can deadlock the child on
+        # a lock some other thread held at fork time.  The worker state
+        # (relation, model, allocations) is pickled through the
+        # forkserver — everything the driver ships is picklable,
+        # ColumnStores by path.
+        from ..parallel.executor import refine_context
 
         state = {
             "relation": problem.relation,
@@ -844,7 +844,7 @@ def _run_refines(
         try:
             pool = ProcessPoolExecutor(
                 max_workers=min(config.n_workers, len(pending)),
-                mp_context=farm_context(),
+                mp_context=refine_context(),
                 initializer=_init_refine_worker,
                 initargs=(state,),
             )

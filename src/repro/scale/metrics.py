@@ -3,8 +3,7 @@
 The serving layer surfaces these on ``/status`` (as the ``"scale"``
 section) and ``/metrics`` (as ``repro_scale_*`` time series); their keys
 and kinds are the ``"scale"`` rows of :data:`repro.obs.metrics.FAMILIES`.
-Counters are lifetime-monotonic within one process; on the process
-backend they reach the farm as increments (:func:`repro.obs.metrics.diff`).
+Counters are lifetime-monotonic within one process.
 
 Gauges track the resident bytes of every live :class:`ColumnStore` chunk
 cache in the process — ``resident_bytes`` is the current total,

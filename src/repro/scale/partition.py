@@ -16,8 +16,7 @@ storage representation of the same relation.
 
 Pilot realization routes through the shared
 :class:`repro.service.ScenarioStore` when one is attached, so pilots are
-cached across queries and travel between solve-farm workers as memmap
-handoffs like every other realized matrix.
+cached across queries like every other realized matrix.
 
 The resulting labels are persisted in a **partition index** keyed by
 (relation/model fingerprint, predicate, seed, partition count, pilot
@@ -58,8 +57,7 @@ _MEMORY_INDEX_LIMIT = 64
 #: path and the statistics stay bit-identical across them.
 _PILOT_MATRIX_BYTES_CAP = 256 * 1024**2
 
-#: On-disk partition-index entries kept per store (oldest pruned), the
-#: same bounded-registry discipline as the solve farm's handoff table.
+#: On-disk partition-index entries kept per store (oldest pruned).
 _DISK_INDEX_LIMIT = 64
 
 
@@ -108,8 +106,7 @@ def pilot_statistics(
     Pilot scenarios come from their own stream (``STREAM_PARTITION``) so
     they never collide with optimization, validation, or probe draws;
     realization is scenario-wise (prefix-stable) and store-backed, so a
-    repeated query reuses the cached matrix — including across farm
-    workers via ``handoff()``/``adopt()``.
+    repeated query reuses the cached matrix.
     """
     attrs = probed_attributes(problem)
     if not attrs:
@@ -411,8 +408,7 @@ class PartitionIndex:
 
         Each entry is O(active rows); without a bound a long-running
         server answering queries with varying predicates/seeds would
-        fill the disk (the same failure mode the solve farm's handoff
-        registry is LRU-bounded against).  Races with concurrent
+        fill the disk.  Races with concurrent
         writers/readers are benign: a pruned file simply misses and the
         cut re-runs.
         """

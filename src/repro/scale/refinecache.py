@@ -48,8 +48,6 @@ _EXCLUDED_CONFIG_FIELDS = {
     "scenario_store_spill",
     "service_pool_size",
     "service_max_pending",
-    "service_backend",
-    "worker_recycle_after",
     # observability
     "trace_enabled",
     "trace_ring_size",
@@ -170,6 +168,5 @@ class RefineCache:
             self._artifacts.clear()
 
 
-#: Process-wide registry (farm workers each grow their own, like the
-#: scenario store); tests reset it via ``refine_cache.clear()``.
+#: Process-wide registry; tests reset it via ``refine_cache.clear()``.
 refine_cache = RefineCache()

@@ -3,14 +3,10 @@
 Three tiers (see each module's docstring):
 
 * :class:`ScenarioStore` — shared, content-keyed, budget-bounded cache
-  of realized scenario matrices with LRU spill-to-memmap and
-  cross-process ``handoff()``/``adopt()`` descriptors;
+  of realized scenario matrices with LRU spill-to-memmap;
 * :class:`QueryBroker` — admission control, in-flight deduplication
-  and one EDF queue, popped by pool slots that run each request on an
-  in-process engine or a :class:`SolveFarm` worker;
-* :class:`SolveFarm` — the ``"process"`` transport: one persistent
-  worker per slot (warm engine, zero-copy memmap scenario handoff,
-  graceful recycling, crash recovery);
+  and one EDF queue, popped by pool slot threads that run each request
+  on an in-process engine;
 * :class:`SPQService` — stdlib JSON-over-HTTP front-end
   (``POST /query``, ``GET /status``, ``GET /metrics``), exposed as the
   ``repro serve`` CLI subcommand.
@@ -21,7 +17,6 @@ scheduling, anytime truncation) lives in :mod:`repro.service.qos`; see
 """
 
 from .broker import BrokerSaturatedError, QueryBroker
-from .farm import SolveFarm, WorkerCrashError
 from .http import SPQService
 from .qos import DeadlineExpiredError, EDFQueue, TaskDeadline
 from .store import (
@@ -39,10 +34,8 @@ __all__ = [
     "QueryBroker",
     "SPQService",
     "ScenarioStore",
-    "SolveFarm",
     "StoreStats",
     "TaskDeadline",
-    "WorkerCrashError",
     "model_fingerprint",
     "relation_fingerprint",
     "store_key",

@@ -5,9 +5,8 @@ only queue and the only per-request path for concurrent ``execute()``
 calls over one catalog.  Three properties make it a serving layer
 rather than a loop around the engine:
 
-* **Shared realizations** — scenario generation routes through a store
-  (the broker's shared one, or each farm worker's private one fed by
-  memmap handoffs), so queries over the same tables and stochastic
+* **Shared realizations** — scenario generation routes through the
+  broker's shared store, so queries over the same tables and stochastic
   attributes reuse realized matrices.
 * **Admission control** — at most ``pool_size`` queries run at once and
   at most ``max_pending`` are queued or running; beyond that,
@@ -20,20 +19,10 @@ rather than a loop around the engine:
 Admitted requests wait in one :class:`~repro.service.qos.EDFQueue`;
 ``pool_size`` slot threads pop the earliest deadline, fail a request
 whose budget drained while queued, and run :func:`run_request` with the
-remaining budget.  The two backends (``config.service_backend`` /
-``backend=``) differ only in what a slot runs that request on:
-
-* ``"thread"`` — an in-process :class:`~repro.core.engine.SPQEngine`
-  sharing the broker's :class:`~repro.service.store.ScenarioStore`.
-  Zero-copy store sharing, but concurrent MILP solves contend on the
-  GIL.
-* ``"process"`` — one worker process of a
-  :class:`~repro.service.farm.SolveFarm`, hosting its own warm engine
-  and private store; solves run truly in parallel, scenario matrices
-  travel between workers as read-only memmap handoffs, and a crashed
-  worker is replaced with its request requeued once.  No broker-side
-  store exists; :meth:`QueryBroker.metrics` reports the workers'
-  farm-wide aggregate.
+remaining budget on the slot's own in-process
+:class:`~repro.core.engine.SPQEngine`, which shares the broker's
+:class:`~repro.service.store.ScenarioStore`.  Slots run concurrently:
+HiGHS and numpy release the GIL inside solves and scenario draws.
 """
 
 from __future__ import annotations
@@ -42,11 +31,10 @@ import math
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
-from ..config import BACKEND_PROCESS, BACKEND_THREAD, DEFAULT_CONFIG, SPQConfig
+from ..config import DEFAULT_CONFIG, SPQConfig
 from ..core.engine import METHOD_SUMMARY_SEARCH, CompileCache, SPQEngine
 from ..db.catalog import Catalog
 from ..errors import EvaluationError, SPQError
@@ -56,44 +44,42 @@ from ..obs import (
     TraceSession,
     activate,
     collect,
-    merge,
     new_span_id,
     new_trace_id,
-    stage,
     stage_histograms,
     status_sections,
 )
-from .farm import SolveFarm, WorkerCrashError
 from .qos import DeadlineExpiredError, EDFQueue, TaskDeadline
 from .store import ScenarioStore
 
 #: Query-text prefix kept in slow-query log entries and trace metadata.
 _QUERY_SNIPPET_CHARS = 200
 
+#: The one service backend: pool slots are threads of this process.
+BACKEND_THREAD = "thread"
+
 
 class BrokerSaturatedError(SPQError):
     """Raised when the broker's pending-query ceiling is reached."""
 
 
-def run_request(engine, query, method: str, overrides: dict, trace, **span):
-    """Evaluate one request: the per-request path of both backends.
+def run_request(engine, query, method: str, overrides: dict, trace):
+    """Evaluate one request on a pool slot's engine.
 
-    A thread slot calls it on its engine, a farm worker in its own
-    process.  Pins ``catalog.version`` before the solve (a delta landing
+    Pins ``catalog.version`` before the solve (a delta landing
     mid-evaluation must not relabel a pre-delta answer) and stamps it on
-    ``result.meta``; with ``trace = (trace_id, root_span_id)``
-    the evaluation runs in a session parented to the broker's root span,
-    inside a ``worker`` span carrying ``span`` when given.  Never raises:
-    returns ``(ok, result_or_error, TraceSession.payload() or None)``.
+    ``result.meta``; with ``trace = (trace_id, root_span_id)`` the
+    evaluation runs in a session parented to the broker's root span.
+    Never raises: returns ``(ok, result_or_error,
+    TraceSession.payload() or None)``.
     """
     version = engine.catalog.version
     session = None if trace is None else TraceSession(trace[0])
     try:
-        with ExitStack() as scope:
-            if session is not None:
-                scope.enter_context(activate(session, parent_id=trace[1]))
-                if span:
-                    scope.enter_context(stage("worker", **span))
+        with (
+            nullcontext() if session is None
+            else activate(session, parent_id=trace[1])
+        ):
             ok, value = True, engine.execute(query, method=method, **overrides)
     except BaseException as error:  # noqa: BLE001 - settles the caller's future
         ok, value = False, error
@@ -113,11 +99,10 @@ class _Request:
     query: object
     method: str
     overrides: dict
-    #: ``(trace_id, root_span_id)`` or None; kept by a retry.
+    #: ``(trace_id, root_span_id)`` or None.
     trace: tuple | None
     #: Pinned at admission: the EDF rank, checked again at dispatch.
     deadline: TaskDeadline | None
-    retries: int = 0
     future: Future = field(default_factory=Future)
 
 
@@ -131,8 +116,7 @@ class QueryBroker:
         store: ScenarioStore | None = None,
         pool_size: int | None = None,
         max_pending: int | None = None,
-        backend: str | None = None,
-        recycle_after: int | None = None,
+        backend: str = BACKEND_THREAD,
     ):
         self.catalog = catalog
         self.config = config if config is not None else DEFAULT_CONFIG
@@ -141,19 +125,12 @@ class QueryBroker:
         )
         if self.pool_size < 1:
             raise SPQError("pool_size must be >= 1")
-        self.backend = (
-            backend if backend is not None else self.config.service_backend
-        )
-        if self.backend not in (BACKEND_THREAD, BACKEND_PROCESS):
-            raise SPQError(
-                f"unknown service backend {self.backend!r}; expected"
-                f" {BACKEND_THREAD!r} or {BACKEND_PROCESS!r}"
+        if backend != BACKEND_THREAD:
+            raise EvaluationError(
+                f"unknown service backend {backend!r}; the broker runs"
+                f" every request on a {BACKEND_THREAD!r} slot"
             )
-        self.recycle_after = (
-            recycle_after
-            if recycle_after is not None
-            else self.config.worker_recycle_after
-        )
+        self.backend = backend
         self.max_pending = (
             max_pending
             if max_pending is not None
@@ -161,55 +138,26 @@ class QueryBroker:
         )
         if self.max_pending < self.pool_size:
             self.max_pending = self.pool_size
-        # The broker-side store only exists on the thread backend: farm
-        # workers host private stores (aggregated via the farm), and a
-        # parent-side store would sit unused, reporting permanently-zero
-        # stats to operators.  A caller-supplied store is rejected there
-        # rather than silently ignored — its budget/spill settings would
-        # not be enforced (workers configure theirs from
-        # ``scenario_store_budget`` / ``scenario_store_spill``).
-        if store is not None and self.backend == BACKEND_PROCESS:
-            raise SPQError(
-                "the process backend does not take a shared store: farm"
-                " workers host private scenario stores, configured via"
-                " config.scenario_store_budget / scenario_store_spill"
-            )
-        self._owns_store = store is None and self.backend == BACKEND_THREAD
-        if store is not None:
-            self.store = store
-        elif self.backend == BACKEND_THREAD:
-            self.store = ScenarioStore(
+        self._owns_store = store is None
+        self.store = (
+            store
+            if store is not None
+            else ScenarioStore(
                 budget_bytes=self.config.scenario_store_budget,
                 spill=self.config.scenario_store_spill,
             )
-        else:
-            self.store = None
-        self._farm: SolveFarm | None = None
-        if self.backend == BACKEND_PROCESS:
-            self._farm = SolveFarm(
-                catalog,
-                self.config,
-                n_workers=self.pool_size,
-                recycle_after=self.recycle_after,
+        )
+        # One engine session per slot, so a session never serves two
+        # queries at once; one compile cache for all of them, so a
+        # request's parse and compile do not depend on its slot.
+        compiled = CompileCache(catalog)
+        engines = [
+            SPQEngine(
+                catalog=catalog, config=self.config, store=self.store,
+                compile_cache=compiled,
             )
-            runners = [
-                partial(self._farm.run, slot) for slot in range(self.pool_size)
-            ]
-        else:
-            # One engine session per slot, so a session never serves two
-            # queries at once; one compile cache for all of them, so a
-            # request's parse and compile do not depend on its slot.
-            compiled = CompileCache(catalog)
-            runners = [
-                partial(
-                    run_request,
-                    SPQEngine(
-                        catalog=catalog, config=self.config, store=self.store,
-                        compile_cache=compiled,
-                    ),
-                )
-                for _ in range(self.pool_size)
-            ]
+            for _ in range(self.pool_size)
+        ]
         self._lock = threading.Lock()
         #: Wakes the slot threads: a request was queued, or the broker closed.
         self._wakeup = threading.Condition(self._lock)
@@ -258,9 +206,10 @@ class QueryBroker:
         self._deltas_applied = 0
         self._slots = [
             threading.Thread(
-                target=self._serve, args=(run,), name=f"spq-broker-{i}", daemon=True
+                target=self._serve, args=(engine,), name=f"spq-broker-{i}",
+                daemon=True,
             )
-            for i, run in enumerate(runners)
+            for i, engine in enumerate(engines)
         ]
         for thread in self._slots:
             thread.start()
@@ -327,8 +276,6 @@ class QueryBroker:
                     f"broker saturated: {self._pending} queries pending"
                     f" (max {self.max_pending})"
                 )
-            if self._farm is not None:
-                self._farm.check_open()
             self._pending += 1
             self._submitted += 1
             state = self._open_trace_locked(query, method, overrides)
@@ -425,10 +372,8 @@ class QueryBroker:
         ``delta`` is a :class:`~repro.db.delta.RelationDelta` or its
         JSON payload (the ``POST /update`` body).  The catalog applies
         it under its own mutation lock (catalog version bumps, the
-        fingerprint lineage is extended), stale scenario matrices are
-        pruned from the shared store (thread backend) or the delta is
-        broadcast to farm workers, who adopt it before their next task
-        (process backend).  In-flight queries are not interrupted: they
+        fingerprint lineage is extended) and stale scenario matrices are
+        pruned from the shared store.  In-flight queries are not interrupted: they
         finish against their pre-delta snapshot and report the catalog
         version they solved under in ``result.meta``.
 
@@ -447,14 +392,9 @@ class QueryBroker:
         start_epoch = time.time()
         summary = self.catalog.apply_delta(table, delta)
         scale_metrics.record_delta_applied(summary["dirty_rows"])
-        stale = lineage.superseded()
-        if self.store is not None:
-            summary["store_entries_pruned"] = self.store.prune_fingerprints(
-                stale
-            )
-        if self._farm is not None:
-            record = lineage.parent_record(summary["fingerprint"])
-            self._farm.broadcast_delta(table, delta.to_payload(), record)
+        summary["store_entries_pruned"] = self.store.prune_fingerprints(
+            lineage.superseded()
+        )
         with self._lock:
             self._deltas_applied += 1
         self._trace_delta(summary, start_epoch, time.perf_counter() - t0)
@@ -490,12 +430,12 @@ class QueryBroker:
             },
         )
 
-    def _serve(self, run) -> None:
+    def _serve(self, engine: SPQEngine) -> None:
         """One pool slot: pop the earliest deadline, evaluate, settle.
 
-        ``run`` is :func:`run_request` bound to this slot's engine, or
-        :meth:`SolveFarm.run` bound to its worker.  Futures settle outside
-        the lock: their done-callbacks (:meth:`_retire`) take it.
+        Runs :func:`run_request` on this slot's ``engine``.  Futures
+        settle outside the lock: their done-callbacks (:meth:`_retire`)
+        take it.
         """
         while True:
             with self._lock:
@@ -524,22 +464,9 @@ class QueryBroker:
                     **overrides,
                     "deadline_ms": max(request.deadline.remaining_ms(), 1.0),
                 }
-            try:
-                ok, value, spans = run(
-                    request.query, request.method, overrides, request.trace
-                )
-            except Exception as error:  # a worker crash, or the farm closed
-                if isinstance(error, WorkerCrashError) and self._farm.crash_retry(
-                    request.retries
-                ):
-                    # Back into the queue at its own deadline rank, ahead
-                    # of equal-rank peers (see EDFQueue.push).
-                    request.retries += 1
-                    with self._lock:
-                        self._queue.push(request, request.deadline, front=True)
-                        self._wakeup.notify()
-                    continue
-                ok, value, spans = False, error, None
+            ok, value, spans = run_request(
+                engine, request.query, request.method, overrides, request.trace
+            )
             if spans is not None and self.trace_ring is not None:
                 # Ingested before the future settles, so a caller woken
                 # by it always finds the evaluation's spans in the ring.
@@ -641,17 +568,9 @@ class QueryBroker:
     # --- introspection ------------------------------------------------------
 
     def metrics(self) -> dict:
-        """Telemetry snapshot as actually served (``collect`` shape).
-
-        This process's registries and store, plus — on the process
-        backend — the farm's aggregate over its workers.  Broker-side
-        work (root spans, applied deltas) is counted locally and solve
-        work in the workers, so the sum never double-counts.
-        """
-        local = collect(self.store)
-        if self._farm is None:
-            return local
-        return merge(local, self._farm.metrics())
+        """Telemetry snapshot as actually served (``collect`` shape):
+        this process's registries and the broker's store."""
+        return collect(self.store)
 
     def status(self, snapshot: dict | None = None) -> dict:
         """Point-in-time serving state (the ``/status`` payload).
@@ -690,12 +609,9 @@ class QueryBroker:
                     "last_gap": self._last_gap,
                 },
             }
-            queued = len(self._queue)
         state.update(
             status_sections(snapshot if snapshot is not None else self.metrics())
         )
-        if self._farm is not None:
-            state["farm"] = self._farm.status(queued=queued)
         return state
 
     # --- teardown -----------------------------------------------------------
@@ -713,8 +629,6 @@ class QueryBroker:
         if wait:
             for thread in self._slots:
                 thread.join()
-        if self._farm is not None:
-            self._farm.close()
         if self._owns_store:
             self.store.close()
 

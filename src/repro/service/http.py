@@ -25,7 +25,7 @@ by the broker's pool):
     [[key, {col: value}], ...], "deletes": [key, ...]}}``.  Applies the
     delta through :meth:`QueryBroker.apply_update` — catalog version
     bumps, the fingerprint lineage is extended, stale scenario matrices
-    are pruned/broadcast — and returns the application summary
+    are pruned — and returns the application summary
     (``catalog_version``, old/new fingerprint, ``dirty_rows``).  Errors:
     400 (malformed delta), 404 (unknown table), 503 (broker closed).
 
@@ -71,7 +71,6 @@ from ..errors import (
 )
 from ..obs import FAMILIES, histogram_exposition, status_sections
 from .broker import BrokerSaturatedError, QueryBroker
-from .farm import WorkerCrashError
 from .qos import DeadlineExpiredError
 
 #: How long ``GET /trace/<id>`` and ``"trace": true`` wait for a trace's
@@ -152,13 +151,13 @@ def result_payload(result, wall_time_s: float) -> dict:
 
 
 def metrics_text(broker: QueryBroker) -> str:
-    """Prometheus text exposition of broker + store + farm counters.
+    """Prometheus text exposition of broker + store counters.
 
     One loop over :data:`~repro.obs.metrics.FAMILIES`, reading each
     value from the ``/status`` document built from the same snapshot;
-    build info, the per-worker farm series and the stage histograms are
-    the only labelled families.  The tier-1 format test validates the
-    result with a strict text-format parser.
+    build info and the stage histograms are the only labelled families.
+    The tier-1 format test validates the result with a strict text-format
+    parser.
     """
     snapshot = broker.metrics()
     status = broker.status(snapshot)
@@ -180,32 +179,11 @@ def metrics_text(broker: QueryBroker) -> str:
         ],
     )
     for name, kind, help_text, section, key in FAMILIES:
-        values = status if section is None else status.get(section)
-        if values is not None:  # the farm section exists on "process" only
-            # A gauge with no value (the gap of an answer that carried
-            # none) is NaN in the text format.
-            value = "NaN" if values[key] is None else values[key]
-            family(name, kind, help_text, [f"{name} {value}"])
-    workers = status.get("farm", {}).get("workers")
-    if workers is not None:
-        family(
-            "repro_farm_worker_busy", "gauge",
-            "Whether a farm worker is evaluating a task (by worker id).",
-            [
-                f'repro_farm_worker_busy{{worker="{w["id"]}"}}'
-                f' {1 if w["state"] == "busy" else 0}'
-                for w in workers
-            ],
-        )
-        family(
-            "repro_farm_worker_tasks_total", "counter",
-            "Tasks completed by a farm worker (by worker id).",
-            [
-                f'repro_farm_worker_tasks_total{{worker="{w["id"]}"}}'
-                f' {w["tasks_completed"]}'
-                for w in workers
-            ],
-        )
+        values = status if section is None else status[section]
+        # A gauge with no value (the gap of an answer that carried none)
+        # is NaN in the text format.
+        value = "NaN" if values[key] is None else values[key]
+        family(name, kind, help_text, [f"{name} {value}"])
     # Per-stage latency histograms (trace spans observe into these even
     # when the ring is disabled -- they only need an active session).
     lines.extend(
@@ -335,10 +313,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         except DeadlineExpiredError as error:
             self._error(504, "deadline-expired", str(error))
-            return
-        except WorkerCrashError as error:
-            # An EvaluationError too, but the request was well formed.
-            self._error(409, "solve", str(error))
             return
         except EvaluationError as error:
             # Bad client-supplied config values (e.g. a non-numeric

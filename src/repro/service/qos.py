@@ -6,7 +6,7 @@ budget.  Three mechanisms turn that budget into latency SLOs:
 * **admission control** — work that is already hopeless (deadline
   expired while queued, or non-positive on arrival) is rejected with
   :class:`DeadlineExpiredError` instead of wasting a solver slot;
-* **EDF scheduling** — the broker's one queue (both backends) is
+* **EDF scheduling** — the broker's one queue is
   ordered by absolute expiry time (:class:`EDFQueue`), so tight-deadline
   queries overtake loose ones while deadline-less work keeps FIFO order
   among itself at the back;
@@ -69,14 +69,7 @@ class EDFQueue:
 
     Entries are ranked by ``(expires_at, seq)``; items without a deadline
     rank as ``+inf`` expiry, so among themselves they keep submission
-    order behind every deadlined item.  ``push(..., front=True)``
-    re-queues a crash-retried task *in deadline order*: it keeps the
-    task's own expiry rank and only takes a sequence number below the
-    current minimum, so a retried deadlined task goes ahead of
-    equal-deadline entries and a retried deadline-less task goes to the
-    head of the FIFO tail — never ahead of tighter-deadline work (that
-    would violate EDF; an undeadlined retry must not starve an urgent
-    deadlined query).
+    order behind every deadlined item.
 
     A plain list with linear min-scans: the broker queue is bounded by
     the broker's ``max_pending`` (tens, not millions), where O(n) scans
@@ -86,7 +79,6 @@ class EDFQueue:
     def __init__(self):
         self._entries: list = []  # (expires_at, seq, item)
         self._seq = 0
-        self._front_seq = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,22 +86,11 @@ class EDFQueue:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def push(self, item, deadline: "TaskDeadline | None" = None,
-             front: bool = False) -> None:
-        """Enqueue ``item``; ``front`` jumps the line at equal expiry only."""
+    def push(self, item, deadline: "TaskDeadline | None" = None) -> None:
+        """Enqueue ``item`` at its deadline's rank."""
         expires = float("inf") if deadline is None else deadline.expires_at
-        if front:
-            # Retry discipline: keep the task's own expiry rank.  The
-            # below-minimum sequence number puts it ahead of every entry
-            # with an *equal* deadline (and, for deadline-less retries,
-            # at the head of the +inf FIFO tail) — but an earlier
-            # deadline still wins, preserving EDF.
-            self._front_seq -= 1
-            seq = self._front_seq
-        else:
-            self._seq += 1
-            seq = self._seq
-        self._entries.append((expires, seq, item))
+        self._seq += 1
+        self._entries.append((expires, self._seq, item))
 
     def pop(self):
         """Remove and return the earliest-deadline item (FIFO on ties)."""

@@ -27,22 +27,13 @@ Under pressure, least-recently-used entries are spilled to disk-backed
 ``np.memmap`` files (reads stay bit-identical) or, with spilling
 disabled, evicted outright (a later request regenerates them).
 
-Stores can also share matrices **across processes** without copying:
-:meth:`ScenarioStore.handoff` exports every entry as a content-keyed
-memmap-path descriptor (spilling resident ones once), and
-:meth:`ScenarioStore.adopt` installs such descriptors read-only after
-verifying their content hash.  The solve farm
-(:mod:`repro.service.farm`) uses exactly this pair to keep one realized
-matrix per content key across its whole worker pool.
-
 Beside the matrices the store owns :attr:`ScenarioStore.memo`, an
 :class:`AnswerMemo` of the exact answers an evaluation computes from
 them — raw solver outcomes, validation counts, α fits and CSA round
 outcomes — so a repeated query replays its own CSA search instead of
 re-running it.  Its keys are
 content too (``docs/architecture.md``, "Ask once"), so a
-delta needs no invalidation rule; the memo is per process and is never
-handed off.
+delta needs no invalidation rule.
 """
 
 from __future__ import annotations
@@ -263,7 +254,6 @@ class StoreStats:
     generated_columns: int = 0
     evictions: int = 0
     spills: int = 0
-    adopted: int = 0
     stale_dropped: int = 0
     bytes_resident: int = 0
     bytes_spilled: int = 0
@@ -286,21 +276,6 @@ class _Entry:
     #: Set while a thread copies this entry to disk outside the lock;
     #: keeps concurrent budget passes from double-spilling it.
     spilling: bool = False
-    #: Whether this store may unlink ``path`` on release.  Entries
-    #: exported through :meth:`ScenarioStore.handoff` (ownership moves
-    #: to the caller) and entries installed by
-    #: :meth:`ScenarioStore.adopt` (the file belongs to the exporting
-    #: store) are not owned.
-    owned: bool = True
-    #: Whether this entry was installed by :meth:`ScenarioStore.adopt`.
-    #: Adopted entries are never re-exported by :meth:`handoff` — the
-    #: exporting store may have superseded the file since (e.g. after
-    #: growing the matrix), and re-announcing the stale path would let
-    #: it clobber the newer descriptor downstream.
-    adopted: bool = False
-    #: SHA-256 of the matrix bytes, computed when the entry is written
-    #: to disk; lets adopting stores verify the file they open.
-    content_hash: str | None = None
 
     @property
     def width(self) -> int:
@@ -510,14 +485,10 @@ class ScenarioStore:
             spilled = np.memmap(path, dtype=np.float64, mode="w+", shape=data.shape)
             spilled[:] = data
             spilled.flush()
-            digest = hashlib.sha256(
-                np.ascontiguousarray(data).tobytes()
-            ).hexdigest()
             with self._cond:
                 if self._entries.get(entry.key) is entry and entry.data is data:
                     entry.data = spilled
                     entry.path = path
-                    entry.content_hash = digest
                     entry.spilling = False
                     self._stats.spills += 1
                 else:
@@ -527,148 +498,13 @@ class ScenarioStore:
                     except OSError:
                         pass
 
-    # --- cross-process handoff ------------------------------------------------
-
-    def handoff(self) -> dict[tuple, dict]:
-        """Export not-yet-exported entries as content-keyed memmap descriptors.
-
-        Resident entries are first written to spill files (reads stay
-        bit-identical; the store keeps serving them through the memmap).
-        Returns ``{key: {"path", "shape", "dtype", "sha256"}}`` — enough
-        for another process to :meth:`adopt` the matrices zero-copy.
-
-        Ownership of the files moves to the caller: this store will no
-        longer unlink them on eviction, :meth:`clear`, or :meth:`close`,
-        so descriptors stay valid for as long as the caller keeps the
-        files (the solve farm deletes its shared spill directory on
-        shutdown).  Keys being grown at call time are skipped — they are
-        exported by a later handoff.
-
-        Each entry is announced **once**: repeated calls return only
-        entries realized (or grown — growth creates a fresh entry) since
-        the previous call.  Re-announcing would let a path the caller
-        has since discarded clobber a newer descriptor for the same key.
-        For the same reason entries installed by :meth:`adopt` are never
-        exported — only the store that realized a matrix announces it.
-        """
-        with self._cond:
-            if self._closed:
-                return {}
-            victims = [
-                entry
-                for key, entry in self._entries.items()
-                if not entry.spilled
-                and not entry.spilling
-                and key not in self._growing
-            ]
-            for entry in victims:
-                entry.spilling = True
-        if victims:
-            self._spill_outside_lock(victims)
-        descriptors: dict[tuple, dict] = {}
-        with self._cond:
-            for key, entry in self._entries.items():
-                # ``owned`` doubles as the exported-yet marker: handoff
-                # clears it, and adopt() installs entries without it.
-                if not entry.owned or not entry.spilled or entry.content_hash is None:
-                    continue
-                entry.owned = False
-                descriptors[key] = {
-                    "path": entry.path,
-                    "shape": tuple(entry.data.shape),
-                    "dtype": str(entry.data.dtype),
-                    "sha256": entry.content_hash,
-                }
-        return descriptors
-
-    def adopt(
-        self,
-        descriptors: dict[tuple, dict],
-        stale_fingerprints: "set[str] | None" = None,
-    ) -> int:
-        """Install matrices exported by another store's :meth:`handoff`.
-
-        Each descriptor's file is opened as a *read-only* memmap and its
-        content hash verified before the entry is installed; a missing,
-        truncated, or corrupt file is skipped (the matrix simply
-        regenerates on demand — adoption is an optimization, never a
-        correctness dependency).  Keys already present (or being
-        generated) are left alone.  Returns the number of entries
-        adopted.
-
-        Descriptors are checked against the fingerprint lineage before
-        installation: an entry keyed on a model fingerprint that a delta
-        has since superseded is *dropped*, not installed.  Without this,
-        a handoff raced against ``apply_delta`` could serve pre-delta
-        scenarios for a post-delta query whose generator happened to
-        collide on the remaining key fields.  Pass ``stale_fingerprints``
-        to override the default (the process-wide
-        :data:`repro.db.delta.lineage` registry's superseded set).
-        """
-        if stale_fingerprints is None:
-            from ..db.delta import lineage
-
-            stale_fingerprints = lineage.superseded()
-        adopted = 0
-        for key, descriptor in descriptors.items():
-            if (
-                stale_fingerprints
-                and isinstance(key, tuple)
-                and key
-                and key[0] in stale_fingerprints
-            ):
-                with self._cond:
-                    self._stats.stale_dropped += 1
-                continue
-            with self._cond:
-                if self._closed:
-                    break
-                if key in self._entries or key in self._growing:
-                    continue
-            try:
-                data = np.memmap(
-                    descriptor["path"],
-                    dtype=np.dtype(descriptor["dtype"]),
-                    mode="r",
-                    shape=tuple(descriptor["shape"]),
-                )
-            except (OSError, ValueError, TypeError, KeyError):
-                continue
-            digest = hashlib.sha256(
-                np.ascontiguousarray(data).tobytes()
-            ).hexdigest()
-            if digest != descriptor.get("sha256"):
-                del data
-                continue
-            with self._cond:
-                if self._closed or key in self._entries or key in self._growing:
-                    del data
-                    continue
-                self._entries[key] = _Entry(
-                    key=key,
-                    data=data,
-                    path=descriptor["path"],
-                    owned=False,
-                    adopted=True,
-                    content_hash=digest,
-                )
-                self._stats.adopted += 1
-                adopted += 1
-                self._cond.notify_all()
-        return adopted
-
     # --- teardown -----------------------------------------------------------
 
     @staticmethod
     def _release_entry(entry: _Entry) -> None:
-        """Drop an entry's array, closing its memmap and spill file.
-
-        Files this store does not own — entries exported via
-        :meth:`handoff` or installed by :meth:`adopt` — are left on
-        disk for their owner; only the mapping is closed.
-        """
+        """Drop an entry's array, closing its memmap and spill file."""
         data = entry.data
-        path = entry.path if entry.owned else None
+        path = entry.path
         entry.data = np.empty((0, 0))
         entry.path = None
         if isinstance(data, np.memmap):

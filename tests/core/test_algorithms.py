@@ -189,7 +189,9 @@ def test_a_proof_ends_the_ladder_at_its_first_rung(fast_config, evaluate):
 def test_the_verdict_kinds(items_catalog, fast_config):
     """``certified`` (an ε), ``uncertified`` (feasible, no ε), and
     ``not_found``: a Gaussian Value has no finite support, so the member
-    bound proves nothing and the ladder climbs to its cap."""
+    bound proves nothing and the ladder climbs to its cap.  A query whose
+    deterministic constraints admit no package is ``proved_infeasible``
+    by its Q₀ solve, under SummarySearch and the deterministic method."""
     def verdict(query, config=fast_config):
         result = summary_search_evaluate(compile_query(query, items_catalog), config)
         assert "no package exists" not in result.summary()
@@ -203,6 +205,26 @@ def test_the_verdict_kinds(items_catalog, fast_config):
     assert verdict(INFEASIBLE_CHANCE, fast_config.replace(max_scenarios=40)) == (
         "not_found"
     )
+
+    relation = Relation("items", {"price": [5.0, 8.0, 3.0]})
+    catalog = Catalog()
+    catalog.register(
+        relation, StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
+    )
+    proved = {"item": "the deterministic constraints", "bound": 0.0,
+              "delta": 0.0, "scenarios": 0}
+    for evaluate, query in (
+        (summary_search_evaluate,
+         "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 1 AND"
+         " SUM(price) >= 100 AND SUM(Value) >= 0 WITH PROBABILITY >= 0.5"),
+        (deterministic_evaluate,
+         "SELECT PACKAGE(*) FROM items SUCH THAT COUNT(*) <= 1 AND"
+         " SUM(price) >= 100"),
+    ):
+        result = evaluate(compile_query(query, catalog), fast_config)
+        assert result.verdict == "proved_infeasible"
+        assert result.meta["infeasibility"] == proved
+        assert "no package exists" in result.summary()
 
 
 def test_naive_accumulates_scenarios_on_failure(items_catalog, fast_config):

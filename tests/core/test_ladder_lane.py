@@ -12,7 +12,6 @@ consumed and discarded.
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import numpy as np
@@ -21,7 +20,6 @@ import pytest
 import repro.core.summarysearch as summarysearch
 from exact.harness import (
     CASES,
-    CONFIG,
     DATASET_SEED,
     LADDER_CASES,
     Case,
@@ -31,11 +29,10 @@ from exact.harness import (
     portfolio_q1,
     run,
 )
-from repro import Catalog, SPQConfig
+from repro import SPQConfig
 from repro.core import lane
 from repro.obs.profile import iter_tree
 from repro.service import ScenarioStore
-from repro.workloads import get_query
 
 #: ``lane.usable_cpus`` as shipped.
 USABLE_CPUS = lane.usable_cpus
@@ -86,34 +83,6 @@ def test_a_single_cpu_affinity_starts_no_thread():
     out = evaluate(CASES["portfolio-q3"], one_cpu)
     assert len(out.records["records"]) > 2
     assert lane_counts(out) == (0, 0, 0)
-
-
-def test_a_farm_worker_runs_its_ladders_alone(forced_lane, tmp_path):
-    """The solve farm's worker body switches the lane off for its process."""
-    from repro.service.farm import _worker_main
-
-    class OneRequest:
-        def __init__(self, request):
-            self.requests = [request]
-            self.sent = []
-
-        def recv(self):
-            if not self.requests:
-                raise EOFError
-            return self.requests.pop()
-
-        def send(self, message):
-            self.sent.append(message)
-
-    spec = get_query("portfolio", "Q3")
-    catalog = Catalog()
-    catalog.register(*spec.build_dataset(60, seed=DATASET_SEED))
-    pipe = OneRequest((spec.spaql, "summarysearch", {}, None, None, None))
-    _worker_main(0, pipe, catalog, CONFIG.replace(seed=1), str(tmp_path))
-    ok, result = pickle.loads(pipe.sent[0][0])
-    assert ok and len(result.stats.iterations) > 2
-    assert result.anytime.resources["lane_rungs_started"] == 0
-    assert lane.ENABLED is False
 
 
 def test_a_refine_worker_runs_its_ladders_alone(monkeypatch):

@@ -40,7 +40,7 @@ def test_engine_trace_disabled_records_nothing(items_catalog, fast_config):
 
 
 def test_engine_defers_to_an_active_session(items_catalog, fast_config):
-    """Inside a broker/farm session the engine must not self-root."""
+    """Inside a broker session the engine must not self-root."""
     engine = SPQEngine(catalog=items_catalog, config=fast_config)
     session = TraceSession(new_trace_id())
     with activate(session):

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.obs import (
-    LockedCounters,
-    StageHistograms,
-    diff,
-    histogram_exposition,
-    merge,
-)
+from repro.obs import LockedCounters, StageHistograms, histogram_exposition
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.scale.metrics import ScaleMetrics
 
@@ -60,7 +51,7 @@ def test_locked_counters_concurrent_increments_are_exact():
 
 def test_scale_metrics_concurrent_record_run_is_exact():
     """The shared ``repro.scale.metrics`` registry is hit from broker
-    threads and farm aggregation concurrently; totals must be exact."""
+    threads concurrently; totals must be exact."""
     metrics = ScaleMetrics()
     n_iters = 2_000
 
@@ -105,49 +96,6 @@ def test_stage_histograms_snapshot_is_deep_copy():
     snap = hist.snapshot()
     snap["s"]["counts"][0] = 99
     assert hist.snapshot()["s"]["counts"][0] == 1
-
-
-#: Counter values and histogram sums are integers and multiples of 1/8:
-#: exactly representable, so the algebra is checked without rounding.
-_values = st.one_of(
-    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).map(lambda n: n / 8)
-)
-_keys = st.sampled_from(["store.hits", "scale.runs", "resources.lp_solves", "x"])
-_histograms = st.dictionaries(
-    st.sampled_from(["solve", "validate", "query"]),
-    st.builds(
-        lambda counts, total: {"counts": counts, "sum": total, "count": sum(counts)},
-        st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
-        _values,
-    ),
-    max_size=3,
-)
-_snapshots = st.builds(
-    lambda counters, gauges, histograms: {
-        "counters": counters, "gauges": gauges, "histograms": histograms,
-    },
-    st.dictionaries(_keys, _values, max_size=4),
-    st.dictionaries(_keys, _values, max_size=4),
-    _histograms,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_snapshots, _snapshots, _snapshots)
-def test_snapshot_merge_is_a_monoid_and_diff_inverts_it(a, b, c):
-    # {} is the identity, on either side.
-    assert merge(a, {}) == a
-    assert merge({}, a) == a
-    # Associativity, and the variadic form agrees with the nested one.
-    assert merge(merge(a, b), c) == merge(a, merge(b, c)) == merge(a, b, c)
-    # What a farm worker ships: adding diff(now, last) to last gives back
-    # now's counters and histograms (gauges are levels and are not summed
-    # into totals).
-    now, last = merge(a, b), a
-    rebuilt = merge(last, diff(now, last))
-    assert rebuilt["counters"] == now["counters"]
-    assert rebuilt["histograms"] == now["histograms"]
-    assert diff(now, last)["gauges"] == now["gauges"]
 
 
 def test_histogram_exposition_prometheus_lines():

@@ -62,7 +62,7 @@ def test_spans_record_fields_and_nest():
 
 
 def test_activate_parent_id_reparents_spans():
-    """Broker/farm hand their root span id across the pool boundary."""
+    """The broker hands its root span id across the pool boundary."""
     root_id = new_span_id()
     session = TraceSession(new_trace_id())
     with activate(session, parent_id=root_id):

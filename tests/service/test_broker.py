@@ -9,7 +9,7 @@ import pytest
 
 from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.db.delta import RelationDelta
-from repro.errors import SPQError
+from repro.errors import EvaluationError, SPQError
 from repro.mcdb import GaussianNoiseVG, StochasticModel
 from repro.service import BrokerSaturatedError, QueryBroker, ScenarioStore
 
@@ -196,6 +196,12 @@ def test_broker_failure_accounting_and_close(catalog, config):
     assert broker.store.closed  # broker-owned store closes with it
 
 
+def test_thread_is_the_only_backend(catalog, config):
+    assert QueryBroker(catalog, config=config, backend="thread").backend == "thread"
+    with pytest.raises(EvaluationError, match="process"):
+        QueryBroker(catalog, config=config, backend="process")
+
+
 def test_injected_store_survives_broker_close(catalog, config):
     store = ScenarioStore()
     with QueryBroker(catalog, config=config, store=store, pool_size=1) as broker:
@@ -215,7 +221,7 @@ def test_apply_update_changes_answers_and_stamps_versions(catalog, config):
         )
         assert summary["catalog_version"] == v0 + 1
         assert summary["dirty_rows"] == 1
-        # Thread backend prunes pre-delta store entries synchronously.
+        # The broker prunes pre-delta store entries synchronously.
         assert summary["store_entries_pruned"] >= 0
         second = broker.execute(QUERY)
         status = broker.status()

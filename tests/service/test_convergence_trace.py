@@ -1,6 +1,6 @@
 """Acceptance: a deadline-truncated solve returns the solver's own anytime
-certificate, and its trace carries the solve's events and LP bill — on
-both service backends.
+certificate, and its trace carries the solve's events and LP bill
+through the service.
 
 The workload is a strongly correlated multi-dimensional 0/1 knapsack
 (800 items, 5 capacity rows) whose gain tracks the mean weight to within
@@ -9,7 +9,7 @@ a 2-CPU box, HiGHS has not closed the gap after 20 s, so the solve
 reliably stops on the 800 ms deadline and returns the anytime incumbent
 with HiGHS's gap and dual bound.  At 800 columns the solve goes through
 the root-LP reduction, whose ``solver.reduce`` event rides the trace
-session across the farm boundary and surfaces on ``GET /trace/<id>``.
+session from the broker's slot and surfaces on ``GET /trace/<id>``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.core.anytime import relative_gap
 from repro.service import QueryBroker, SPQService
 from repro.solver import STATUS_FEASIBLE
 from repro.solver.model import MILPBuilder
-
-BACKENDS = ("thread", "process")
 
 N_ITEMS = 800
 N_ROWS = 5
@@ -58,9 +56,9 @@ def _query(capacities) -> str:
 
 
 @contextmanager
-def _service(backend: str):
+def _service():
     catalog, capacities = _knapsack_catalog()
-    config = SPQConfig(seed=11, service_backend=backend)
+    config = SPQConfig(seed=11)
     broker = QueryBroker(catalog, config=config, pool_size=1)
     svc = SPQService(broker, port=0, own_broker=True).start_background()
     try:
@@ -113,11 +111,10 @@ def test_truncated_solve_envelope_is_the_solvers_certificate(monkeypatch):
     assert envelope.best_bound == solved.meta["best_bound"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_truncated_solve_trace_matches_envelope(backend):
-    with _service(backend) as (service, capacities):
-        # Warm-up: pay worker spawn / compile outside the timed query
-        # (zero capacities solve at the root).
+def test_truncated_solve_trace_matches_envelope():
+    with _service() as (service, capacities):
+        # Warm-up: pay compile outside the timed query (zero capacities
+        # solve at the root).
         status, _ = _post(service, {"query": _query(np.zeros(N_ROWS))})
         assert status == 200
 

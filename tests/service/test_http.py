@@ -9,8 +9,9 @@ import urllib.request
 import pytest
 
 from repro import Catalog, Relation, SPQConfig, SPQEngine
+from repro.errors import SolverError
 from repro.mcdb import GaussianNoiseVG, StochasticModel, UniformNoiseVG
-from repro.service import QueryBroker, SPQService, WorkerCrashError
+from repro.service import QueryBroker, SPQService
 
 QUERY = """
 SELECT PACKAGE(*) FROM items SUCH THAT
@@ -284,18 +285,18 @@ def test_error_mapping(service):
         assert body["error"]["kind"] == "bad-request"
 
 
-def test_worker_crash_maps_to_409_solve(monkeypatch):
-    # A crash is an EvaluationError subclass, but not a bad request.
+def test_a_failed_solve_maps_to_409_solve(monkeypatch):
+    # The request was well formed: the evaluation itself failed.
     relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
     model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
     catalog = Catalog()
     catalog.register(relation, model)
     broker = QueryBroker(catalog, config=SPQConfig(), pool_size=1)
 
-    def crash(self, query, *args, **kwargs):
-        raise WorkerCrashError("worker 0 died while evaluating the request")
+    def fail(self, query, *args, **kwargs):
+        raise SolverError("HiGHS failed while evaluating the request")
 
-    monkeypatch.setattr(SPQEngine, "execute", crash)
+    monkeypatch.setattr(SPQEngine, "execute", fail)
     svc = SPQService(broker, port=0, own_broker=True).start_background()
     try:
         with pytest.raises(urllib.error.HTTPError) as excinfo:

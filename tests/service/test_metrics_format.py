@@ -3,8 +3,7 @@
 Every series must belong to a family declared with ``# HELP`` and
 ``# TYPE``; counters must end in ``_total``; histogram families must be
 internally consistent (cumulative buckets through ``+Inf`` equal to
-``_count``); and no sample may repeat.  Validated on both backends so
-the farm-only families are covered too.
+``_count``); and no sample may repeat.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import json
 import re
 import urllib.request
 from contextlib import contextmanager
-
-import pytest
 
 from repro import Catalog, Relation, SPQConfig
 from repro.mcdb import GaussianNoiseVG, StochasticModel
@@ -38,8 +35,8 @@ HIST_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 @contextmanager
-def _served(backend: str):
-    """Serve one query on ``backend``; yield ``(/metrics text, /status doc)``."""
+def _served():
+    """Serve one query; yield ``(/metrics text, /status doc)``."""
     relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
     model = StochasticModel(relation, {"Value": GaussianNoiseVG("price", 1.0)})
     catalog = Catalog()
@@ -51,7 +48,6 @@ def _served(backend: str):
         max_scenarios=60,
         epsilon=0.8,
         seed=11,
-        service_backend=backend,
     )
     broker = QueryBroker(catalog, config=config, pool_size=2)
     svc = SPQService(broker, port=0, own_broker=True).start_background()
@@ -117,9 +113,8 @@ def _parse(text: str):
     return helps, types, samples
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-def test_metrics_exposition_is_strictly_valid(backend):
-    with _served(backend) as (text, _):
+def test_metrics_exposition_is_strictly_valid():
+    with _served() as (text, _):
         helps, types, samples = _parse(text)
 
     assert helps.keys() == types.keys()
@@ -176,15 +171,14 @@ def test_metrics_exposition_is_strictly_valid(backend):
     assert 'version="' in labels and 'python="' in labels, labels
 
     # A completed query must have been accounted: the resource counters
-    # are live on both backends (farm-aggregated on "process").
+    # are live.
     by_name = {s[0]: s[2] for s in samples}
     assert float(by_name["repro_resource_queries_total"]) >= 1
     assert float(by_name["repro_resource_cpu_seconds_total"]) > 0.0
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-def test_histograms_are_cumulative_and_consistent(backend):
-    with _served(backend) as (text, _):
+def test_histograms_are_cumulative_and_consistent():
+    with _served() as (text, _):
         _, types, samples = _parse(text)
     histogram_families = {n for n, t in types.items() if t == "histogram"}
     assert histogram_families
@@ -218,9 +212,9 @@ def test_histograms_are_cumulative_and_consistent(backend):
         assert sums[key] >= 0.0
 
 
-#: Every ``(family, type)`` pair ``GET /metrics`` exposes on the thread
-#: backend.  A dropped, renamed or re-typed family fails the golden test.
-THREAD_FAMILIES = {
+#: Every ``(family, type)`` pair ``GET /metrics`` exposes.  A dropped,
+#: renamed or re-typed family fails the golden test.
+FAMILIES = {
     ("repro_build_info", "gauge"),
     ("repro_store_hits_total", "counter"),
     ("repro_store_misses_total", "counter"),
@@ -228,7 +222,6 @@ THREAD_FAMILIES = {
     ("repro_store_generated_columns_total", "counter"),
     ("repro_store_evictions_total", "counter"),
     ("repro_store_spills_total", "counter"),
-    ("repro_store_adopted_total", "counter"),
     ("repro_store_bytes_realized_total", "counter"),
     ("repro_store_bytes_reused_total", "counter"),
     ("repro_store_bytes_resident", "gauge"),
@@ -271,24 +264,11 @@ THREAD_FAMILIES = {
     ("repro_stage_seconds", "histogram"),
 }
 
-#: The process backend adds the farm families on top.
-PROCESS_FAMILIES = THREAD_FAMILIES | {
-    ("repro_farm_workers_busy", "gauge"),
-    ("repro_farm_workers_idle", "gauge"),
-    ("repro_farm_queued", "gauge"),
-    ("repro_farm_handoff_entries", "gauge"),
-    ("repro_farm_recycled_total", "counter"),
-    ("repro_farm_crashed_total", "counter"),
-    ("repro_farm_retried_total", "counter"),
-    ("repro_farm_worker_busy", "gauge"),
-    ("repro_farm_worker_tasks_total", "counter"),
-}
-
 #: Key sets of the nested ``GET /status`` sections.
 STATUS_SECTIONS = {
     "store": [
         "hits", "misses", "generations", "generated_columns", "evictions",
-        "spills", "adopted", "stale_dropped", "bytes_resident",
+        "spills", "stale_dropped", "bytes_resident",
         "bytes_spilled", "entries", "bytes_realized", "bytes_reused",
     ],
     "scale": [
@@ -300,25 +280,14 @@ STATUS_SECTIONS = {
     ],
     "resources": ["queries_accounted", "query_cpu_seconds", "lp_solves"],
     "deadline": ["met", "missed", "rejected", "expired_queued", "last_gap"],
-    "farm": [
-        "backend", "n_workers", "workers", "busy", "idle", "recycled_total",
-        "crashed_total", "retried_total", "queued", "handoff_entries",
-    ],
 }
 
 
-@pytest.mark.parametrize(
-    "backend, families",
-    (("thread", THREAD_FAMILIES), ("process", PROCESS_FAMILIES)),
-)
-def test_metrics_and_status_surface_is_pinned(backend, families):
-    with _served(backend) as (text, status):
+def test_metrics_and_status_surface_is_pinned():
+    with _served() as (text, status):
         _, types, _ = _parse(text)
-    assert set(types.items()) == families, (
-        set(types.items()) - families, families - set(types.items())
+    assert set(types.items()) == FAMILIES, (
+        set(types.items()) - FAMILIES, FAMILIES - set(types.items())
     )
     for section, keys in STATUS_SECTIONS.items():
-        if section == "farm" and backend == "thread":
-            assert section not in status
-            continue
         assert set(status[section]) == set(keys), section

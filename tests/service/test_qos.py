@@ -92,49 +92,6 @@ def test_deadline_less_work_keeps_fifo_behind_deadlined():
     assert [queue.pop() for _ in range(4)] == ["urgent", "a", "b", "c"]
 
 
-def test_front_push_keeps_deadline_order():
-    # Crash-retry regression (the pre-fix queue ranked every front push
-    # at -inf expiry, so a deadline-LESS retry starved deadlined work):
-    # a retried task keeps its own expiry rank — an undeadlined retry
-    # goes to the head of the FIFO tail, never ahead of a tight deadline.
-    clock = FakeClock(0.0)
-    queue = EDFQueue()
-    queue.push("plain-1")
-    queue.push("tight", TaskDeadline(1.0, clock=clock))
-    queue.push("retried", front=True)  # crash victim with no deadline
-    assert queue.pop() == "tight"
-    assert queue.pop() == "retried"  # head of the FIFO tail
-    assert queue.pop() == "plain-1"
-
-
-def test_front_push_outranks_equal_deadlines_only():
-    clock = FakeClock(0.0)
-    queue = EDFQueue()
-    queue.push("tighter", TaskDeadline(50.0, clock=clock))
-    queue.push("peer", TaskDeadline(100.0, clock=clock))
-    retried = "retried"
-    queue.push(retried, TaskDeadline(100.0, clock=clock), front=True)
-    # The retry overtakes its equal-deadline peer (it already waited a
-    # full solve) but an earlier deadline still wins — EDF holds.
-    assert queue.items() == ["tighter", "retried", "peer"]
-    assert [queue.pop() for _ in range(3)] == ["tighter", "retried", "peer"]
-
-
-def test_deadline_less_retry_does_not_starve_late_deadlines():
-    # Even a deadline that ARRIVES after the retry was requeued must
-    # still dispatch first (the old -inf rank made retries unpassable).
-    clock = FakeClock(0.0)
-    queue = EDFQueue()
-    queue.push("retried-1", front=True)
-    queue.push("retried-2", front=True)
-    queue.push("urgent", TaskDeadline(10.0, clock=clock))
-    assert queue.pop() == "urgent"
-    # Among deadline-less retries, the most recent front push is
-    # closest to having been running and goes first.
-    assert queue.pop() == "retried-2"
-    assert queue.pop() == "retried-1"
-
-
 def test_edf_tie_breaks_fifo():
     clock = FakeClock(0.0)
     queue = EDFQueue()
@@ -150,7 +107,7 @@ def test_edf_tie_breaks_fifo():
 
 def test_expiry_race_item_queued_then_clock_advances():
     # The queue itself never drops items — expiry is the dispatcher's
-    # call (farm checks at pop time) — but EDF rank is frozen at push, so
+    # call (the broker checks at pop time) — but EDF rank is frozen at push, so
     # an expired item surfaces first and is rejected promptly, not last.
     clock = FakeClock(0.0)
     queue = EDFQueue()
@@ -280,11 +237,10 @@ def test_queued_expiry_fails_future_with_504_error(catalog, config, monkeypatch)
     assert status["failed"] == 1
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_deadline_request_overtakes_queued_deadline_less_one(backend):
-    # One queue rule on both backends: with the only slot held by a slow
-    # query, a deadline request queued *after* a deadline-less one is
-    # dispatched — and so completes — first.
+def test_deadline_request_overtakes_queued_deadline_less_one():
+    # With the only slot held by a slow query, a deadline request queued
+    # *after* a deadline-less one is dispatched — and so completes —
+    # first.
     import time
 
     import numpy as np
@@ -304,9 +260,7 @@ def test_deadline_request_overtakes_queued_deadline_less_one(backend):
         seed=11,
     )
     slow_query = QUERY.replace("<= 3", "<= 5").replace(">= 6", ">= 20")
-    with QueryBroker(
-        catalog, config=config, pool_size=1, backend=backend
-    ) as broker:
+    with QueryBroker(catalog, config=config, pool_size=1) as broker:
         slow = broker.submit(slow_query)
         while not (slow.running() or slow.done()):
             time.sleep(0.001)

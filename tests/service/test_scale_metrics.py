@@ -107,27 +107,3 @@ def test_metrics_exposition_includes_scale_series():
         assert status["scale"]["runs"] >= 1
     finally:
         service.shutdown()
-
-
-def test_process_backend_aggregates_worker_scale_counters():
-    broker = QueryBroker(
-        _catalog(),
-        config=_config(service_backend="process"),
-        pool_size=1,
-    )
-    try:
-        result = broker.execute(SPEC.spaql, method="sketchrefine")
-        assert result.method == "sketchrefine"
-        scale = broker.status()["scale"]
-        # The run happened in a worker process; its snapshot ships with
-        # the done message and feeds the farm-wide aggregate.
-        assert scale["runs"] >= 1
-        assert scale["partitions"] >= 1
-        assert scale["refines"] >= 1
-        broker.execute(SPEC.spaql, method="sketchrefine", seed=4321)
-        after = broker.status()["scale"]
-        for field in SCALE_COUNTERS:
-            assert after[field] >= scale[field], field
-        assert after["runs"] >= scale["runs"] + 1
-    finally:
-        broker.close()

@@ -256,139 +256,6 @@ def test_failed_generation_releases_the_key():
     store.close()
 
 
-# --- cross-process handoff --------------------------------------------------
-
-
-def test_handoff_exports_descriptors_and_adopt_round_trips(tmp_path):
-    exporter = ScenarioStore(spill_dir=str(tmp_path / "exp"))
-    reference = np.array(exporter.coefficient_matrix(("a",), 4, fill_for(1)))
-    exporter.coefficient_matrix(("b",), 3, fill_for(2))
-    descriptors = exporter.handoff()
-    assert set(descriptors) == {("a",), ("b",)}
-    for descriptor in descriptors.values():
-        assert descriptor["path"]
-        assert len(descriptor["sha256"]) == 64
-    # Exported entries still serve (now memmap-backed, bit-identical).
-    assert np.array_equal(
-        exporter.coefficient_matrix(("a",), 4, fill_for(1)), reference
-    )
-
-    adopter = ScenarioStore()
-    assert adopter.adopt(descriptors) == 2
-    calls = []
-    got = adopter.coefficient_matrix(("a",), 4, fill_for(1, calls))
-    assert calls == [], "adopted entry must not regenerate"
-    assert np.array_equal(np.asarray(got), reference)
-    assert adopter.stats().adopted == 2
-
-    # Neither store owns the files: closing both leaves them on disk
-    # (the farm removes its shared spill directory as a whole).
-    adopter.close()
-    exporter.close()
-    assert list((tmp_path / "exp").iterdir())
-
-
-def test_adopt_rejects_corrupt_files(tmp_path):
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("k",), 3, fill_for(5))
-    descriptors = exporter.handoff()
-    path = descriptors[("k",)]["path"]
-    data = np.memmap(path, dtype=np.float64, mode="r+")
-    data[0] = -999.0  # torn write / bit rot
-    data.flush()
-    del data
-
-    adopter = ScenarioStore()
-    assert adopter.adopt(descriptors) == 0  # hash mismatch: skipped
-    # The key regenerates correctly on demand.
-    got = adopter.coefficient_matrix(("k",), 3, fill_for(5))
-    assert np.array_equal(got, expected(5, 3))
-    adopter.close()
-    exporter.close()
-
-
-def test_adopt_skips_missing_files_and_existing_keys(tmp_path):
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("k",), 3, fill_for(1))
-    descriptors = exporter.handoff()
-
-    adopter = ScenarioStore()
-    adopter.coefficient_matrix(("k",), 5, fill_for(1))  # wider local entry
-    assert adopter.adopt(descriptors) == 0  # key already present
-    assert np.array_equal(
-        adopter.coefficient_matrix(("k",), 5, fill_for(1)), expected(1, 5)
-    )
-    adopter.clear()
-    bogus = {("k",): dict(descriptors[("k",)], path=str(tmp_path / "gone"))}
-    assert adopter.adopt(bogus) == 0  # missing file: skipped
-    adopter.close()
-    exporter.close()
-
-
-def test_adopted_entry_grows_without_touching_the_shared_file(tmp_path):
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("k",), 3, fill_for(1))
-    descriptors = exporter.handoff()
-    path = descriptors[("k",)]["path"]
-
-    adopter = ScenarioStore()
-    adopter.adopt(descriptors)
-    calls = []
-    grown = adopter.coefficient_matrix(("k",), 6, fill_for(1, calls))
-    assert calls == [(3, 6)], "growth must reuse the adopted prefix"
-    assert np.array_equal(grown, expected(1, 6))
-    adopter.close()
-    # The shared file is intact for other adopters.
-    assert np.array_equal(
-        np.memmap(path, dtype=np.float64, mode="r", shape=(N_ROWS, 3)),
-        expected(1, 3),
-    )
-    exporter.close()
-
-
-def test_handoff_announces_each_entry_once(tmp_path):
-    # Re-announcing an already-exported entry would let a path the farm
-    # has since pruned (and unlinked) reinstall itself as a permanently
-    # broken registry descriptor.
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("a",), 3, fill_for(1))
-    first = exporter.handoff()
-    assert set(first) == {("a",)}
-    assert exporter.handoff() == {}
-    # New realizations and growth (a fresh entry) export; ("a",) stays
-    # announced-once.
-    exporter.coefficient_matrix(("b",), 3, fill_for(2))
-    exporter.coefficient_matrix(("a",), 6, fill_for(1))
-    second = exporter.handoff()
-    assert set(second) == {("a",), ("b",)}
-    assert second[("a",)]["path"] != first[("a",)]["path"]
-    assert exporter.handoff() == {}
-    exporter.close()
-
-
-def test_handoff_never_reexports_adopted_entries(tmp_path):
-    # Only the store that realized a matrix may announce it: a worker
-    # re-exporting an adopted (possibly superseded) path would let the
-    # farm registry regress to a stale file and unlink the newer one.
-    exporter = ScenarioStore(spill_dir=str(tmp_path / "exp"))
-    exporter.coefficient_matrix(("k",), 3, fill_for(1))
-    descriptors = exporter.handoff()
-
-    adopter = ScenarioStore(spill_dir=str(tmp_path / "adp"))
-    assert adopter.adopt(descriptors) == 1
-    assert adopter.handoff() == {}
-
-    # Entries the adopter realized itself still export — and growing an
-    # adopted entry makes it the realizer of the grown matrix.
-    adopter.coefficient_matrix(("own",), 2, fill_for(2))
-    adopter.coefficient_matrix(("k",), 6, fill_for(1))
-    exported = adopter.handoff()
-    assert set(exported) == {("own",), ("k",)}
-    assert exported[("k",)]["path"] != descriptors[("k",)]["path"]
-    adopter.close()
-    exporter.close()
-
-
 # --- content keys ----------------------------------------------------------
 
 
@@ -475,49 +342,6 @@ def test_evicting_budget_is_bit_identical_to_unlimited():
 
 
 # --- delta staleness (docs/live_data.md) ------------------------------------
-
-
-def test_adopt_drops_descriptors_with_stale_fingerprints(tmp_path):
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("old-fp", "expr"), 3, fill_for(1))
-    exporter.coefficient_matrix(("new-fp", "expr"), 3, fill_for(2))
-    descriptors = exporter.handoff()
-
-    adopter = ScenarioStore()
-    assert adopter.adopt(descriptors, stale_fingerprints={"old-fp"}) == 1
-    calls = []
-    adopter.coefficient_matrix(("new-fp", "expr"), 3, fill_for(2, calls))
-    assert calls == []  # fresh entry adopted
-    adopter.coefficient_matrix(("old-fp", "expr"), 3, fill_for(1, calls))
-    assert calls == [(0, 3)]  # stale entry refused, regenerated
-    assert adopter.stats().stale_dropped == 1
-    adopter.close()
-    exporter.close()
-
-
-def test_adopt_consults_lineage_registry_by_default(tmp_path):
-    from repro.db.delta import DeltaApplication, lineage
-
-    exporter = ScenarioStore(spill_dir=str(tmp_path))
-    exporter.coefficient_matrix(("pre-delta", "e"), 3, fill_for(1))
-    descriptors = exporter.handoff()
-    lineage.clear()
-    try:
-        lineage.record_delta(
-            "pre-delta",
-            "post-delta",
-            DeltaApplication(
-                digest="d", n_rows_before=8, n_rows_after=8,
-                dirty=np.array([0]), shifted_from=None,
-            ),
-        )
-        adopter = ScenarioStore()
-        assert adopter.adopt(descriptors) == 0
-        assert adopter.stats().stale_dropped == 1
-        adopter.close()
-    finally:
-        lineage.clear()
-    exporter.close()
 
 
 def test_prune_fingerprints_drops_matching_entries():

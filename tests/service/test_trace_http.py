@@ -1,5 +1,5 @@
-"""Traced queries over HTTP, on both backends: span trees, the ring,
-cross-process re-parenting, and per-stage histograms on /metrics."""
+"""Traced queries over HTTP: span trees, the ring, and per-stage
+histograms on /metrics."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
-
-import pytest
 
 from repro import Catalog, Relation, SPQConfig
 from repro.mcdb import GaussianNoiseVG, StochasticModel
@@ -23,8 +21,6 @@ SELECT PACKAGE(*) FROM items SUCH THAT
 MINIMIZE EXPECTED SUM(Value)
 """
 
-BACKENDS = ("thread", "process")
-
 
 def _catalog() -> Catalog:
     relation = Relation("items", {"price": [5.0, 8.0, 3.0, 6.0, 4.0]})
@@ -35,7 +31,7 @@ def _catalog() -> Catalog:
 
 
 @contextmanager
-def _service(backend: str = "thread", **config_overrides):
+def _service(**config_overrides):
     config = SPQConfig(
         n_validation_scenarios=500,
         n_initial_scenarios=20,
@@ -43,7 +39,6 @@ def _service(backend: str = "thread", **config_overrides):
         max_scenarios=60,
         epsilon=0.8,
         seed=11,
-        service_backend=backend,
         **config_overrides,
     )
     broker = QueryBroker(_catalog(), config=config, pool_size=2)
@@ -82,13 +77,8 @@ def _iter_tree(node):
         yield from _iter_tree(child)
 
 
-def _pid_of(span_id: str) -> str:
-    return span_id.partition("-")[0]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_traced_query_inlines_span_tree(backend):
-    with _service(backend) as service:
+def test_traced_query_inlines_span_tree():
+    with _service() as service:
         code, payload = _post(service, {"query": QUERY, "trace": True})
         assert code == 200 and payload["feasible"]
         trace_id = payload["trace_id"]
@@ -96,7 +86,7 @@ def test_traced_query_inlines_span_tree(backend):
         assert tree["trace_id"] == trace_id
         root = tree["root"]
         assert root["name"] == "query"
-        assert root["attrs"]["backend"] == backend
+        assert root["attrs"]["backend"] == "thread"
         assert root["attrs"]["method"] == "summarysearch"
         spans = list(_iter_tree(root))
         names = {s["name"] for s in spans}
@@ -104,21 +94,10 @@ def test_traced_query_inlines_span_tree(backend):
                 "csa", "solve", "validate"} <= names, names
         # Every span belongs to this trace — nothing leaked in.
         assert all(s.get("trace_id", trace_id) == trace_id for s in spans)
-        if backend == "process":
-            workers = [s for s in spans if s["name"] == "worker"]
-            assert len(workers) == 1
-            worker = workers[0]
-            # The worker span was recorded in the worker process and
-            # re-parented under the broker's root across the forkserver
-            # boundary: pid-prefixed span ids differ, parent matches.
-            assert worker["parent_id"] == root["span_id"]
-            assert _pid_of(worker["span_id"]) != _pid_of(root["span_id"])
-            assert worker["attrs"]["pid"] != 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_get_trace_endpoint_serves_finished_tree(backend):
-    with _service(backend) as service:
+def test_get_trace_endpoint_serves_finished_tree():
+    with _service() as service:
         code, payload = _post(service, {"query": QUERY})
         assert code == 200
         assert "trace" not in payload  # inlining is opt-in
@@ -144,7 +123,7 @@ def _query_observations(service) -> int:
 
 
 def test_tracing_disabled_is_dark():
-    with _service("thread", trace_enabled=False) as service:
+    with _service(trace_enabled=False) as service:
         # The stage-histogram registry is process-wide, so other tests'
         # observations may already show; disabled tracing must add none.
         before = _query_observations(service)
@@ -160,7 +139,7 @@ def test_tracing_disabled_is_dark():
 
 
 def test_ring_evicts_oldest_trace_first():
-    with _service("thread", trace_ring_size=2) as service:
+    with _service(trace_ring_size=2) as service:
         ids = []
         for _ in range(3):
             code, payload = _post(service, {"query": QUERY})
@@ -175,33 +154,8 @@ def test_ring_evicts_oldest_trace_first():
             assert code == 200
 
 
-def test_worker_recycling_leaks_no_spans():
-    """Each query's tree holds exactly its own spans even when every
-    task runs on a freshly recycled worker process."""
-    with _service("process", worker_recycle_after=1) as service:
-        trees = []
-        for _ in range(3):
-            code, payload = _post(service, {"query": QUERY, "trace": True})
-            assert code == 200
-            trees.append(payload["trace"])
-        counts = []
-        for tree in trees:
-            spans = list(_iter_tree(tree["root"]))
-            assert all(
-                s.get("trace_id", tree["trace_id"]) == tree["trace_id"]
-                for s in spans
-            )
-            assert sum(s["name"] == "worker" for s in spans) == 1
-            assert sum(s["name"] == "execute" for s in spans) == 1
-            assert tree["dropped"] == 0
-            counts.append(len(spans))
-        # Span counts stay flat across recycles — a leak would compound.
-        assert max(counts) - min(counts) <= 2, counts
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_metrics_expose_stage_histograms(backend):
-    with _service(backend) as service:
+def test_metrics_expose_stage_histograms():
+    with _service() as service:
         code, _ = _post(service, {"query": QUERY})
         assert code == 200
         # The "query" observation lands in the future's done-callback,
@@ -222,9 +176,3 @@ def test_metrics_expose_stage_histograms(backend):
             r'^repro_stage_seconds_bucket\{stage="validate",le="\+Inf"\} \d+$',
             metrics, re.M,
         )
-        if backend == "process":
-            # Worker-side histograms merged across the farm boundary.
-            assert re.search(
-                r'^repro_stage_seconds_count\{stage="worker"\} \d+$',
-                metrics, re.M,
-            )

@@ -250,42 +250,6 @@ def test_serve_parser_accepts_service_flags():
     assert args.store_budget == "4M"
 
 
-def test_serve_parser_accepts_backend_flags():
-    from repro.cli import build_parser, cmd_serve  # noqa: F401 - import check
-
-    args = build_parser().parse_args(
-        [
-            "serve",
-            "--workload", "portfolio:Q1",
-            "--backend", "process",
-            "--recycle-after", "100",
-        ]
-    )
-    assert args.backend == "process"
-    assert args.recycle_after == 100
-    # The flags land in the effective SPQConfig.
-    from repro.cli import _build_config
-
-    config = _build_config(
-        args,
-        service_backend=args.backend,
-        worker_recycle_after=args.recycle_after,
-    )
-    assert config.service_backend == "process"
-    assert config.worker_recycle_after == 100
-    # Default: thread backend, no recycling.
-    default_args = build_parser().parse_args(
-        ["serve", "--workload", "portfolio:Q1"]
-    )
-    assert default_args.backend is None
-    assert _build_config(default_args).service_backend == "thread"
-
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["serve", "--workload", "portfolio:Q1", "--backend", "fibers"]
-        )
-
-
 def test_serve_catalog_from_workload():
     from repro.cli import _build_catalog, build_parser
 

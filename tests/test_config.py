@@ -25,7 +25,6 @@ def test_defaults_valid():
         ("initial_summaries", 0),
         ("summary_increment", 0),
         ("epsilon", -0.1),
-        ("service_backend", "fork"),
         ("time_limit", 0.0),
         ("deadline_ms", float("nan")),
         ("deadline_ms", float("inf")),
@@ -78,7 +77,7 @@ FIELDS = {
     "n_workers", "vg_overrides",
     # serving
     "scenario_store_budget", "scenario_store_spill", "service_pool_size",
-    "service_max_pending", "service_backend", "worker_recycle_after",
+    "service_max_pending",
     # out-of-core scale tier
     "scale_n_partitions", "scale_pilot_scenarios", "scale_resident_budget",
     # observability
@@ -91,7 +90,7 @@ FIELDS = {
 
 def test_config_field_set_is_pinned():
     assert {f.name for f in dataclasses.fields(SPQConfig)} == FIELDS
-    assert len(FIELDS) == 31
+    assert len(FIELDS) == 29
 
 
 def test_every_field_is_read_outside_config():
