@@ -5,8 +5,7 @@
    (the whole point of the tier: the data never has to fit in RAM).
 2. **Bit-for-bit parity** — the stochastic SketchRefine driver returns
    the *same* package (tuple keys, multiplicities, objective) whether
-   the relation lives in memory or on disk, sequentially or with four
-   refine workers.
+   the relation lives in memory or on disk.
 
 Run from the repo root (CI runs it with ``REPRO_SMOKE=1``)::
 
@@ -54,17 +53,15 @@ def main() -> int:
         scale_pilot_scenarios=8,
     )
 
-    def evaluate(relation, model, n_workers: int):
+    def evaluate(relation, model):
         PartitionIndex.clear_memory()
         catalog = Catalog()
         catalog.register(relation, model)
         problem = compile_query(spec.spaql, catalog)
-        return scale_sketch_refine_evaluate(
-            problem, config.replace(n_workers=n_workers)
-        )
+        return scale_sketch_refine_evaluate(problem, config)
 
     relation, model = build_portfolio(params)
-    reference = evaluate(relation, model, n_workers=1)
+    reference = evaluate(relation, model)
     if not reference.succeeded:
         print(f"FAIL: in-memory reference run infeasible: {reference.message}")
         return 1
@@ -81,15 +78,14 @@ def main() -> int:
             chunk_rows=CHUNK_ROWS,
             resident_budget=RESIDENT_BUDGET,
         )
-        for label, n_workers in (("disk/1-worker", 1), ("disk/4-workers", 4)):
-            result = evaluate(store, store_model, n_workers=n_workers)
-            if not result.succeeded:
-                failures.append(f"{label}: infeasible ({result.message})")
-                continue
+        result = evaluate(store, store_model)
+        if not result.succeeded:
+            failures.append(f"disk: infeasible ({result.message})")
+        else:
             got = (result.package.key_multiplicities(), result.objective)
             if got != expected:
                 failures.append(
-                    f"{label}: package differs from in-memory reference"
+                    "disk: package differs from in-memory reference"
                     f" ({got} != {expected})"
                 )
         peak = store.peak_resident_bytes
@@ -105,8 +101,7 @@ def main() -> int:
         return 1
     print(
         f"scale smoke OK: {relation.n_rows} tuples, peak resident"
-        f" {peak} B <= budget {RESIDENT_BUDGET} B, disk == memory"
-        f" bit-for-bit across 1 and 4 workers"
+        f" {peak} B <= budget {RESIDENT_BUDGET} B, disk == memory bit-for-bit"
         f" (objective {reference.objective:.6g},"
         f" {reference.package.total_count} tuples in package)"
     )

@@ -259,10 +259,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                              " returned with its relative optimality gap"
                              " (anytime; see docs/qos.md). Exit code stays"
                              " 0 when an incumbent exists.")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the scale driver's"
-                             " partition refines (results are identical"
-                             " for any count)")
     parser.add_argument("--partitions", type=int, default=None, metavar="K",
                         help="partition count for the sketchrefine method"
                              " (default: config)")
@@ -482,7 +478,6 @@ def _build_config(args, **extra) -> SPQConfig:
         max_scenarios=max(args.max_scenarios, args.initial_scenarios),
         time_limit=args.time_limit,
         deadline_ms=getattr(args, "deadline_ms", None),
-        n_workers=max(args.workers, 1),
         vg_overrides=tuple(getattr(args, "vg", []) or ()),
         **scale_kwargs,
         **extra,
@@ -617,8 +612,7 @@ def cmd_serve(args) -> int:
     )
     host, port = service.address
     print(f"repro serve: listening on http://{host}:{port}"
-          f" (backend={broker.backend}, pool={broker.pool_size},"
-          f" tables={sorted(catalog)})",
+          f" (pool={broker.pool_size}, tables={sorted(catalog)})",
           flush=True)
     try:
         service.serve_forever()

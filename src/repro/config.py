@@ -72,13 +72,6 @@ class SPQConfig:
     #: the VG support is unbounded.
     n_probe_scenarios: int = 64
 
-    # --- scale-driver refine pool -------------------------------------------
-    #: Worker processes for the scale driver's refine step (1 = refine
-    #: partitions in-process).  Refines are order-independent, so the
-    #: package is bit-identical for any worker count.  Nothing else
-    #: reads it: scenarios are always realized in the query's process.
-    n_workers: int = 1
-
     # --- stochastic model construction ---------------------------------------
     #: VG-registry overrides ``("Attr=kind:param=value,...", ...)`` applied
     #: wherever a catalog is assembled from this config — the CLI's
@@ -203,8 +196,6 @@ class SPQConfig:
                 raise EvaluationError("deadline_ms must be finite")
             if self.deadline_ms <= 0:
                 raise EvaluationError("deadline_ms must be positive or None")
-        if self.n_workers < 1:
-            raise EvaluationError("n_workers must be >= 1")
         if isinstance(self.vg_overrides, str):
             raise EvaluationError(
                 "vg_overrides must be a sequence of specs, not a bare string"

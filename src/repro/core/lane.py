@@ -12,8 +12,10 @@ releases the GIL while it runs.
 
 There is one lane per process, started lazily, shared by every query; a
 ladder that finds it busy simply runs alone.  It never starts on a
-single CPU, nor in the scale driver's refine workers, which are already
-the parallelism there (:func:`disable`).
+single CPU.  The library starts no worker process, so the lane is its
+only parallelism besides the broker's slot threads: the scale driver's
+partition refines climb their ladders one after another, each with the
+lane.
 
 A rung runs in a copy of its submitter's ``contextvars`` context, so its
 trace spans (in a child session, ``obs.trace.fork_session``) and its
@@ -28,7 +30,7 @@ import queue
 import threading
 from concurrent.futures import Future
 
-#: Whether this process may use the lane (worker processes switch it off).
+#: Whether this process may use the lane (tests switch it off).
 ENABLED = True
 
 #: The lane's thread name (visible in thread dumps and tests).
@@ -41,12 +43,6 @@ _free: threading.Lock | None = None
 #: The process the lane was started in (a forked child starts its own).
 _pid: int | None = None
 _start_lock = threading.Lock()
-
-
-def disable() -> None:
-    """Never use the lane in this process (refine workers)."""
-    global ENABLED
-    ENABLED = False
 
 
 def usable_cpus() -> int:

@@ -34,17 +34,6 @@ class Catalog:
         self.version = 0
         self._mutate_lock = threading.Lock()
 
-    def __getstate__(self) -> dict:
-        # A pickled catalog gets a fresh lock: locks don't pickle, and
-        # each process needs its own anyway.
-        state = dict(self.__dict__)
-        del state["_mutate_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._mutate_lock = threading.Lock()
-
     @staticmethod
     def _norm(name: str) -> str:
         return name.lower()

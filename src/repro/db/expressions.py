@@ -33,8 +33,12 @@ class Expr:
 
     # Frozen dataclasses with manual __slots__ don't pickle out of the
     # box (the default slot-state restore goes through the blocked
-    # __setattr__); the scale driver's refine pool ships expression trees
-    # to worker processes, so spell the state protocol out.
+    # __setattr__), so spell the state protocol out.  The store's model
+    # fingerprint and a VG's parameter fingerprint fall back to pickling
+    # VG state (``service/store.py::model_fingerprint``,
+    # ``mcdb/vg.py::_canonical_param``), which may hold expressions; an
+    # unpicklable value there would silently become a per-instance
+    # ``unpicklable-<uuid>`` fingerprint that no other model shares.
     def __getstate__(self):
         state = {}
         for klass in type(self).__mro__:

@@ -112,9 +112,9 @@ class TraceSession:
         self.events.append(event)
 
     def charge(self, name: str, amount: float = 1.0) -> None:
-        # Single-query accumulator: touched from the one thread (or
-        # worker process) evaluating this query, so a plain dict += is
-        # safe here where the process-wide registries need locks.
+        # Single-query accumulator: touched from the one thread
+        # evaluating this query, so a plain dict += is safe here where
+        # the process-wide registries need locks.
         self.resources[name] = self.resources.get(name, 0.0) + amount
 
     def merge(self, child: "TraceSession") -> None:
@@ -268,7 +268,7 @@ def span_tree(
 
     The root is the span with no parent (the broker's ``query`` span,
     or the engine's ``execute`` for self-rooted traces).  Orphans —
-    spans whose parent was dropped at the session cap, or worker spans
+    spans whose parent was dropped at the session cap, or lane spans
     that arrived before their root — attach under the root rather than
     vanishing.
     """

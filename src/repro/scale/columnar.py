@@ -278,10 +278,8 @@ class ColumnStore:
     sanctioned mutation is :meth:`apply_delta`, which rewrites column
     files through atomic replaces (pre-delta readers keep a consistent
     snapshot) and reports the dirty rows for delta-scoped cache
-    invalidation.  Instances are
-    picklable (only the path and budget cross process boundaries; caches
-    and memmaps are per-process), so a store reaches the scale driver's
-    refine workers through their forkserver.
+    invalidation.  A store is read in the process that opened it: the
+    scale driver refines its partitions in the query's own process.
     """
 
     def __init__(self, path: str, resident_budget: int | None = None):
@@ -313,14 +311,6 @@ class ColumnStore:
         self._cache: "OrderedDict[tuple[str, int], np.ndarray]" = OrderedDict()
         self._resident = 0
         self._peak = 0
-
-    # --- pickling (path crosses; caches are per-process) ----------------------
-
-    def __getstate__(self) -> dict:
-        return {"path": self.path, "resident_budget": self.resident_budget}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["path"], resident_budget=state["resident_budget"])
 
     # --- basic accessors ------------------------------------------------------
 

@@ -29,9 +29,8 @@ chance constraints ``Pr(Σ f_c(t)x_t ⊙ v_c) ≥ p_c``:
    original RHS), and every chance constraint's probability is boosted
    to ``1 − (1−p)/k`` so a union bound over ``k`` refined partitions
    recovers the original ``p``.  Sibling contributions are thereby fixed
-   before any refine starts, which makes refines order-independent —
-   they fan out across ``config.n_workers`` forkserver workers with
-   bit-identical results for any worker count.
+   before any refine starts, which makes refines order-independent;
+   they run one after another in the query's own process.
 4. **Validate** — the combined package is validated out-of-sample
    against the *original* constraints through
    :class:`repro.core.validator.Validator` (which realizes scenarios
@@ -45,10 +44,6 @@ quality/speed is traded through ``config.scale_n_partitions``.
 """
 
 from __future__ import annotations
-
-import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -282,7 +277,7 @@ def _pipeline(
             )
             scale_metrics.record_delta_repair(n_dirty_partitions, len(reused))
 
-    # --- refine (fan-out) -----------------------------------------------------------
+    # --- refine ---------------------------------------------------------------------
     refine_config = config.replace(
         deadline_ms=None,
         time_limit=max(deadline.remaining(), 0.01),
@@ -291,7 +286,6 @@ def _pipeline(
     with refine_watch, stage("refine.fanout", n_refined=len(refined)):
         outcomes = _run_refines(
             problem,
-            config,
             refine_config,
             store,
             groups,
@@ -313,9 +307,8 @@ def _pipeline(
                 objective=outcome["objective"],
             )
         )
-        # Refine-outcome stream: emitted here (the driver's context)
-        # rather than inside _refine_partition, because parallel refines
-        # run in pool children that do not carry the trace context.
+        # Refine-outcome stream: emitted here rather than inside
+        # _refine_partition, so reused partitions report theirs too.
         emit(
             KIND_REFINE_OUTCOME,
             partition=int(g),
@@ -691,7 +684,7 @@ def _refine_partition(
     becomes a standalone in-memory sub-relation with the original model's
     VG families re-bound to it, so the evaluation is a pure function of
     (partition content, allocated constraints, config) — independent of
-    which process runs it and of every sibling partition.
+    the order refines run in and of every sibling partition.
     """
     from ..core.summarysearch import summary_search_evaluate
 
@@ -768,138 +761,21 @@ def _zero_satisfies(constraints) -> bool:
     return True
 
 
-#: Worker-process refine state installed by the pool initializer
-#: (pickled through the forkserver with the initargs).
-_REFINE_STATE = None
-
-
-def _init_refine_worker(state) -> None:
-    from ..core import lane
-
-    global _REFINE_STATE
-    _REFINE_STATE = state
-    # The pool's workers are the parallelism here: no ladder lane.
-    lane.disable()
-
-
-def _refine_worker_task(g: int) -> tuple[int, dict]:
-    state = _REFINE_STATE
-    outcome = _refine_partition(
-        state["relation"],
-        state["model"],
-        state["objective"],
-        state["repeat"],
-        state["active_rows"],
-        state["groups"][g],
-        state["allocations"][g],
-        state["config"],
-        store=None,
-        warm_x=state["warm"].get(g),
-    )
-    return g, outcome
-
-
 def _run_refines(
-    problem, config, refine_config, store, groups, refined, allocations,
+    problem, refine_config, store, groups, refined, allocations,
     reused=None, warm=None,
 ) -> list[dict]:
-    """Refine every participating partition, fanned out when configured.
-
-    Each refine is self-contained, so parallel execution is bit-identical
-    to sequential for any worker count; pool failures degrade to the
-    sequential path with a warning, never a behaviour change.
+    """Refine every participating partition, one after another.
 
     ``reused`` supplies pre-decided outcomes for partitions whose
     previous sub-package is reused verbatim (no solve runs for them);
     ``warm`` supplies per-partition warm-start vectors for the rest.
     """
     per_group = allocations["per_group"]
-    reused = reused or {}
     warm = warm or {}
-    pending = [g for g in refined if g not in reused]
-    if config.n_workers > 1 and len(pending) > 1:
-        # Refine workers come from the forkserver context: the driver
-        # runs inside multithreaded serving processes (broker thread
-        # pools, HTTP handlers), where forking can deadlock the child on
-        # a lock some other thread held at fork time.  The worker state
-        # (relation, model, allocations) is pickled through the
-        # forkserver — everything the driver ships is picklable,
-        # ColumnStores by path.
-        from ..parallel.executor import refine_context
-
-        state = {
-            "relation": problem.relation,
-            "model": problem.model,
-            "objective": problem.objective,
-            "repeat": problem.repeat,
-            "active_rows": problem.active_rows,
-            "groups": groups,
-            "allocations": per_group,
-            "config": refine_config,
-            "warm": warm,
-        }
-        pool = None
-        by_group: dict[int, dict] = dict(reused)
-        futures: dict[int, object] = {}
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(config.n_workers, len(pending)),
-                mp_context=refine_context(),
-                initializer=_init_refine_worker,
-                initargs=(state,),
-            )
-            futures = {
-                g: pool.submit(_refine_worker_task, g) for g in pending
-            }
-            # One shared deadline across all futures (not per-future):
-            # a wedged worker pool must degrade to the sequential path
-            # within the evaluation's own time budget, never hang.
-            deadline = time.monotonic() + refine_config.time_limit
-            for g, future in futures.items():
-                remaining = max(0.0, deadline - time.monotonic())
-                by_group[g] = future.result(timeout=remaining)[1]
-            pool.shutdown(wait=True)
-            return [by_group[g] for g in refined]
-        except BaseException as error:
-            if pool is not None:
-                # Salvage whatever already finished before tearing down:
-                # the fallback then re-runs only the missing partitions.
-                for g, future in futures.items():
-                    if g not in by_group and future.done():
-                        try:
-                            by_group[g] = future.result(timeout=0)[1]
-                        except BaseException:
-                            pass
-                # cancel_futures leaves *running* workers solving: kill
-                # them, or the sequential re-run of those partitions
-                # competes with its own orphans for the CPU.  The list is
-                # taken first: shutdown() drops the pool's reference.
-                processes = list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                )
-                pool.shutdown(wait=False, cancel_futures=True)
-                for process in processes:
-                    try:
-                        process.terminate()
-                    except Exception:  # pragma: no cover - already gone
-                        pass
-            if not isinstance(error, Exception):
-                raise
-            warnings.warn(
-                f"parallel refine degraded after worker-pool failure"
-                f" ({type(error).__name__}: {error});"
-                f" {len(refined) - len(by_group)} of {len(refined)}"
-                f" partitions re-run sequentially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    else:
-        by_group = dict(reused)
+    by_group = dict(reused or {})
     for g in refined:
         if g not in by_group:
-            # Sequential refines trace per-partition; parallel refines run
-            # in pool children that do not carry the trace context (their
-            # wall time is covered by the parent ``refine.fanout`` span).
             with stage("refine", partition=g):
                 by_group[g] = _refine_partition(
                     problem.relation,

@@ -11,8 +11,8 @@ parts, and each active tuple is summarized by the mean and standard
 deviation of its pilot coefficients.  Tuples are then cut into quantile
 groups on (mean, std) — a deterministic two-level quantile scheme, so
 partitioning is a pure function of (data content, query, seed): the same
-labels come back for any worker count, any service backend, and either
-storage representation of the same relation.
+labels come back for any serving slot and either storage
+representation of the same relation.
 
 Pilot realization routes through the shared
 :class:`repro.service.ScenarioStore` when one is attached, so pilots are
@@ -53,7 +53,7 @@ _MEMORY_INDEX_LIMIT = 64
 #: scenario-by-scenario instead — one full-row vector resident at a
 #: time — so pilot memory stays O(n_rows), not O(n_rows x pilot).  The
 #: path choice is a pure function of (n_rows, pilot size), so every
-#: representation/worker/backend of the same relation picks the same
+#: representation of the same relation picks the same
 #: path and the statistics stay bit-identical across them.
 _PILOT_MATRIX_BYTES_CAP = 256 * 1024**2
 

@@ -32,16 +32,14 @@ from ..silp.model import MeanConstraint
 #: Artifacts kept per process (oldest evicted).
 _ARTIFACT_LIMIT = 32
 
-#: Config fields excluded from the query digest: time budgets, process
-#: topology, serving and observability settings never change the solved
-#: answer (the repo's bit-identical-for-any-worker-count invariant), so
-#: artifacts stay reusable across deadline, worker-count and service
+#: Config fields excluded from the query digest: time budgets, resident
+#: budgets, serving and observability settings never change the solved
+#: answer, so artifacts stay reusable across deadline and service
 #: changes.  Every other field is hashed, so a new field fails safe: it
 #: costs a refine reuse until it is listed here, never a wrong answer.
 _EXCLUDED_CONFIG_FIELDS = {
     "deadline_ms",
     "time_limit",
-    "n_workers",
     "scale_resident_budget",
     # serving
     "scenario_store_budget",

@@ -16,7 +16,7 @@ scheduling, anytime truncation) lives in :mod:`repro.service.qos`; see
 ``docs/qos.md`` for the end-to-end contract.
 """
 
-from .broker import BrokerSaturatedError, QueryBroker
+from .broker import BrokerClosedError, BrokerSaturatedError, QueryBroker
 from .http import SPQService
 from .qos import DeadlineExpiredError, EDFQueue, TaskDeadline
 from .store import (
@@ -28,6 +28,7 @@ from .store import (
 )
 
 __all__ = [
+    "BrokerClosedError",
     "BrokerSaturatedError",
     "DeadlineExpiredError",
     "EDFQueue",

@@ -63,6 +63,10 @@ class BrokerSaturatedError(SPQError):
     """Raised when the broker's pending-query ceiling is reached."""
 
 
+class BrokerClosedError(SPQError):
+    """Raised when a query or a delta reaches a closed broker."""
+
+
 def run_request(engine, query, method: str, overrides: dict, trace):
     """Evaluate one request on a pool slot's engine.
 
@@ -130,7 +134,6 @@ class QueryBroker:
                 f"unknown service backend {backend!r}; the broker runs"
                 f" every request on a {BACKEND_THREAD!r} slot"
             )
-        self.backend = backend
         self.max_pending = (
             max_pending
             if max_pending is not None
@@ -264,7 +267,7 @@ class QueryBroker:
         key = self._dedup_key(query, method, overrides)
         with self._lock:
             if self._closed:
-                raise SPQError("broker is closed")
+                raise BrokerClosedError("broker is closed")
             if key is not None:
                 inflight = self._inflight.get(key)
                 if inflight is not None:
@@ -351,7 +354,6 @@ class QueryBroker:
                 state["trace_id"],
                 query=snippet,
                 method=method,
-                backend=self.backend,
             )
         return state
 
@@ -387,7 +389,7 @@ class QueryBroker:
             delta = RelationDelta.from_payload(delta)
         with self._lock:
             if self._closed:
-                raise SPQError("broker is closed")
+                raise BrokerClosedError("broker is closed")
         t0 = time.perf_counter()
         start_epoch = time.time()
         summary = self.catalog.apply_delta(table, delta)
@@ -410,7 +412,6 @@ class QueryBroker:
             trace_id,
             query=f"UPDATE {summary['table']}",
             method="delta",
-            backend=self.backend,
         )
         self.trace_ring.finish(
             trace_id,
@@ -515,7 +516,7 @@ class QueryBroker:
         else:
             exception = future.exception()
             error = type(exception).__name__ if exception is not None else None
-        attrs = {"method": state["method"], "backend": self.backend}
+        attrs = {"method": state["method"]}
         if error is not None:
             attrs["error"] = error
         else:
@@ -546,7 +547,6 @@ class QueryBroker:
                 "trace_id": state["trace_id"],
                 "query": state["query"],
                 "method": state["method"],
-                "backend": self.backend,
                 "error": error,
                 "stages": self._stage_breakdown(state["trace_id"]),
             }
@@ -580,7 +580,6 @@ class QueryBroker:
         """
         with self._lock:
             state = {
-                "backend": self.backend,
                 "pool_size": self.pool_size,
                 "max_pending": self.max_pending,
                 "pending": self._pending,

@@ -13,9 +13,9 @@ by the broker's pool):
     "deadline_met": ..., "gap": ..., "anytime": {...},
     "wall_time_s": ..., "store": {...}}``.  Errors map to status codes:
     400 (bad request / parse / compile / invalid override value), 409
-    (solve failure),
-    503 (broker saturated), 504 (deadline expired before any incumbent
-    existed — see docs/qos.md), 500 (unexpected).  A deadline that
+    (solve failure), 503 (broker saturated or closed), 504 (deadline
+    expired before any incumbent existed — see docs/qos.md), 500
+    (unexpected).  A deadline that
     expires mid-solve is NOT an error: the response is a 200 carrying
     the best incumbent with ``deadline_met: false`` and its ``gap``.
 
@@ -70,7 +70,7 @@ from ..errors import (
     VGFunctionError,
 )
 from ..obs import FAMILIES, histogram_exposition, status_sections
-from .broker import BrokerSaturatedError, QueryBroker
+from .broker import BrokerClosedError, BrokerSaturatedError, QueryBroker
 from .qos import DeadlineExpiredError
 
 #: How long ``GET /trace/<id>`` and ``"trace": true`` wait for a trace's
@@ -308,6 +308,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except BrokerSaturatedError as error:
             self._error(503, "saturated", str(error))
             return
+        except BrokerClosedError as error:
+            self._error(503, "unavailable", str(error))
+            return
         except (ParseError, CompileError, SchemaError, VGFunctionError) as error:
             self._error(400, "parse", str(error))
             return
@@ -351,7 +354,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             else:
                 self._error(400, "bad-delta", message)
             return
-        except SPQError as error:
+        except BrokerClosedError as error:
             self._error(503, "unavailable", str(error))
             return
         except Exception as error:  # noqa: BLE001 - surface as JSON 500

@@ -108,34 +108,64 @@ def test_mean_objective_value(chance_context):
     assert chance_context.mean_objective_value(x) == pytest.approx(13.0)
 
 
-@pytest.mark.parametrize("method", ["summarysearch", "naive"])
-def test_an_in_memory_query_starts_no_process(
-    chance_problem, fast_config, monkeypatch, method
-):
-    """``n_workers`` sizes only the scale driver's refine pool: an
-    in-memory query realizes its scenarios in its own process, and its
-    package is the ``n_workers=1`` one."""
-    from repro.core.naive import naive_evaluate
-    from repro.core.summarysearch import summary_search_evaluate
+@pytest.fixture
+def refuse_processes(monkeypatch):
+    """Fail any process start; yields the list of attempted starts.
 
-    evaluate = {"summarysearch": summary_search_evaluate, "naive": naive_evaluate}
-    expected = evaluate[method](chance_problem, fast_config)
+    The library starts no worker process: scenarios, summaries and the
+    scale driver's partition refines all run in the query's process.
+    """
     started = []
 
     def refuse(self, *args, **kwargs):
         started.append(type(self).__name__)
-        raise AssertionError("an in-memory query started a process")
+        raise AssertionError("a query started a process")
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
     monkeypatch.setattr(BaseProcess, "start", refuse)
     before = set(multiprocessing.active_children())
-    result = evaluate[method](chance_problem, fast_config.replace(n_workers=2))
-    assert started == []
+    yield started
     assert set(multiprocessing.active_children()) == before
-    assert result.package.multiplicities.tolist() == (
-        expected.package.multiplicities.tolist()
+
+
+@pytest.mark.parametrize("method", ["summarysearch", "naive"])
+def test_an_in_memory_query_starts_no_process(
+    chance_problem, fast_config, refuse_processes, method
+):
+    from repro.core.naive import naive_evaluate
+    from repro.core.summarysearch import summary_search_evaluate
+
+    evaluate = {"summarysearch": summary_search_evaluate, "naive": naive_evaluate}
+    result = evaluate[method](chance_problem, fast_config)
+    assert refuse_processes == []
+    assert result.package is not None
+
+
+def test_a_sketchrefine_query_on_a_column_store_starts_no_process(
+    tmp_path, refuse_processes
+):
+    from repro import Catalog, SPQConfig, SPQEngine
+    from repro.datasets.portfolio import PortfolioParams, build_portfolio_store
+    from repro.workloads import get_query
+
+    store, model = build_portfolio_store(
+        PortfolioParams(n_stocks=150, seed=7), tmp_path / "p", chunk_rows=64
     )
-    assert result.objective == expected.objective
+    catalog = Catalog()
+    catalog.register(store, model)
+    config = SPQConfig(
+        seed=1234, n_validation_scenarios=800, n_initial_scenarios=20,
+        scenario_increment=20, max_scenarios=60, n_expectation_scenarios=400,
+        n_probe_scenarios=16, epsilon=0.5, scale_n_partitions=5,
+        scale_pilot_scenarios=8,
+    )
+    result = SPQEngine(catalog, config=config).execute(
+        get_query("portfolio", "Q1").spaql, method="sketchrefine"
+    )
+    store.close()
+    assert refuse_processes == []
+    # Two or more refines: the work a process pool would fan out.
+    assert result.meta["n_refined"] >= 2 and result.succeeded
 
 
 def test_summarysearch_builds_the_base_block_once(

@@ -85,15 +85,6 @@ def test_a_single_cpu_affinity_starts_no_thread():
     assert lane_counts(out) == (0, 0, 0)
 
 
-def test_a_refine_worker_runs_its_ladders_alone(monkeypatch):
-    from repro.scale import driver
-
-    monkeypatch.setattr(lane, "ENABLED", True)
-    monkeypatch.setattr(driver, "_REFINE_STATE", None)
-    driver._init_refine_worker({})
-    assert lane.ENABLED is False
-
-
 def test_a_solver_bound_partition_ladder_consumes_lane_rungs():
     """The rule as shipped (no forcing beyond a second CPU): a 250-row
     portfolio/Q1 partition at M = 20 climbs a quality ladder whose rungs

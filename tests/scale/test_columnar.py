@@ -1,8 +1,6 @@
-"""Chunked columnar storage: round trips, pushdown, budget, pickling."""
+"""Chunked columnar storage: round trips, pushdown, budget."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -142,15 +140,6 @@ def test_chunk_reads_are_cached(mixed_relation, tmp_path):
     first = store.column_chunk("price", 2)
     assert store.column_chunk("price", 2) is first
     store.close()
-
-
-def test_pickle_round_trip_reopens_from_path(mixed_relation, tmp_path):
-    store = mixed_relation.to_disk(tmp_path / "m", chunk_rows=64)
-    clone = pickle.loads(pickle.dumps(store))
-    assert clone.resident_bytes == 0  # caches never cross the boundary
-    assert np.array_equal(clone.column("qty"), mixed_relation.column("qty"))
-    store.close()
-    clone.close()
 
 
 def test_open_missing_store_raises_file_not_found(tmp_path):

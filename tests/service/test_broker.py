@@ -11,7 +11,12 @@ from repro import Catalog, Relation, SPQConfig, SPQEngine
 from repro.db.delta import RelationDelta
 from repro.errors import EvaluationError, SPQError
 from repro.mcdb import GaussianNoiseVG, StochasticModel
-from repro.service import BrokerSaturatedError, QueryBroker, ScenarioStore
+from repro.service import (
+    BrokerClosedError,
+    BrokerSaturatedError,
+    QueryBroker,
+    ScenarioStore,
+)
 
 QUERY = """
 SELECT PACKAGE(*) FROM items SUCH THAT
@@ -191,13 +196,13 @@ def test_broker_failure_accounting_and_close(catalog, config):
     assert broker.status()["failed"] == 1
     broker.close()
     broker.close()  # idempotent
-    with pytest.raises(SPQError):
+    with pytest.raises(BrokerClosedError):
         broker.submit(QUERY)
     assert broker.store.closed  # broker-owned store closes with it
 
 
 def test_thread_is_the_only_backend(catalog, config):
-    assert QueryBroker(catalog, config=config, backend="thread").backend == "thread"
+    QueryBroker(catalog, config=config, backend="thread").close()
     with pytest.raises(EvaluationError, match="process"):
         QueryBroker(catalog, config=config, backend="process")
 
@@ -280,5 +285,5 @@ def test_apply_update_rejects_unknown_table_and_closed_broker(
     with pytest.raises(SPQError, match="unknown table"):
         broker.apply_update("ghost", {"deletes": [0]})
     broker.close()
-    with pytest.raises(SPQError, match="closed"):
+    with pytest.raises(BrokerClosedError):
         broker.apply_update("items", {"deletes": [0]})

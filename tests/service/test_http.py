@@ -308,6 +308,22 @@ def test_a_failed_solve_maps_to_409_solve(monkeypatch):
         svc.shutdown()
 
 
+def test_a_closed_broker_answers_503_on_both_routes(service):
+    # A closed service is unavailable, not a failed solve: both routes
+    # answer the same status a retrying client can key on.
+    service.broker.close()
+    for post, payload in (
+        (_post, {"query": QUERY}),
+        (_post_update, {"table": "items", "delta": {"deletes": [0]}}),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(service, payload)
+        code, body = _status_of(excinfo.value)
+        assert (code, body["error"]["kind"]) == (503, "unavailable")
+    _, status = _get(service, "/status")
+    assert status["closed"] and "backend" not in status
+
+
 # --- POST /update (docs/live_data.md) ----------------------------------------
 
 

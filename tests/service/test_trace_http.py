@@ -86,7 +86,6 @@ def test_traced_query_inlines_span_tree():
         assert tree["trace_id"] == trace_id
         root = tree["root"]
         assert root["name"] == "query"
-        assert root["attrs"]["backend"] == "thread"
         assert root["attrs"]["method"] == "summarysearch"
         spans = list(_iter_tree(root))
         names = {s["name"] for s in spans}

@@ -49,6 +49,7 @@ def test_invalid_values_rejected(field, value):
         "summary_strategy",
         "scale_chunk_rows",
         "max_csa_iterations",
+        "n_workers",
     ],
 )
 def test_removed_knobs_are_not_fields(field):
@@ -58,7 +59,8 @@ def test_removed_knobs_are_not_fields(field):
     # the self-time table is a view of the trace, and the scale route
     # is derived from the model and the store's resident budget.
     # Summaries are always built in memory (Section 5.5), the CSA round
-    # cap is a constant, and on-disk chunking uses the columnar default.
+    # cap is a constant, on-disk chunking uses the columnar default, and
+    # partition refines run in the query's own process.
     with pytest.raises(TypeError):
         SPQConfig(**{field: None})
 
@@ -73,8 +75,8 @@ FIELDS = {
     "max_scenarios", "initial_summaries", "summary_increment", "epsilon",
     "max_quality_rounds",
     "n_expectation_scenarios", "n_probe_scenarios",
-    # parallel evaluation and the stochastic model
-    "n_workers", "vg_overrides",
+    # the stochastic model
+    "vg_overrides",
     # serving
     "scenario_store_budget", "scenario_store_spill", "service_pool_size",
     "service_max_pending",
@@ -90,7 +92,7 @@ FIELDS = {
 
 def test_config_field_set_is_pinned():
     assert {f.name for f in dataclasses.fields(SPQConfig)} == FIELDS
-    assert len(FIELDS) == 29
+    assert len(FIELDS) == 28
 
 
 def test_every_field_is_read_outside_config():
