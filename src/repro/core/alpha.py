@@ -28,9 +28,6 @@ from scipy.optimize import leastsq
 #: Minimum points for the arctangent fit (it has four parameters).
 _ARCTAN_MIN_POINTS = 4
 
-#: Memo miss marker (a cached fit may itself be ``None``).
-_UNFITTED = object()
-
 
 def snap_to_grid(alpha: float, step: float) -> float:
     """Round to the nearest multiple of ``step`` within ``[step, 1]``."""
@@ -77,17 +74,6 @@ def _fit_arctan_root(alphas: np.ndarray, surpluses: np.ndarray) -> float | None:
     return float(c + math.tan(ratio) / b)
 
 
-def _memoised_arctan_root(alphas, surpluses, memo) -> float | None:
-    """:func:`_fit_arctan_root` through the evaluation's memo, if any."""
-    if memo is None:
-        return _fit_arctan_root(alphas, surpluses)
-    key = ("alpha", alphas.tobytes(), surpluses.tobytes())
-    root = memo.get(key, _UNFITTED)
-    if root is _UNFITTED:
-        root = memo[key] = _fit_arctan_root(alphas, surpluses)
-    return root
-
-
 def _fit_linear_root(alphas: np.ndarray, surpluses: np.ndarray) -> float | None:
     """Root of the least-squares line through the history points."""
     if len(np.unique(alphas)) < 2:
@@ -122,7 +108,6 @@ def guess_alpha(
     history: list[tuple[float, float]],
     grid_step: float,
     target_p: float | None = None,
-    memo=None,
 ) -> float:
     """Next α for one probabilistic item given its ``(α, r)`` history.
 
@@ -133,9 +118,6 @@ def guess_alpha(
     incumbent feasible for any smaller α (its chosen scenarios are the
     ones the incumbent already satisfies), so smaller steps provably
     cannot change the solution.
-
-    ``memo`` (the evaluation's, see ``EvaluationContext.memo``) serves
-    an arctangent fit of a history already fitted.
     """
     if not history:
         raise ValueError("alpha search requires at least one (alpha, surplus) point")
@@ -145,7 +127,7 @@ def guess_alpha(
 
     candidate = None
     if len(history) >= _ARCTAN_MIN_POINTS and len(np.unique(alphas)) >= _ARCTAN_MIN_POINTS:
-        candidate = _memoised_arctan_root(alphas, surpluses, memo)
+        candidate = _fit_arctan_root(alphas, surpluses)
     if candidate is None:
         candidate = _bracket_root(alphas, surpluses)
     if candidate is None and len(history) >= 2:

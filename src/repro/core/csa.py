@@ -185,20 +185,22 @@ def _solution_key(x: np.ndarray, alphas: list[float]) -> tuple:
 _REPLAYABLE = (STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED)
 
 
-def _round_key(ctx, n_scenarios, n_summaries, alphas, accelerate, x) -> tuple:
+def _round_key(ctx, n_scenarios, n_summaries, histories, x) -> tuple:
     """Memo key of one CSA round's outcome: everything it is built from.
 
-    The summaries depend on the optimization scenarios (model, seed,
-    expression, active rows, ``M``), the partitions (seed, ``M``, ``Z``),
-    the snapped α, the acceleration flags and the incumbent ``x``; the
+    The α update reads each item's ``(α, surplus)`` history (its grid
+    step is ``Z/M``, its floor the item's probability), and the snapped
+    α and acceleration flags follow from it.  The summaries add the
+    optimization scenarios (model, seed, expression, active rows, ``M``),
+    the partitions (seed, ``M``, ``Z``) and the incumbent ``x``; the
     model adds the base block and each item's right-hand side and
     probability, the MIP start is ``x`` itself and the solve adds
     ``mip_gap``.  What is shared by every round of the evaluation is in
     :meth:`EvaluationContext.round_head`.
     """
     return (
-        *ctx.round_head(), n_scenarios, n_summaries, tuple(alphas),
-        tuple(accelerate), *package_key(x),
+        *ctx.round_head(), n_scenarios, n_summaries,
+        tuple(tuple(history) for history in histories), *package_key(x),
     )
 
 
@@ -295,25 +297,19 @@ def csa_solve(
             break
 
         # --- update α per item and rebuild summaries ------------------------
-        accelerate = [False] * n_items
         for k in range(n_items):
             histories[k].append((alphas[k], surpluses[k]))
-            new_alpha = guess_alpha(
-                histories[k], grid_step, target_p=items[k]["p"], memo=ctx.memo
-            )
-            accelerate[k] = new_alpha < alphas[k] - 1e-12
-            alphas[k] = new_alpha
-        snapped = [snap_to_grid(alpha, grid_step) for alpha in alphas]
 
-        # A round is a pure function of these inputs: a repeat of one
-        # (within the search, or a repeated query's on a store) replays
-        # its outcome instead of rebuilding its summaries and model.
-        key = _round_key(ctx, n_scenarios, n_summaries, snapped, accelerate, x)
+        # A round, its α update included, is a pure function of these
+        # inputs: a repeated query's round on a store replays its outcome
+        # instead of refitting α and rebuilding its summaries and model.
+        key = _round_key(ctx, n_scenarios, n_summaries, histories, x)
         replay_watch = Stopwatch()
         with replay_watch:
             answer = ctx.memo.get(key)
         if answer is not None:
-            status, next_x, next_claimed = answer
+            fitted, status, next_x, next_claimed = answer
+            alphas = list(fitted)
             with stage("solve", q=q) as solve_span:
                 solve_span.set("status", status)
                 solve_span.set("memo", True)
@@ -325,6 +321,13 @@ def csa_solve(
             x = next_x.copy()
             claimed = next_claimed
             continue
+
+        accelerate = [False] * n_items
+        for k in range(n_items):
+            new_alpha = guess_alpha(histories[k], grid_step, target_p=items[k]["p"])
+            accelerate[k] = new_alpha < alphas[k] - 1e-12
+            alphas[k] = new_alpha
+        snapped = [snap_to_grid(alpha, grid_step) for alpha in alphas]
 
         summary_watch = Stopwatch()
         with summary_watch, stage("summaries", Z=n_summaries):
@@ -361,6 +364,7 @@ def csa_solve(
             # Outcomes that do not depend on the time limit, as for the
             # solve memo: a truncated round is never replayed.
             ctx.memo[key] = (
+                tuple(alphas),
                 result.status,
                 None if next_x is None else next_x.copy(),
                 next_claimed,

@@ -29,11 +29,11 @@ disabled, evicted outright (a later request regenerates them).
 
 Beside the matrices the store owns :attr:`ScenarioStore.memo`, an
 :class:`AnswerMemo` of the exact answers an evaluation computes from
-them — raw solver outcomes, validation counts, α fits and CSA round
-outcomes — so a repeated query replays its own CSA search instead of
-re-running it.  Its keys are
-content too (``docs/architecture.md``, "Ask once"), so a
-delta needs no invalidation rule.
+them — raw solver outcomes, validation counts and CSA round outcomes
+(α updates included) — so a repeated query replays its own CSA search
+instead of re-running it.  Its keys are content too
+(``docs/architecture.md``, "Ask once"), so a delta needs no
+invalidation rule.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ from ..db.expressions import Expr, render
 from ..obs import stage
 
 #: Byte bound on :attr:`ScenarioStore.memo`.  The ledger's ``serve_hot``
-#: hot set (12 query/seed keys, default config) leaves 844 answers in it
-#: (265 of them CSA rounds), 1.49 MB; the bound keeps about ten such
-#: working sets before the least-recently-used answers go.
+#: hot set (12 query/seed keys, default config) leaves 703 answers in it
+#: (297 of them CSA rounds, keyed by their α histories), 1.68 MB; the
+#: bound keeps about ten such working sets before the least-recently-used
+#: answers go.
 _MEMO_LIMIT_BYTES = 16 * 1024**2
 
 #: Attribute used to cache a model's fingerprint on the instance (the

@@ -1,4 +1,4 @@
-"""Exactness of the evaluation memo (solve + validation + α fit + round).
+"""Exactness of the evaluation memo (solve + validation + round).
 
 Rows of the exactness harness (``tests/exact/harness.py``): each test
 names (mechanism, case) pairs of its tables, and the harness evaluates

@@ -121,11 +121,11 @@ def test_small_models_take_the_unreduced_path(solves, validations, no_lane):
         assert record["sub"] == []
         # A distinct model is handed to HiGHS whole; a repeat not at all.
         assert record["full"] == ([] if record["memo"] else [record["cols"]])
-    # 69 CSA and Q0 solves are asked for: 54 distinct models, 15 repeats.
-    # 8 of the repeats are whole rounds the round memo replays without
-    # building a model; the other 7 reach the solve memo.
+    # 69 CSA and Q0 solves are asked for: 54 distinct models, 15 repeats,
+    # all served by the solve memo (a round is keyed before its α fit, so
+    # the round memo replays none inside one query).
     repeats = sum(record["memo"] for record in solves)
-    assert (len(solves), len(solves) - repeats) == (61, 54)
+    assert (len(solves), len(solves) - repeats) == (69, 54)
     assert (len(validations), len(validations) - sum(validations)) == (68, 22)
 
 
